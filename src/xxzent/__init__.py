@@ -9,11 +9,8 @@ from .linalg import (
     NonHermitianError,
     NotPSDError,
     SPIN_FLIP,
-    adjoint,
-    conj,
     hermitian_eigen,
     hermiticity_defect,
-    matmul,
     psd_sqrt,
 )
 from .model import (

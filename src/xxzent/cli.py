@@ -41,6 +41,8 @@ from .sweep import (
     sweep,
 )
 from .thermal import (
+    DENSITY_TOL,
+    ROUTE_TOL,
     BoltzmannOverflowError,
     InvalidDensityMatrixError,
     NonPositiveTemperatureError,
@@ -54,7 +56,7 @@ SCHEMA_VERSION = "1"
 
 AXIS_TOKENS = {"t": "T", "b": "b", "big-b": "B", "jz": "Jz", "j": "J"}
 
-TOLERANCES = {"route_agreement": 1e-10, "density_matrix": 1e-12}
+TOLERANCES = {"route_agreement": ROUTE_TOL, "density_matrix": DENSITY_TOL}
 
 DOMAIN_ERRORS = (
     InvalidParameterError,

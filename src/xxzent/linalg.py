@@ -5,6 +5,11 @@ Everything downstream works in the fixed product basis
 cyclic Jacobi eigensolver for 4x4 Hermitian matrices.  Keeping the solver
 in-package (rather than calling out to LAPACK) makes the spectral route a
 genuinely independent cross-check of the closed-form spectrum.
+
+Every function takes one 4x4 matrix or a (..., 4, 4) stack of them.  The
+Jacobi rotations run over the whole stack at once, but each matrix keeps its
+own convergence test, so a matrix gets the same result alone as inside any
+stack.  Errors name the index of the first offending matrix in a stack.
 """
 
 from __future__ import annotations
@@ -52,143 +57,173 @@ class EigenSystem(NamedTuple):
     vectors: np.ndarray
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
+# One sweep visits the six rotation planes (p, q) in three rounds of two
+# disjoint planes, given as index arrays (p1, p2), (q1, q2).  Rotations in
+# disjoint planes commute and neither changes the entries the other is
+# computed from, so a round applies both at once.
+_ROUNDS = tuple(
+    (np.array(p), np.array(q)) for p, q in (((0, 2), (1, 3)), ((0, 1), (2, 3)), ((0, 1), (3, 2)))
+)
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
+def _stack(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Complex (N, 4, 4) copy of a 4x4 matrix or (..., 4, 4) stack, and its leading shape."""
+    m = np.array(matrix, dtype=complex)
+    if m.ndim < 2 or m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {m.shape}")
+    return m.reshape(-1, 4, 4), m.shape[:-2]
 
 
-def conj(a: np.ndarray) -> np.ndarray:
-    """Entrywise complex conjugate."""
-    return np.asarray(a, dtype=complex).conj()
+def _which(lead: tuple[int, ...], flat: int) -> str:
+    """Name matrix number `flat` of a stack with leading shape `lead`."""
+    if not lead:
+        return "matrix"
+    index = tuple(int(i) for i in np.unravel_index(flat, lead))
+    return f"matrix {index[0] if len(index) == 1 else index}"
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest |m[i,j] - conj(m[j,i])| over all entries."""
-    m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m - m.conj().T)))
+def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
+    """Largest |m[i,j] - conj(m[j,i])| over all entries, per matrix of a stack.
 
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
-
-
-def _rotation(a: np.ndarray, p: int, q: int) -> np.ndarray | None:
-    """Unitary zeroing a[p,q]; None when the entry is already zero.
-
-    Phase out a[p,q], then rotate by the classic angle choice
-    t = sign(tau)/(|tau| + sqrt(1+tau^2)) for the phased real 2x2 block.
+    A float for one matrix, an array of the leading shape for a stack.
     """
-    gamma = a[p, q]
-    r = abs(gamma)
-    if r == 0.0:
-        return None
-    phase = gamma / r
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
+    m = np.asarray(m, dtype=complex)
+    defect = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    return float(defect) if m.ndim == 2 else defect
+
+
+def _off_norm(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of the off-diagonal part of each matrix of an (N, 4, 4) stack."""
+    return np.sqrt((np.abs(a[:, _OFF_DIAGONAL]) ** 2).sum(axis=-1))
+
+
+def _rotation(gamma, app, aqq, needed):
+    """Jacobi rotation (c, s, phase) zeroing the coupling gamma of a 2x2 block.
+
+    Phase out gamma, then rotate by the classic angle choice
+    t = sign(tau)/(|tau| + sqrt(1+tau^2)) for the phased real block with
+    diagonal (app, aqq).  Where `needed` is False the rotation is the exact
+    identity c = 1, s = 0, phase = 1.
+    """
+    r = np.where(needed, np.abs(gamma), 1.0)
+    phase = np.where(needed, gamma / r, 1.0)
+    tau = (aqq - app) / (2.0 * r)
+    t = np.where(needed, np.copysign(1.0 / (np.abs(tau) + np.hypot(1.0, tau)), tau), 0.0)
     c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    u = np.eye(4, dtype=complex)
-    u[p, p] = c
-    u[p, q] = s
-    u[q, p] = -s * phase.conjugate()
-    u[q, q] = c * phase.conjugate()
-    return u
+    return c, t * c, phase
 
 
 def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
-    """Full eigensystem of a 4x4 Hermitian matrix by cyclic Jacobi rotations.
+    """Full eigensystem of 4x4 Hermitian matrices by cyclic Jacobi rotations.
 
-    Raises NonHermitianError if the input fails the Hermiticity check and
-    NoConvergenceError if the off-diagonal norm has not dropped below
+    For one matrix, values has shape (4,) and vectors (4, 4); a stack adds
+    its leading shape to both.  Raises ValueError for any other shape,
+    NonHermitianError if a matrix fails the Hermiticity check and
+    NoConvergenceError if a matrix's off-diagonal norm has not dropped below
     OFF_DIAGONAL_TOL within MAX_SWEEPS sweeps.
     """
-    m = np.array(matrix, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    m, lead = _stack(matrix)
     defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
+    bad = np.flatnonzero(defect > HERMITICITY_TOL)
+    if bad.size:
         raise NonHermitianError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} > {HERMITICITY_TOL:.0e}"
+            f"{_which(lead, bad[0])} is not Hermitian: max asymmetry "
+            f"{defect[bad[0]]:.3e} > {HERMITICITY_TOL:.0e}"
         )
-    a = (m + m.conj().T) / 2.0
-    v = np.eye(4, dtype=complex)
+    # Rows 0-3 of each 8x4 block hold a, rows 4-7 the accumulated
+    # eigenvectors v: a column rotation a <- a u, v <- v u is one update.
+    av = np.concatenate(
+        [(m + m.conj().swapaxes(-1, -2)) / 2.0, np.broadcast_to(np.eye(4), m.shape)], axis=1
+    )
+    active = np.arange(len(av))  # matrices still above the off-diagonal tolerance
     for _ in range(MAX_SWEEPS):
-        if _off_norm(a) <= OFF_DIAGONAL_TOL:
+        active = active[_off_norm(av[active, :4]) > OFF_DIAGONAL_TOL]
+        if not active.size:
             break
-        for p in range(3):
-            for q in range(p + 1, 4):
-                u = _rotation(a, p, q)
-                if u is None:
-                    continue
-                a = u.conj().T @ a @ u
-                v = v @ u
+        w = av[active]
+        for p, q in _ROUNDS:
+            gamma = w[:, p, q]
+            c, s, phase = _rotation(gamma, w[:, p, p].real, w[:, q, q].real, gamma != 0.0)
+            # a <- adj(u) a u and v <- v u, for the unitary u equal to the
+            # identity except u[p,p] = c, u[p,q] = s, u[q,p] = -s conj(phase)
+            # and u[q,q] = c conj(phase), per plane.  Columns first, then rows;
+            # the fancy-indexed slices are copies.
+            s_phase, c_phase = s * phase, c * phase
+            col_p, col_q = w[:, :, p], w[:, :, q]
+            w[:, :, p] = c[:, None] * col_p - s_phase.conj()[:, None] * col_q
+            w[:, :, q] = s[:, None] * col_p + c_phase.conj()[:, None] * col_q
+            row_p, row_q = w[:, p, :], w[:, q, :]
+            w[:, p, :] = c[..., None] * row_p - s_phase[..., None] * row_q
+            w[:, q, :] = s[..., None] * row_p + c_phase[..., None] * row_q
+        av[active] = w
     else:
         raise NoConvergenceError(
             f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps "
-            f"(off-diagonal norm {_off_norm(a):.3e})"
+            f"({_which(lead, active[0])}, off-diagonal norm "
+            f"{_off_norm(av[active[:1], :4])[0]:.3e})"
         )
-    diag = a.diagonal().real
-    order = np.argsort(diag, kind="stable")
-    return EigenSystem(diag[order].copy(), v[:, order].copy())
+    diag = np.diagonal(av[:, :4], axis1=-2, axis2=-1).real
+    order = np.argsort(diag, axis=-1, kind="stable")
+    values = np.take_along_axis(diag, order, axis=-1)
+    vectors = np.take_along_axis(av[:, 4:], order[:, np.newaxis, :], axis=-1)
+    return EigenSystem(values.reshape(lead + (4,)), vectors.reshape(lead + (4, 4)))
 
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root R with R @ R = matrix.
+    """Hermitian PSD square root R with R @ R = matrix, per matrix of a stack.
 
     Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything more negative
     raises NotPSDError.
     """
     values, vectors = hermitian_eigen(matrix)
-    if values[0] < -PSD_TOL:
+    lowest = values[..., 0]
+    bad = np.flatnonzero(lowest < -PSD_TOL)
+    if bad.size:
         raise NotPSDError(
-            f"matrix is not positive semidefinite: min eigenvalue {values[0]:.3e}"
+            f"{_which(lowest.shape, bad[0])} is not positive semidefinite: "
+            f"min eigenvalue {lowest.flat[bad[0]]:.3e}"
         )
     roots = np.sqrt(np.clip(values, 0.0, None))
-    result = (vectors * roots) @ vectors.conj().T
-    return (result + result.conj().T) / 2.0
+    result = (vectors * roots[..., np.newaxis, :]) @ vectors.conj().swapaxes(-1, -2)
+    return (result + result.conj().swapaxes(-1, -2)) / 2.0
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """Singular values of a 4x4 complex matrix, descending.
+    """Singular values of 4x4 complex matrices, descending along the last axis.
 
     One-sided Jacobi: rotate column pairs until mutually orthogonal, then the
     singular values are the column norms.  No Gram matrix is ever formed, so
     tiny singular values keep full absolute accuracy instead of the sqrt-of-
-    roundoff floor that squaring would impose.
+    roundoff floor that squaring would impose.  A matrix is done after the
+    first sweep that rotates none of its column pairs.
     """
-    a = np.array(matrix, dtype=complex)
-    if a.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
+    m, lead = _stack(matrix)
+    cols = m.swapaxes(-1, -2).copy()  # cols[:, k] is column k
+    active = np.arange(len(cols))  # matrices whose last sweep rotated
     for _ in range(MAX_SWEEPS):
-        rotated = False
-        for p in range(3):
-            for q in range(p + 1, 4):
-                app = float(np.vdot(a[:, p], a[:, p]).real)
-                aqq = float(np.vdot(a[:, q], a[:, q]).real)
-                apq = complex(np.vdot(a[:, p], a[:, q]))
-                scale = np.sqrt(app * aqq)
-                if scale == 0.0 or abs(apq) <= 1e-15 * scale:
-                    continue
-                rotated = True
-                r = abs(apq)
-                phase = apq / r
-                tau = (aqq - app) / (2.0 * r)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                col_p = c * a[:, p] - s * phase.conjugate() * a[:, q]
-                col_q = s * phase * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-        if not rotated:
+        sub = cols[active]
+        rotated = np.zeros(len(active), dtype=bool)
+        for p, q in _ROUNDS:
+            x, y = sub[:, p], sub[:, q]  # copies, (n, 2, 4)
+            app = (x.conj() * x).sum(axis=-1).real
+            aqq = (y.conj() * y).sum(axis=-1).real
+            apq = (x.conj() * y).sum(axis=-1)
+            scale = np.sqrt(app * aqq)
+            needed = (scale != 0.0) & (np.abs(apq) > 1e-15 * scale)
+            rotated |= needed.any(axis=-1)
+            c, s, phase = _rotation(apq, app, aqq, needed)
+            c, s, phase = c[..., None], s[..., None], phase[..., None]
+            sub[:, p] = c * x - s * phase.conj() * y
+            sub[:, q] = s * phase * x + c * y
+        cols[active] = sub
+        active = active[rotated]
+        if not active.size:
             break
     else:
         raise NoConvergenceError(
-            f"one-sided Jacobi did not converge in {MAX_SWEEPS} sweeps"
+            f"one-sided Jacobi did not converge in {MAX_SWEEPS} sweeps "
+            f"({_which(lead, active[0])})"
         )
-    norms = np.sqrt(np.sum(np.abs(a) ** 2, axis=0))
-    return np.sort(norms)[::-1]
+    norms = np.sqrt(np.sum(np.abs(cols) ** 2, axis=-1))
+    return np.sort(norms, axis=-1)[:, ::-1].reshape(lead + (4,))

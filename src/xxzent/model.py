@@ -126,15 +126,40 @@ class GroundStateReport:
     threshold_B: float
 
 
+def hamiltonian_values(J, Jz, B, b) -> np.ndarray:
+    """Hamiltonian matrices over broadcast parameters, shape (..., 4, 4).
+
+    Real symmetric and traceless, in the standard basis; accepts J = 0 and
+    any sign of B (no ModelParams checks).
+    """
+    J, Jz, B, b = np.broadcast_arrays(J, Jz, B, b)
+    h = np.zeros(J.shape + (4, 4), dtype=complex)
+    h[..., 0, 0] = (Jz + 2.0 * B) / 2.0
+    h[..., 1, 1] = (-Jz + 2.0 * b) / 2.0
+    h[..., 2, 2] = (-Jz - 2.0 * b) / 2.0
+    h[..., 3, 3] = (Jz - 2.0 * B) / 2.0
+    h[..., 1, 2] = h[..., 2, 1] = J
+    return h
+
+
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
     """Hamiltonian matrix in the standard basis; real symmetric, traceless."""
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = (p.Jz + 2.0 * p.B) / 2.0
-    h[1, 1] = (-p.Jz + 2.0 * p.b) / 2.0
-    h[2, 2] = (-p.Jz - 2.0 * p.b) / 2.0
-    h[3, 3] = (p.Jz - 2.0 * p.B) / 2.0
-    h[1, 2] = h[2, 1] = p.J
-    return h
+    return hamiltonian_values(p.J, p.Jz, p.B, p.b)
+
+
+def energy_values(J, Jz, B, b) -> np.ndarray:
+    """Closed-form energies (E1, E2, E3, E4) along the last axis; broadcasts.
+
+    Same labels as ClosedSpectrum, unsorted.  Accepts J = 0, since no
+    eigenvector is formed.
+    """
+    eta = np.hypot(b, J)
+    return np.stack(
+        np.broadcast_arrays(
+            0.5 * (Jz - 2.0 * B), 0.5 * (Jz + 2.0 * B), -0.5 * Jz - eta, -0.5 * Jz + eta
+        ),
+        axis=-1,
+    )
 
 
 def closed_spectrum(p: ModelParams) -> ClosedSpectrum:

@@ -21,6 +21,7 @@ from .model import ModelParams, ZeroXYCouplingError
 from .thermal import (
     TEMPERATURE_GUARD,
     METHOD_XSTATE,
+    ROUTE_TOL,
     _check_temperature,
     concurrence_values,
     log_sign_values,
@@ -153,7 +154,7 @@ def sweep(axes: Sequence[Axis], fixed: Mapping[str, float]) -> SweepGrid:
         fixed={k: float(v) for k, v in fixed.items()},
         axes=axes,
         values=np.asarray(flat, dtype=float).reshape(shape),
-        metadata={"method": METHOD_XSTATE, "tolerances": {"route_agreement": 1e-10}},
+        metadata={"method": METHOD_XSTATE, "tolerances": {"route_agreement": ROUTE_TOL}},
     )
 
 
@@ -298,7 +299,7 @@ def figure_data(figure: int, points: int = 201) -> list[SweepGrid]:
             values=np.asarray(flat, dtype=float).reshape(points, points),
             metadata={
                 "method": METHOD_XSTATE,
-                "tolerances": {"route_agreement": 1e-10},
+                "tolerances": {"route_agreement": ROUTE_TOL},
                 "note": "isotropic Jz=J preset evaluated at doubled parameters "
                 "(J,Jz,B,b) -> (2J,2Jz,2B,2b); axes are in the undoubled units",
             },

@@ -10,6 +10,10 @@ decides concurrence positivity analytically and drives the root finders:
 
 so concurrence > 0  iff  g = exp(Jz/T) * (|J|/eta) * sinh(eta/T) - 1 > 0,
 independent of the uniform field B.
+
+Each route is written once, as a `*_values` kernel over broadcast parameters
+or (..., 4, 4) stacks of density matrices; the scalar functions call those
+kernels on a single point.
 """
 
 from __future__ import annotations
@@ -22,14 +26,22 @@ import numpy as np
 from .linalg import (
     SPIN_FLIP,
     NotPSDError,
-    adjoint,
     hermitian_eigen,
     hermiticity_defect,
     psd_sqrt,
     singular_values,
 )
-from .model import ModelParams, ZeroXYCouplingError, build_hamiltonian, closed_spectrum
+from .model import (
+    ModelParams,
+    ZeroXYCouplingError,
+    closed_spectrum,
+    energy_values,
+    hamiltonian_values,
+)
 
+# Largest disagreement accepted between two routes to the same quantity
+# (spectrum, Gibbs state, concurrence).
+ROUTE_TOL = 1e-10
 DENSITY_TOL = 1e-12
 XSTATE_TOL = 1e-12
 TEMPERATURE_GUARD = 1e-8
@@ -38,6 +50,10 @@ EXPONENT_GUARD = 700.0
 METHOD_WOOTTERS = "generic-wootters"
 METHOD_XSTATE = "xstate-shortcut"
 METHOD_SIGN = "sign-function"
+
+# Entries an X state may hold: the diagonal and the central coherence.
+_X_PATTERN = np.eye(4, dtype=bool)
+_X_PATTERN[1, 2] = _X_PATTERN[2, 1] = True
 
 
 class NonPositiveTemperatureError(ValueError):
@@ -74,23 +90,38 @@ class ConcurrenceResult:
     sign_diagnostic: float | None = None
 
 
-def _check_temperature(T: float) -> float:
-    T = float(T)
-    if not T > 0.0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0, got {T!r}")
-    if T < TEMPERATURE_GUARD:
-        raise BoltzmannOverflowError(
-            f"temperature {T!r} below the overflow guard {TEMPERATURE_GUARD:g}"
+def _check_temperature(T):
+    """T (a float, or an array for array input) after the temperature guards."""
+    T = np.asarray(T, dtype=float)
+    bad = np.flatnonzero(~(T > 0.0))
+    if bad.size:
+        raise NonPositiveTemperatureError(
+            f"temperature must be > 0, got {float(T.flat[bad[0]])!r}"
         )
+    low = np.flatnonzero(T < TEMPERATURE_GUARD)
+    if low.size:
+        raise BoltzmannOverflowError(
+            f"temperature {float(T.flat[low[0]])!r} below the overflow guard "
+            f"{TEMPERATURE_GUARD:g}"
+        )
+    return float(T) if T.ndim == 0 else T
+
+
+def _check_exponents(energies: np.ndarray, T) -> None:
+    """Exponent guard on energies (..., 4) at temperatures broadcasting to (...)."""
+    worst = np.max(np.abs(energies), axis=-1) / T
+    if np.any(worst > EXPONENT_GUARD):
+        raise BoltzmannOverflowError(
+            f"|E|/T = {float(np.max(worst)):.3g} exceeds the exponent guard "
+            f"{EXPONENT_GUARD:g}"
+        )
+
+
+def _checked_temperature(J, Jz, B, b, T):
+    """T after the temperature guards and the exponent guard on the closed energies."""
+    T = _check_temperature(T)
+    _check_exponents(energy_values(J, Jz, B, b), T)
     return T
-
-
-def _check_exponents(energies: np.ndarray, T: float) -> None:
-    worst = float(np.max(np.abs(energies))) / T
-    if worst > EXPONENT_GUARD:
-        raise BoltzmannOverflowError(
-            f"|E|/T = {worst:.3g} exceeds the exponent guard {EXPONENT_GUARD:g}"
-        )
 
 
 def _weights(J, Jz, B, b, T):
@@ -118,17 +149,49 @@ def _coherence(J, eta, w3, w4):
     return np.where(eta > 0.0, np.abs(J) * (w3 - w4) / (2.0 * safe), 0.0)
 
 
+def _x_concurrence(coh, corner, norm):
+    """X-state concurrence 2 (coh - corner) / norm, clipped to [0, 1]."""
+    return np.minimum(np.maximum(0.0, 2.0 * (coh - corner) / norm), 1.0)
+
+
+def _x_roots(coh, corner, inner, norm):
+    """X-state Wootters roots, descending along a new last axis, divided by norm.
+
+    coh = |rho_23|, corner = sqrt(rho_11 rho_44) and inner =
+    sqrt(rho_22 rho_33), all times norm.
+    """
+    roots = np.stack(
+        np.broadcast_arrays(inner + coh, np.maximum(inner - coh, 0.0), corner, corner),
+        axis=-1,
+    )
+    return np.sort(roots, axis=-1)[..., ::-1] / np.asarray(norm)[..., np.newaxis]
+
+
 def concurrence_values(J, Jz, B, b, T) -> np.ndarray:
     """Thermal concurrence via the X-state closed form; broadcasts over arrays.
 
     Total for any finite parameters with T > 0 (J = 0 gives a diagonal Gibbs
-    state and hence zero).  This is the kernel behind grid sweeps.
+    state and hence zero).  This is the kernel behind grid sweeps; it applies
+    no guard (see thermal_concurrence_values for the guarded kernel).
     """
+    eta, w1, w2, w3, w4 = _weights(J, Jz, B, b, T)
+    zs = w1 + w2 + w3 + w4
+    return _x_concurrence(_coherence(J, eta, w3, w4), np.sqrt(w1 * w2), zs)
+
+
+def thermal_concurrence_values(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
+    """Gibbs-state concurrence and Wootters roots from the closed-form weights.
+
+    Broadcasts over the parameters; the roots gain a last axis of length 4.
+    Applies the temperature and exponent guards.
+    """
+    T = _checked_temperature(J, Jz, B, b, T)
     eta, w1, w2, w3, w4 = _weights(J, Jz, B, b, T)
     zs = w1 + w2 + w3 + w4
     coh = _coherence(J, eta, w3, w4)
     corner = np.sqrt(w1 * w2)
-    return np.minimum(np.maximum(0.0, 2.0 * (coh - corner) / zs), 1.0)
+    inner = np.sqrt(w3 * w4 + coh * coh)
+    return _x_concurrence(coh, corner, zs), _x_roots(coh, corner, inner, zs)
 
 
 def log_sign_values(J, Jz, b, T) -> np.ndarray:
@@ -155,28 +218,40 @@ def concurrence_sign(p: ModelParams, T: float) -> float:
         return float(np.expm1(log_sign_values(p.J, p.Jz, p.b, T)))
 
 
-def gibbs_closed(p: ModelParams, T: float) -> tuple[np.ndarray, GibbsDiagnostics]:
-    """Closed-form Gibbs state exp(-H/T)/Z and its diagnostics.
+def gibbs_closed_values(J, Jz, B, b, T) -> np.ndarray:
+    """Closed-form Gibbs states exp(-H/T)/Z over broadcast parameters, (..., 4, 4).
 
-    Entries are assembled from shifted Boltzmann weights so the matrix never
-    overflows; Z is always the energy trace sum(exp(-E_k/T)), which is what
-    unit trace requires.
+    Entries are assembled from shifted Boltzmann weights so the matrices
+    never overflow.  Requires J != 0; applies the temperature and exponent
+    guards.
     """
-    if p.J == 0.0:
+    if np.any(np.asarray(J) == 0.0):
         raise ZeroXYCouplingError("closed-form Gibbs state requires J != 0")
-    T = _check_temperature(T)
-    spec = closed_spectrum(p)
-    _check_exponents(spec.energies, T)
-    eta, w1, w2, w3, w4 = _weights(p.J, p.Jz, p.B, p.b, T)
+    T = _checked_temperature(J, Jz, B, b, T)
+    eta, w1, w2, w3, w4 = _weights(J, Jz, B, b, T)
     zs = w1 + w2 + w3 + w4
     half_sum = 0.5 * (w3 + w4)
     half_diff = 0.5 * (w3 - w4)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = w2 / zs
-    rho[1, 1] = (half_sum - (p.b / eta) * half_diff) / zs
-    rho[2, 2] = (half_sum + (p.b / eta) * half_diff) / zs
-    rho[3, 3] = w1 / zs
-    rho[1, 2] = rho[2, 1] = -(p.J / eta) * half_diff / zs
+    rho = np.zeros(np.shape(zs) + (4, 4), dtype=complex)
+    rho[..., 0, 0] = w2 / zs
+    rho[..., 1, 1] = (half_sum - (b / eta) * half_diff) / zs
+    rho[..., 2, 2] = (half_sum + (b / eta) * half_diff) / zs
+    rho[..., 3, 3] = w1 / zs
+    rho[..., 1, 2] = rho[..., 2, 1] = -(J / eta) * half_diff / zs
+    return rho
+
+
+def gibbs_closed(p: ModelParams, T: float) -> tuple[np.ndarray, GibbsDiagnostics]:
+    """Closed-form Gibbs state exp(-H/T)/Z and its diagnostics.
+
+    Z is always the energy trace sum(exp(-E_k/T)), which is what unit trace
+    requires.
+    """
+    rho = gibbs_closed_values(p.J, p.Jz, p.B, p.b, T)
+    T = float(T)
+    spec = closed_spectrum(p)
+    eta, w1, w2, w3, w4 = _weights(p.J, p.Jz, p.B, p.b, T)
+    zs = w1 + w2 + w3 + w4
     x = eta / T
     emin = float(np.min(spec.energies))
     diagnostics = GibbsDiagnostics(
@@ -188,39 +263,49 @@ def gibbs_closed(p: ModelParams, T: float) -> tuple[np.ndarray, GibbsDiagnostics
     return rho, diagnostics
 
 
+def gibbs_spectral_values(J, Jz, B, b, T) -> np.ndarray:
+    """Gibbs states from the Jacobi eigensystems of the Hamiltonians, (..., 4, 4).
+
+    Independent of the closed form; accepts J = 0.  The exponent guard
+    applies to the Jacobi eigenvalues.
+    """
+    T = _check_temperature(T)
+    values, vectors = hermitian_eigen(hamiltonian_values(J, Jz, B, b))
+    _check_exponents(values, T)
+    w = np.exp(-(values - values[..., :1]) / np.asarray(T)[..., np.newaxis])
+    rho = (vectors * w[..., np.newaxis, :]) @ vectors.conj().swapaxes(-1, -2)
+    rho /= w.sum(axis=-1)[..., np.newaxis, np.newaxis]
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+
+
 def gibbs_spectral(p: ModelParams, T: float) -> np.ndarray:
     """Gibbs state from the Jacobi eigensystem of the Hamiltonian.
 
     Independent of the closed form; accepts J = 0.
     """
-    T = _check_temperature(T)
-    values, vectors = hermitian_eigen(build_hamiltonian(p))
-    _check_exponents(values, T)
-    w = np.exp(-(values - values[0]) / T)
-    rho = (vectors * w) @ vectors.conj().T / w.sum()
-    return (rho + adjoint(rho)) / 2.0
+    return gibbs_spectral_values(p.J, p.Jz, p.B, p.b, T)
 
 
 def _check_density_matrix(rho: np.ndarray) -> None:
-    defect = hermiticity_defect(rho)
+    defect = np.max(hermiticity_defect(rho))
     if defect > DENSITY_TOL:
         raise InvalidDensityMatrixError(f"not Hermitian: max asymmetry {defect:.3e}")
-    trace_defect = abs(complex(np.trace(rho)) - 1.0)
+    trace_defect = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
     if trace_defect > DENSITY_TOL:
         raise InvalidDensityMatrixError(f"trace deviates from 1 by {trace_defect:.3e}")
 
 
-def wootters_concurrence(rho: np.ndarray) -> ConcurrenceResult:
-    """Concurrence max(0, 2*max(l_i) - sum(l_i)) for any two-qubit state.
+def wootters_values(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wootters concurrence and roots of a state or a (..., 4, 4) stack of states.
 
-    The l_i are the square roots of the eigenvalues of rho @ rho_tilde with
-    rho_tilde = S conj(rho) S.  They are computed here as the singular
-    values of the factor A = sqrt(rho) S conj(sqrt(rho)), which satisfies
+    The roots l_i are the square roots of the eigenvalues of rho @ rho_tilde
+    with rho_tilde = S conj(rho) S, descending along the last axis.  They
+    are computed as the singular values of the factor
+    A = sqrt(rho) S conj(sqrt(rho)), which satisfies
     A adj(A) = sqrt(rho) rho_tilde sqrt(rho): never forming that product
     keeps tiny roots at full absolute accuracy (squaring would floor them at
-    the square root of machine roundoff).  For real states A is Hermitian
-    and the Jacobi eigensolver suffices; otherwise a one-sided Jacobi SVD
-    handles it.
+    the square root of machine roundoff).  Every state must pass the
+    Hermitian, unit-trace and PSD checks.
     """
     rho = np.asarray(rho, dtype=complex)
     _check_density_matrix(rho)
@@ -228,36 +313,45 @@ def wootters_concurrence(rho: np.ndarray) -> ConcurrenceResult:
         root = psd_sqrt(rho)
     except NotPSDError as exc:
         raise InvalidDensityMatrixError(str(exc)) from exc
-    factor = root @ SPIN_FLIP @ root.conj()
-    if hermiticity_defect(factor) <= DENSITY_TOL:
-        roots = np.sort(np.abs(hermitian_eigen(factor).values))[::-1]
-    else:
-        roots = singular_values(factor)
-    value = min(max(0.0, 2.0 * roots[0] - roots.sum()), 1.0)
+    roots = singular_values(root @ SPIN_FLIP @ root.conj())
+    value = np.minimum(np.maximum(0.0, 2.0 * roots[..., 0] - roots.sum(axis=-1)), 1.0)
+    return value, roots
+
+
+def wootters_concurrence(rho: np.ndarray) -> ConcurrenceResult:
+    """Concurrence max(0, 2*max(l_i) - sum(l_i)) for any two-qubit state.
+
+    See wootters_values for the construction and the checks.
+    """
+    value, roots = wootters_values(rho)
     return ConcurrenceResult(float(value), roots, METHOD_WOOTTERS)
 
 
-def xstate_concurrence(rho: np.ndarray) -> ConcurrenceResult:
-    """Closed-form concurrence 2*max(0, |rho_23| - sqrt(rho_11 rho_44)).
+def xstate_values(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X-state concurrence and roots of a state or a (..., 4, 4) stack of states.
 
     Valid for states whose only nonzero entries are the diagonal and the
     central (|1,0>, |0,1>) coherence; raises NotXStateError otherwise.
     """
     rho = np.asarray(rho, dtype=complex)
-    allowed = np.zeros((4, 4), dtype=bool)
-    allowed[np.diag_indices(4)] = True
-    allowed[1, 2] = allowed[2, 1] = True
-    worst = float(np.max(np.abs(np.where(allowed, 0.0, rho))))
+    worst = float(np.max(np.abs(np.where(_X_PATTERN, 0.0, rho))))
     if worst > XSTATE_TOL:
         raise NotXStateError(
             f"entry outside the X pattern has magnitude {worst:.3e} > {XSTATE_TOL:g}"
         )
-    diag = np.clip(rho.diagonal().real, 0.0, None)
-    coh = abs(rho[1, 2])
-    corner = math.sqrt(diag[0] * diag[3])
-    inner = math.sqrt(diag[1] * diag[2])
-    roots = np.sort(np.array([inner + coh, max(inner - coh, 0.0), corner, corner]))[::-1]
-    value = min(max(0.0, 2.0 * (coh - corner)), 1.0)
+    diag = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None)
+    coh = np.abs(rho[..., 1, 2])
+    corner = np.sqrt(diag[..., 0] * diag[..., 3])
+    inner = np.sqrt(diag[..., 1] * diag[..., 2])
+    return _x_concurrence(coh, corner, 1.0), _x_roots(coh, corner, inner, 1.0)
+
+
+def xstate_concurrence(rho: np.ndarray) -> ConcurrenceResult:
+    """Closed-form concurrence 2*max(0, |rho_23| - sqrt(rho_11 rho_44)).
+
+    See xstate_values for the states it accepts.
+    """
+    value, roots = xstate_values(rho)
     return ConcurrenceResult(float(value), roots, METHOD_XSTATE)
 
 
@@ -268,28 +362,10 @@ def thermal_concurrence(p: ModelParams, T: float) -> ConcurrenceResult:
     route applies; the result carries the sign diagnostic g (reported as -1
     in the diagonal J = 0 limit, where the concurrence is identically zero).
     """
-    T = _check_temperature(T)
-    eta = float(np.hypot(p.b, p.J))
-    energies = np.array(
-        [
-            0.5 * (p.Jz - 2.0 * p.B),
-            0.5 * (p.Jz + 2.0 * p.B),
-            -0.5 * p.Jz - eta,
-            -0.5 * p.Jz + eta,
-        ]
-    )
-    _check_exponents(energies, T)
     if p.J == 0.0:
-        rho = gibbs_spectral(p, T)
-        result = xstate_concurrence(rho)
-        return replace(result, sign_diagnostic=-1.0)
-    _, w1, w2, w3, w4 = _weights(p.J, p.Jz, p.B, p.b, T)
-    zs = w1 + w2 + w3 + w4
-    coh = float(_coherence(p.J, eta, w3, w4))
-    corner = math.sqrt(w1 * w2)
-    inner = math.sqrt(w3 * w4 + coh * coh)
-    roots = np.sort(np.array([inner + coh, max(inner - coh, 0.0), corner, corner]))[::-1] / zs
-    value = min(max(0.0, 2.0 * (coh - corner) / zs), 1.0)
+        _checked_temperature(p.J, p.Jz, p.B, p.b, T)
+        return replace(xstate_concurrence(gibbs_spectral(p, T)), sign_diagnostic=-1.0)
+    value, roots = thermal_concurrence_values(p.J, p.Jz, p.B, p.b, T)
     with np.errstate(over="ignore"):
-        g = float(np.expm1(log_sign_values(p.J, p.Jz, p.b, T)))
+        g = float(np.expm1(log_sign_values(p.J, p.Jz, p.b, float(T))))
     return ConcurrenceResult(float(value), roots, METHOD_XSTATE, sign_diagnostic=g)

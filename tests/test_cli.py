@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import xxzent
 from xxzent.cli import main
 from xxzent.thermal import concurrence_values
 
@@ -238,9 +241,12 @@ class TestVerify:
 
 
 def test_console_script_installed():
+    # The child imports the tree under test, installed or not.
+    src = str(Path(xxzent.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "xxzent.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "xxzent" in result.stdout

@@ -14,11 +14,16 @@ from xxzent.thermal import (
     concurrence_sign,
     concurrence_values,
     gibbs_closed,
+    gibbs_closed_values,
     gibbs_spectral,
+    gibbs_spectral_values,
     log_sign_values,
     thermal_concurrence,
+    thermal_concurrence_values,
     wootters_concurrence,
+    wootters_values,
     xstate_concurrence,
+    xstate_values,
 )
 
 # frozen reference: 2*max(0, sinh(1) - 1) / (2 + 2*cosh(1))
@@ -328,3 +333,71 @@ class TestSymmetries:
             p, T = random_draw(rng)
             values = concurrence_values(p.J, p.Jz, grid, p.b, T)
             assert np.all(np.diff(values) <= 1e-12)
+
+
+def draw_columns(rng, n):
+    draws = [random_draw(rng) for _ in range(n)]
+    names = ("J", "Jz", "B", "b")
+    columns = [np.array([getattr(p, name) for p, _ in draws]) for name in names]
+    return draws, (*columns, np.array([T for _, T in draws]))
+
+
+class TestStackedKernels:
+    def test_match_scalar_routes(self):
+        rng = np.random.default_rng(314)
+        draws, columns = draw_columns(rng, 200)
+        closed = gibbs_closed_values(*columns)
+        spectral = gibbs_spectral_values(*columns)
+        woot_values, woot_roots = wootters_values(closed)
+        x_values, x_roots = xstate_values(closed)
+        thermal_values, thermal_roots = thermal_concurrence_values(*columns)
+        for i, (p, T) in enumerate(draws):
+            rho, _ = gibbs_closed(p, T)
+            assert np.array_equal(closed[i], rho)
+            assert np.array_equal(spectral[i], gibbs_spectral(p, T))
+            woot = wootters_concurrence(rho)
+            assert woot.value == woot_values[i]
+            assert np.array_equal(woot.wootters_roots, woot_roots[i])
+            x = xstate_concurrence(rho)
+            assert x.value == x_values[i]
+            assert np.array_equal(x.wootters_roots, x_roots[i])
+            thermal = thermal_concurrence(p, T)
+            assert thermal.value == thermal_values[i]
+            assert np.array_equal(thermal.wootters_roots, thermal_roots[i])
+
+    def test_guards_fire_for_one_member(self):
+        rng = np.random.default_rng(315)
+        _, (J, Jz, B, b, T) = draw_columns(rng, 50)
+        kernels = (gibbs_closed_values, gibbs_spectral_values, thermal_concurrence_values)
+        for kernel in kernels:
+            for bad_T, error in (
+                (0.0, NonPositiveTemperatureError),
+                (1e-9, BoltzmannOverflowError),  # temperature guard
+                (1e-5, BoltzmannOverflowError),  # exponent guard: |E| >= eta >= 0.05
+            ):
+                temps = T.copy()
+                temps[31] = bad_T
+                with pytest.raises(error):
+                    kernel(J, Jz, B, b, temps)
+        couplings = J.copy()
+        couplings[7] = 0.0
+        with pytest.raises(ZeroXYCouplingError):
+            gibbs_closed_values(couplings, Jz, B, b, T)
+
+    def test_state_checks_fire_for_one_member(self):
+        rng = np.random.default_rng(316)
+        _, columns = draw_columns(rng, 50)
+        rho = gibbs_closed_values(*columns)
+        for corrupt in (
+            lambda m: m * 2.0,  # trace 2
+            lambda m: m + np.triu(np.full((4, 4), 1e-3), 1),  # not Hermitian
+            lambda m: np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex),  # not PSD
+        ):
+            bad = rho.copy()
+            bad[12] = corrupt(bad[12])
+            with pytest.raises(InvalidDensityMatrixError):
+                wootters_values(bad)
+        bad = rho.copy()
+        bad[12, 0, 3] = bad[12, 3, 0] = 0.1
+        with pytest.raises(NotXStateError):
+            xstate_values(bad)

@@ -1,6 +1,17 @@
 import numpy as np
+import pytest
 
-from xxzent.verify import ALL_SUITES, draw_params, run_suites
+from xxzent import verify
+from xxzent.thermal import BoltzmannOverflowError, NonPositiveTemperatureError
+from xxzent.verify import (
+    ALL_SUITES,
+    draw_params,
+    run_suites,
+    suite_b_symmetry,
+    suite_gibbs,
+    suite_j_parity,
+    suite_routes,
+)
 
 
 def test_draw_ranges_and_reproducibility():
@@ -38,3 +49,29 @@ def test_gibbs_suite_reports_validity_details():
     (gibbs,) = [r for r in run_suites(100, 3) if r.name == "gibbs-oracle"]
     assert gibbs.details["max_trace_defect"] <= 1e-12
     assert gibbs.details["min_eigenvalue"] >= -1e-12
+
+
+def test_results_do_not_depend_on_block_size(monkeypatch):
+    samples = 1030  # not a multiple of the default block size, nor of 7
+    assert samples % verify.BLOCK_DRAWS and samples % 7
+    expected = run_suites(samples, 5)
+    monkeypatch.setattr(verify, "BLOCK_DRAWS", 7)
+    assert run_suites(samples, 5) == expected
+
+
+@pytest.mark.parametrize(
+    "suite", [suite_gibbs, suite_routes, suite_b_symmetry, suite_j_parity]
+)
+@pytest.mark.parametrize(
+    "T, error",
+    [
+        (0.0, NonPositiveTemperatureError),
+        (1e-9, BoltzmannOverflowError),  # temperature guard
+        (1e-5, BoltzmannOverflowError),  # exponent guard: |E| >= eta >= 0.05
+    ],
+)
+def test_guards_fire_in_a_later_block(suite, T, error):
+    draws = draw_params(600, 9)
+    draws["T"][550] = T
+    with pytest.raises(error):
+        suite(draws)
