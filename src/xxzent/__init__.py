@@ -3,12 +3,12 @@
 __version__ = "0.1.0"
 
 from .linalg import (
-    BASIS_LABELS,
     EigenSystem,
     NoConvergenceError,
     NonHermitianError,
     NotPSDError,
     SPIN_FLIP,
+    XxzentError,
     hermitian_eigen,
     hermiticity_defect,
     psd_sqrt,

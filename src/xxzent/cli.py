@@ -19,37 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .linalg import NoConvergenceError, NonHermitianError, NotPSDError, hermitian_eigen
-from .model import (
-    InvalidParameterError,
-    ModelParams,
-    NotNormalizedError,
-    BOUNDARY_TOL,
-    build_hamiltonian,
-    ground_state,
-)
+from .linalg import XxzentError
+from .model import BOUNDARY_TOL, ModelParams, ground_state
 from .sweep import (
     Axis,
-    InvalidAxisError,
     ROOT_RESIDUAL_TOL,
     SweepGrid,
-    UnknownFigureError,
     axis_columns,
     critical_field,
     critical_temperature,
     figure_data,
     sweep,
 )
-from .thermal import (
-    DENSITY_TOL,
-    ROUTE_TOL,
-    BoltzmannOverflowError,
-    InvalidDensityMatrixError,
-    NonPositiveTemperatureError,
-    NotXStateError,
-    gibbs_closed,
-    thermal_concurrence,
-)
+from .thermal import DENSITY_TOL, ROUTE_TOL, _gibbs_closed, thermal_concurrence
 from .verify import run_suites
 
 SCHEMA_VERSION = "1"
@@ -58,23 +40,11 @@ AXIS_TOKENS = {"t": "T", "b": "b", "big-b": "B", "jz": "Jz", "j": "J"}
 
 TOLERANCES = {"route_agreement": ROUTE_TOL, "density_matrix": DENSITY_TOL}
 
-DOMAIN_ERRORS = (
-    InvalidParameterError,
-    NotNormalizedError,
-    NonPositiveTemperatureError,
-    BoltzmannOverflowError,
-    InvalidDensityMatrixError,
-    NotXStateError,
-    NonHermitianError,
-    NoConvergenceError,
-    NotPSDError,
-)
 
-USAGE_ERRORS = (InvalidAxisError, UnknownFigureError)
+class UsageError(XxzentError):
+    """Bad flags or flag combination; reported without a class name."""
 
-
-class UsageError(Exception):
-    pass
+    exit_code = 2
 
 
 def _jsonsafe(obj):
@@ -82,15 +52,9 @@ def _jsonsafe(obj):
         return {key: _jsonsafe(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonsafe(value) for value in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonsafe(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         value = float(obj)
         return None if math.isnan(value) else value
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 
@@ -104,16 +68,16 @@ def _record(command: str, params: dict, results: dict, diagnostics: dict) -> dic
     }
 
 
+def _json_text(record: dict) -> str:
+    return json.dumps(_jsonsafe(record), indent=2, allow_nan=False) + "\n"
+
+
 def _emit(record: dict, out: str | None) -> None:
-    text = json.dumps(_jsonsafe(record), indent=2, allow_nan=False) + "\n"
+    text = _json_text(record)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _grid_csv(grid: SweepGrid) -> str:
@@ -121,7 +85,7 @@ def _grid_csv(grid: SweepGrid) -> str:
     columns = axis_columns(grid.axes) + [grid.values.ravel()]
     lines = [",".join(names + ["concurrence"])]
     for row in zip(*columns):
-        lines.append(",".join(_fmt17(x) for x in row))
+        lines.append(",".join(format(float(x), ".17g") for x in row))
     return "\n".join(lines) + "\n"
 
 
@@ -141,13 +105,8 @@ def _grid_record(grid: SweepGrid) -> dict:
 
 
 def _write_grid(grid: SweepGrid, path: Path, fmt: str) -> None:
-    if fmt == "csv":
-        path.write_text(_grid_csv(grid), encoding="utf-8", newline="")
-    else:
-        path.write_text(
-            json.dumps(_jsonsafe(_grid_record(grid)), indent=2, allow_nan=False) + "\n",
-            encoding="utf-8",
-        )
+    text = _grid_csv(grid) if fmt == "csv" else _json_text(_grid_record(grid))
+    path.write_text(text, encoding="utf-8", newline="")
 
 
 def _model_params(args) -> ModelParams:
@@ -172,16 +131,7 @@ def _parse_axis(spec: str) -> Axis:
 def cmd_eval(args) -> int:
     p = _model_params(args)
     result = thermal_concurrence(p, args.t)
-    if p.J != 0.0:
-        _, diag = gibbs_closed(p, args.t)
-        partition = {"Z": diag.Z, "m": diag.m, "n": diag.n, "s": diag.s}
-    else:
-        values, _ = hermitian_eigen(build_hamiltonian(p))
-        shifted = np.exp(-(values - values[0]) / args.t)
-        partition = {
-            "Z": float(shifted.sum() * math.exp(-values[0] / args.t)),
-            "m": None, "n": None, "s": None,
-        }
+    _, diag = _gibbs_closed(p, args.t)
     record = _record(
         "eval",
         {"J": p.J, "Jz": p.Jz, "B": p.B, "b": p.b, "T": float(args.t)},
@@ -191,7 +141,7 @@ def cmd_eval(args) -> int:
             "method": result.method,
         },
         {
-            **partition,
+            "Z": diag.Z, "m": diag.m, "n": diag.n, "s": diag.s,
             "g": result.sign_diagnostic,
             "method": result.method,
             "tolerances": TOLERANCES,
@@ -366,15 +316,11 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except USAGE_ERRORS as exc:
-        print(f"usage error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except DOMAIN_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except XxzentError as exc:
+        kind = "usage error" if exc.exit_code == 2 else "error"
+        name = "" if isinstance(exc, UsageError) else f"{type(exc).__name__}: "
+        print(f"{kind}: {name}{exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

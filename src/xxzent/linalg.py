@@ -18,9 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Basis labels for index 0..3; shared convention for every matrix here.
-BASIS_LABELS = ("|1,1>", "|1,0>", "|0,1>", "|0,0>")
-
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
 OFF_DIAGONAL_TOL = 1e-13
@@ -38,15 +35,25 @@ SPIN_FLIP = np.array(
 )
 
 
-class NonHermitianError(ValueError):
+class XxzentError(Exception):
+    """Mixin base of every xxzent error; exit_code is the CLI exit status for it.
+
+    Each error also keeps a builtin base (ValueError, RuntimeError or
+    OverflowError), so callers may catch either.
+    """
+
+    exit_code = 1
+
+
+class NonHermitianError(XxzentError, ValueError):
     """Input matrix is not Hermitian within HERMITICITY_TOL."""
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(XxzentError, RuntimeError):
     """Jacobi iteration exhausted its sweep budget (numerics bug, not user error)."""
 
 
-class NotPSDError(ValueError):
+class NotPSDError(XxzentError, ValueError):
     """Matrix has an eigenvalue below -PSD_TOL."""
 
 

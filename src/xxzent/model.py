@@ -10,16 +10,18 @@ zeta = b + eta.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from .linalg import XxzentError
 
 BOUNDARY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-9
 
 
-class InvalidParameterError(ValueError):
+class InvalidParameterError(XxzentError, ValueError):
     """Coupling or field value outside the accepted domain."""
 
 
@@ -27,7 +29,7 @@ class ZeroXYCouplingError(InvalidParameterError):
     """Closed-form paths divide by J and require J != 0."""
 
 
-class NotNormalizedError(ValueError):
+class NotNormalizedError(XxzentError, ValueError):
     """Pure-state amplitudes deviate from unit norm beyond tolerance."""
 
 
@@ -41,33 +43,23 @@ class Phase(Enum):
 class ModelParams:
     """Dimensionless couplings (J, Jz) and fields (B, b).
 
-    B >= 0 is enforced; use :meth:`relaxed` to admit B < 0 for symmetry
-    tests only.  J = 0 is accepted here (the spectral route handles it) but
-    rejected by every closed-form operation.
+    B >= 0 is enforced (the `*_values` kernels take any B).  J = 0 is
+    accepted here but rejected by the operations that divide by J.
     """
 
     J: float
     Jz: float
     B: float
     b: float
-    allow_negative_uniform_field: InitVar[bool] = False
 
-    def __post_init__(self, allow_negative_uniform_field: bool) -> None:
+    def __post_init__(self) -> None:
         for name in ("J", "Jz", "B", "b"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
-        if self.B < 0.0 and not allow_negative_uniform_field:
-            raise InvalidParameterError(
-                f"uniform field B must be >= 0, got {self.B!r} "
-                "(use ModelParams.relaxed for symmetry tests)"
-            )
-
-    @classmethod
-    def relaxed(cls, J: float, Jz: float, B: float, b: float) -> "ModelParams":
-        """Constructor admitting B < 0; intended for symmetry tests only."""
-        return cls(J, Jz, B, b, allow_negative_uniform_field=True)
+        if self.B < 0.0:
+            raise InvalidParameterError(f"uniform field B must be >= 0, got {self.B!r}")
 
 
 @dataclass(frozen=True)
@@ -147,34 +139,38 @@ def build_hamiltonian(p: ModelParams) -> np.ndarray:
     return hamiltonian_values(p.J, p.Jz, p.B, p.b)
 
 
+def _energies(J, Jz, B, b):
+    """Closed-form energies ((E1, E2, E3, E4), eta) as broadcast arrays.
+
+    The one place the closed-form levels are written: E1 for |0,0>, E2 for
+    |1,1>, E3 <= E4 for the inner pair, with eta = sqrt(b^2 + J^2).
+    """
+    eta = np.hypot(b, J)
+    energies = np.broadcast_arrays(
+        0.5 * (Jz - 2.0 * B), 0.5 * (Jz + 2.0 * B), -0.5 * Jz - eta, -0.5 * Jz + eta
+    )
+    return tuple(energies), eta
+
+
 def energy_values(J, Jz, B, b) -> np.ndarray:
     """Closed-form energies (E1, E2, E3, E4) along the last axis; broadcasts.
 
-    Same labels as ClosedSpectrum, unsorted.  Accepts J = 0, since no
-    eigenvector is formed.
+    Same labels as ClosedSpectrum, unsorted.  Accepts J = 0 and any sign of
+    B, since no eigenvector is formed.
     """
-    eta = np.hypot(b, J)
-    return np.stack(
-        np.broadcast_arrays(
-            0.5 * (Jz - 2.0 * B), 0.5 * (Jz + 2.0 * B), -0.5 * Jz - eta, -0.5 * Jz + eta
-        ),
-        axis=-1,
-    )
+    return np.stack(_energies(J, Jz, B, b)[0], axis=-1)
 
 
 def closed_spectrum(p: ModelParams) -> ClosedSpectrum:
     """Closed-form energies and normalized eigenvectors; requires J != 0."""
     if p.J == 0.0:
         raise ZeroXYCouplingError("closed-form spectrum requires J != 0")
-    eta = math.hypot(p.b, p.J)
+    levels, eta = _energies(p.J, p.Jz, p.B, p.b)
+    e1, e2, e3, e4, eta = (float(v) for v in (*levels, eta))
     xi = p.b - eta
     zeta = p.b + eta
     lam = xi / p.J
     mu = zeta / p.J
-    e1 = (p.Jz - 2.0 * p.B) / 2.0
-    e2 = (p.Jz + 2.0 * p.B) / 2.0
-    e3 = -p.Jz / 2.0 - eta
-    e4 = -p.Jz / 2.0 + eta
     states = np.zeros((4, 4), dtype=complex)
     states[3, 0] = 1.0  # |0,0>
     states[0, 1] = 1.0  # |1,1>

@@ -17,12 +17,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import ModelParams, ZeroXYCouplingError
+from .linalg import XxzentError
+from .model import ModelParams, ZeroXYCouplingError, ground_state
 from .thermal import (
     TEMPERATURE_GUARD,
     METHOD_XSTATE,
     ROUTE_TOL,
     _check_temperature,
+    concurrence_sign,
     concurrence_values,
     log_sign_values,
 )
@@ -36,12 +38,16 @@ ROOT_RESIDUAL_TOL = 1e-9
 MAX_GRID_POINTS_2D = 1001
 
 
-class InvalidAxisError(ValueError):
+class InvalidAxisError(XxzentError, ValueError):
     """Malformed axis or inconsistent fixed/swept parameter split."""
 
+    exit_code = 2
 
-class UnknownFigureError(ValueError):
+
+class UnknownFigureError(XxzentError, ValueError):
     """Figure preset id outside 1..5."""
+
+    exit_code = 2
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,16 @@ def axis_columns(axes: Sequence[Axis]) -> list[np.ndarray]:
     return [m.ravel() for m in mesh]
 
 
+def _grid(axes: tuple[Axis, ...], fixed: dict[str, float], flat, **notes) -> SweepGrid:
+    """SweepGrid of axis-major values `flat`, with the metadata every grid carries."""
+    return SweepGrid(
+        fixed=fixed,
+        axes=axes,
+        values=np.asarray(flat, dtype=float).reshape(tuple(a.points for a in axes)),
+        metadata={"method": METHOD_XSTATE, "tolerances": {"route_agreement": ROUTE_TOL}, **notes},
+    )
+
+
 def sweep(axes: Sequence[Axis], fixed: Mapping[str, float]) -> SweepGrid:
     """Evaluate thermal concurrence on the grid spanned by `axes`.
 
@@ -143,19 +159,14 @@ def sweep(axes: Sequence[Axis], fixed: Mapping[str, float]) -> SweepGrid:
     """
     axes = tuple(axes)
     _validate_sweep(axes, fixed)
-    params: dict[str, object] = {k: float(v) for k, v in fixed.items()}
+    fixed = {k: float(v) for k, v in fixed.items()}
+    params: dict[str, object] = dict(fixed)
     for axis, column in zip(axes, axis_columns(axes)):
         params[axis.name] = column
     flat = concurrence_values(
         params["J"], params["Jz"], params["B"], params["b"], params["T"]
     )
-    shape = tuple(a.points for a in axes)
-    return SweepGrid(
-        fixed={k: float(v) for k, v in fixed.items()},
-        axes=axes,
-        values=np.asarray(flat, dtype=float).reshape(shape),
-        metadata={"method": METHOD_XSTATE, "tolerances": {"route_agreement": ROUTE_TOL}},
-    )
+    return _grid(axes, fixed, flat)
 
 
 def _bisect(fun, lo: float, hi: float, flo: float, fhi: float) -> float:
@@ -174,6 +185,21 @@ def _bisect(fun, lo: float, hi: float, flo: float, fhi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _sign_root(axis, h, bracket, nonpositive, positive, note="") -> CriticalPoint:
+    """Root of the log sign function h over bracket, or a report of no sign change.
+
+    nonpositive and positive are the notes for h <= 0, resp. h > 0, at both ends.
+    """
+    lo, hi = bracket
+    hlo, hhi = h(lo), h(hi)
+    if hlo <= 0.0 and hhi <= 0.0:
+        return CriticalPoint(axis, None, bracket, None, note=nonpositive)
+    if hlo > 0.0 and hhi > 0.0:
+        return CriticalPoint(axis, None, bracket, None, note=positive)
+    root = _bisect(h, lo, hi, hlo, hhi)
+    return CriticalPoint(axis, root, bracket, float(np.expm1(h(root))), note=note)
+
+
 def critical_temperature(p: ModelParams) -> CriticalPoint:
     """Temperature above which the thermal concurrence vanishes.
 
@@ -187,22 +213,13 @@ def critical_temperature(p: ModelParams) -> CriticalPoint:
     def h(T: float) -> float:
         return float(log_sign_values(p.J, p.Jz, p.b, T))
 
-    lo, hi = T_BRACKET
-    hlo, hhi = h(lo), h(hi)
-    if hlo <= 0.0 and hhi <= 0.0:
-        return CriticalPoint(
-            "T", None, T_BRACKET, None,
-            note="sign function g <= 0 across the bracket: no thermal "
-            "entanglement at any temperature in it",
-        )
-    if hlo > 0.0 and hhi > 0.0:
-        return CriticalPoint(
-            "T", None, T_BRACKET, None,
-            note="sign function g > 0 across the bracket: critical "
-            "temperature lies above the bracket if it exists",
-        )
-    root = _bisect(h, lo, hi, hlo, hhi)
-    return CriticalPoint("T", root, T_BRACKET, float(np.expm1(h(root))))
+    return _sign_root(
+        "T", h, T_BRACKET,
+        nonpositive="sign function g <= 0 across the bracket: no thermal "
+        "entanglement at any temperature in it",
+        positive="sign function g > 0 across the bracket: critical "
+        "temperature lies above the bracket if it exists",
+    )
 
 
 def critical_field(p: ModelParams, T: float, axis: str) -> CriticalPoint:
@@ -220,9 +237,7 @@ def critical_field(p: ModelParams, T: float, axis: str) -> CriticalPoint:
         raise ZeroXYCouplingError("critical field requires J != 0")
     T = _check_temperature(T)
     if axis == "B":
-        eta = float(np.hypot(p.b, p.J))
-        g = float(np.expm1(log_sign_values(p.J, p.Jz, p.b, T)))
-        if g > 0.0:
+        if concurrence_sign(p, T) > 0.0:
             note = (
                 "sign of the concurrence is independent of B, so it stays "
                 "positive for every B >= 0 at this temperature; the T -> 0 "
@@ -234,7 +249,8 @@ def critical_field(p: ModelParams, T: float, axis: str) -> CriticalPoint:
                 "every B; the T -> 0 entanglement boundary is B^f = eta + Jz"
             )
         return CriticalPoint(
-            "B", None, None, None, note=note, zero_temperature_boundary=eta + p.Jz
+            "B", None, None, None, note=note,
+            zero_temperature_boundary=ground_state(p).threshold_B,
         )
     if axis != "b":
         raise InvalidAxisError(f"critical field axis must be 'b' or 'B', got {axis!r}")
@@ -242,24 +258,13 @@ def critical_field(p: ModelParams, T: float, axis: str) -> CriticalPoint:
     def h(b: float) -> float:
         return float(log_sign_values(p.J, p.Jz, b, T))
 
-    lo, hi = B_INHOMOGENEOUS_BRACKET
-    hlo, hhi = h(lo), h(hi)
-    if hlo > 0.0 and hhi > 0.0:
-        return CriticalPoint(
-            "b", None, B_INHOMOGENEOUS_BRACKET, None,
-            note="sign function g > 0 for every b in the bracket: the "
-            "concurrence decays only asymptotically with |b| and has no "
-            "finite critical inhomogeneous field here",
-        )
-    if hlo <= 0.0 and hhi <= 0.0:
-        return CriticalPoint(
-            "b", None, B_INHOMOGENEOUS_BRACKET, None,
-            note="sign function g <= 0 across the bracket: no entanglement "
-            "onset within it",
-        )
-    root = _bisect(h, lo, hi, hlo, hhi)
-    return CriticalPoint(
-        "b", root, B_INHOMOGENEOUS_BRACKET, float(np.expm1(h(root))),
+    return _sign_root(
+        "b", h, B_INHOMOGENEOUS_BRACKET,
+        nonpositive="sign function g <= 0 across the bracket: no entanglement "
+        "onset within it",
+        positive="sign function g > 0 for every b in the bracket: the "
+        "concurrence decays only asymptotically with |b| and has no "
+        "finite critical inhomogeneous field here",
         note="b-symmetric mirror root at the negated location",
     )
 
@@ -293,16 +298,10 @@ def figure_data(figure: int, points: int = 201) -> list[SweepGrid]:
         axes = (Axis("B", 0.0, 1.0, points), Axis("T", 0.01, 0.6, points))
         columns = axis_columns(axes)
         flat = concurrence_values(-2.0, -2.0, 2.0 * columns[0], 0.916, columns[1])
-        grid = SweepGrid(
-            fixed={"J": -1.0, "Jz": -1.0, "b": 0.458},
-            axes=axes,
-            values=np.asarray(flat, dtype=float).reshape(points, points),
-            metadata={
-                "method": METHOD_XSTATE,
-                "tolerances": {"route_agreement": ROUTE_TOL},
-                "note": "isotropic Jz=J preset evaluated at doubled parameters "
-                "(J,Jz,B,b) -> (2J,2Jz,2B,2b); axes are in the undoubled units",
-            },
+        grid = _grid(
+            axes, {"J": -1.0, "Jz": -1.0, "b": 0.458}, flat,
+            note="isotropic Jz=J preset evaluated at doubled parameters "
+            "(J,Jz,B,b) -> (2J,2Jz,2B,2b); axes are in the undoubled units",
         )
         return [
             _labeled(grid, "fig2", "concurrence vs (B, T) at Jz=J=-1, b=0.458")

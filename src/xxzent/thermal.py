@@ -19,25 +19,20 @@ kernels on a single point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     SPIN_FLIP,
     NotPSDError,
+    XxzentError,
     hermitian_eigen,
     hermiticity_defect,
     psd_sqrt,
     singular_values,
 )
-from .model import (
-    ModelParams,
-    ZeroXYCouplingError,
-    closed_spectrum,
-    energy_values,
-    hamiltonian_values,
-)
+from .model import ModelParams, ZeroXYCouplingError, _energies, hamiltonian_values
 
 # Largest disagreement accepted between two routes to the same quantity
 # (spectrum, Gibbs state, concurrence).
@@ -49,37 +44,39 @@ EXPONENT_GUARD = 700.0
 
 METHOD_WOOTTERS = "generic-wootters"
 METHOD_XSTATE = "xstate-shortcut"
-METHOD_SIGN = "sign-function"
 
 # Entries an X state may hold: the diagonal and the central coherence.
 _X_PATTERN = np.eye(4, dtype=bool)
 _X_PATTERN[1, 2] = _X_PATTERN[2, 1] = True
 
 
-class NonPositiveTemperatureError(ValueError):
+class NonPositiveTemperatureError(XxzentError, ValueError):
     """Gibbs construction requires T > 0."""
 
 
-class BoltzmannOverflowError(OverflowError):
+class BoltzmannOverflowError(XxzentError, OverflowError):
     """Boltzmann exponents exceed the overflow guard."""
 
 
-class InvalidDensityMatrixError(ValueError):
+class InvalidDensityMatrixError(XxzentError, ValueError):
     """Input fails the Hermitian / unit-trace / PSD density-matrix checks."""
 
 
-class NotXStateError(ValueError):
+class NotXStateError(XxzentError, ValueError):
     """Matrix entries outside the X-state sparsity pattern."""
 
 
 @dataclass(frozen=True)
 class GibbsDiagnostics:
-    """Partition function and the closed-form entry building blocks."""
+    """Partition function and the closed-form entry building blocks.
+
+    At J = 0 only Z is defined and m, n and s are None.
+    """
 
     Z: float
-    m: float  # cosh(eta/T)
-    n: float  # b * sinh(eta/T) / eta
-    s: float  # exp(Jz/2T) * J * sinh(eta/T) / eta
+    m: float | None  # cosh(eta/T)
+    n: float | None  # b * sinh(eta/T) / eta
+    s: float | None  # exp(Jz/2T) * J * sinh(eta/T) / eta
 
 
 @dataclass(frozen=True)
@@ -107,9 +104,9 @@ def _check_temperature(T):
     return float(T) if T.ndim == 0 else T
 
 
-def _check_exponents(energies: np.ndarray, T) -> None:
-    """Exponent guard on energies (..., 4) at temperatures broadcasting to (...)."""
-    worst = np.max(np.abs(energies), axis=-1) / T
+def _check_exponents(energies, T) -> None:
+    """Exponent guard on energies, one array per level, each broadcasting with T."""
+    worst = np.max(np.abs(energies), axis=0) / T
     if np.any(worst > EXPONENT_GUARD):
         raise BoltzmannOverflowError(
             f"|E|/T = {float(np.max(worst)):.3g} exceeds the exponent guard "
@@ -117,30 +114,23 @@ def _check_exponents(energies: np.ndarray, T) -> None:
         )
 
 
-def _checked_temperature(J, Jz, B, b, T):
-    """T after the temperature guards and the exponent guard on the closed energies."""
-    T = _check_temperature(T)
-    _check_exponents(energy_values(J, Jz, B, b), T)
-    return T
+def _weights(J, Jz, B, b, T, guard: bool):
+    """Shifted Boltzmann weights exp(-(E_k - E_min)/T) of the closed energies; broadcasts.
 
-
-def _weights(J, Jz, B, b, T):
-    """Shifted Boltzmann weights exp(-(E_k - E_min)/T); broadcasts.
-
-    Weight order follows the closed-form energy labels: (w1, w2) for the
-    outer product states, (w3, w4) for the inner pair with E3 <= E4.
+    Returns (emin, T, eta, (w1, w2, w3, w4)) in the closed-form energy
+    labels: (w1, w2) for the outer product states, (w3, w4) for the inner
+    pair with E3 <= E4.  With guard, T first passes the temperature guards
+    (and comes back as a float, or an array for array input) and the
+    energies the exponent guard; the energies are evaluated once either way.
+    emin comes first so that `_, _, eta, w = _weights(...)` frees it at once.
     """
-    eta = np.hypot(b, J)
-    e1 = 0.5 * (Jz - 2.0 * B)
-    e2 = 0.5 * (Jz + 2.0 * B)
-    e3 = -0.5 * Jz - eta
-    e4 = -0.5 * Jz + eta
+    energies, eta = _energies(J, Jz, B, b)
+    if guard:
+        T = _check_temperature(T)
+        _check_exponents(energies, T)
+    e1, e2, e3, _ = energies
     emin = np.minimum(np.minimum(e1, e2), e3)
-    w1 = np.exp(-(e1 - emin) / T)
-    w2 = np.exp(-(e2 - emin) / T)
-    w3 = np.exp(-(e3 - emin) / T)
-    w4 = np.exp(-(e4 - emin) / T)
-    return eta, w1, w2, w3, w4
+    return emin, T, eta, tuple(np.exp(-(e - emin) / T) for e in energies)
 
 
 def _coherence(J, eta, w3, w4):
@@ -174,7 +164,7 @@ def concurrence_values(J, Jz, B, b, T) -> np.ndarray:
     state and hence zero).  This is the kernel behind grid sweeps; it applies
     no guard (see thermal_concurrence_values for the guarded kernel).
     """
-    eta, w1, w2, w3, w4 = _weights(J, Jz, B, b, T)
+    _, _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T, guard=False)
     zs = w1 + w2 + w3 + w4
     return _x_concurrence(_coherence(J, eta, w3, w4), np.sqrt(w1 * w2), zs)
 
@@ -185,8 +175,7 @@ def thermal_concurrence_values(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
     Broadcasts over the parameters; the roots gain a last axis of length 4.
     Applies the temperature and exponent guards.
     """
-    T = _checked_temperature(J, Jz, B, b, T)
-    eta, w1, w2, w3, w4 = _weights(J, Jz, B, b, T)
+    _, _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T, guard=True)
     zs = w1 + w2 + w3 + w4
     coh = _coherence(J, eta, w3, w4)
     corner = np.sqrt(w1 * w2)
@@ -218,17 +207,14 @@ def concurrence_sign(p: ModelParams, T: float) -> float:
         return float(np.expm1(log_sign_values(p.J, p.Jz, p.b, T)))
 
 
-def gibbs_closed_values(J, Jz, B, b, T) -> np.ndarray:
-    """Closed-form Gibbs states exp(-H/T)/Z over broadcast parameters, (..., 4, 4).
-
-    Entries are assembled from shifted Boltzmann weights so the matrices
-    never overflow.  Requires J != 0; applies the temperature and exponent
-    guards.
-    """
+def _require_coupling(J) -> None:
     if np.any(np.asarray(J) == 0.0):
         raise ZeroXYCouplingError("closed-form Gibbs state requires J != 0")
-    T = _checked_temperature(J, Jz, B, b, T)
-    eta, w1, w2, w3, w4 = _weights(J, Jz, B, b, T)
+
+
+def _closed_states(J, b, eta, weights) -> np.ndarray:
+    """Gibbs states (..., 4, 4) from the shifted weights of _weights; needs eta > 0."""
+    w1, w2, w3, w4 = weights
     zs = w1 + w2 + w3 + w4
     half_sum = 0.5 * (w3 + w4)
     half_diff = 0.5 * (w3 - w4)
@@ -241,26 +227,47 @@ def gibbs_closed_values(J, Jz, B, b, T) -> np.ndarray:
     return rho
 
 
+def gibbs_closed_values(J, Jz, B, b, T) -> np.ndarray:
+    """Closed-form Gibbs states exp(-H/T)/Z over broadcast parameters, (..., 4, 4).
+
+    Entries are assembled from shifted Boltzmann weights so the matrices
+    never overflow.  Requires J != 0; applies the temperature and exponent
+    guards.
+    """
+    _require_coupling(J)
+    _, _, eta, weights = _weights(J, Jz, B, b, T, guard=True)
+    return _closed_states(J, b, eta, weights)
+
+
+def _gibbs_closed(p: ModelParams, T) -> tuple[np.ndarray | None, GibbsDiagnostics]:
+    """gibbs_closed without the J != 0 check, from one set of guarded weights.
+
+    At J = 0 no state is formed (None) and the diagnostics hold Z alone.
+    """
+    emin, T, eta, weights = _weights(p.J, p.Jz, p.B, p.b, T, guard=True)
+    scale = math.exp(-emin / T)  # exp(-E_k/T) = w_k * scale
+    Z = float(sum(weights) * scale)
+    if p.J == 0.0:
+        return None, GibbsDiagnostics(Z, None, None, None)
+    _, _, w3, w4 = weights
+    x = eta / T
+    diagnostics = GibbsDiagnostics(
+        Z=Z,
+        m=math.cosh(x),
+        n=p.b * math.sinh(x) / eta,
+        s=float(p.J * (w3 - w4) * scale / (2.0 * eta)),
+    )
+    return _closed_states(p.J, p.b, eta, weights), diagnostics
+
+
 def gibbs_closed(p: ModelParams, T: float) -> tuple[np.ndarray, GibbsDiagnostics]:
     """Closed-form Gibbs state exp(-H/T)/Z and its diagnostics.
 
     Z is always the energy trace sum(exp(-E_k/T)), which is what unit trace
-    requires.
+    requires.  Requires J != 0.
     """
-    rho = gibbs_closed_values(p.J, p.Jz, p.B, p.b, T)
-    T = float(T)
-    spec = closed_spectrum(p)
-    eta, w1, w2, w3, w4 = _weights(p.J, p.Jz, p.B, p.b, T)
-    zs = w1 + w2 + w3 + w4
-    x = eta / T
-    emin = float(np.min(spec.energies))
-    diagnostics = GibbsDiagnostics(
-        Z=float(zs * math.exp(-emin / T)),
-        m=math.cosh(x),
-        n=p.b * math.sinh(x) / eta,
-        s=float(p.J * (math.exp(-spec.e3 / T) - math.exp(-spec.e4 / T)) / (2.0 * eta)),
-    )
-    return rho, diagnostics
+    _require_coupling(p.J)
+    return _gibbs_closed(p, T)
 
 
 def gibbs_spectral_values(J, Jz, B, b, T) -> np.ndarray:
@@ -271,7 +278,7 @@ def gibbs_spectral_values(J, Jz, B, b, T) -> np.ndarray:
     """
     T = _check_temperature(T)
     values, vectors = hermitian_eigen(hamiltonian_values(J, Jz, B, b))
-    _check_exponents(values, T)
+    _check_exponents(np.moveaxis(values, -1, 0), T)
     w = np.exp(-(values - values[..., :1]) / np.asarray(T)[..., np.newaxis])
     rho = (vectors * w[..., np.newaxis, :]) @ vectors.conj().swapaxes(-1, -2)
     rho /= w.sum(axis=-1)[..., np.newaxis, np.newaxis]
@@ -358,14 +365,11 @@ def xstate_concurrence(rho: np.ndarray) -> ConcurrenceResult:
 def thermal_concurrence(p: ModelParams, T: float) -> ConcurrenceResult:
     """Concurrence of the Gibbs state at temperature T.
 
-    The Gibbs state of this model is always an X state, so the shortcut
-    route applies; the result carries the sign diagnostic g (reported as -1
-    in the diagonal J = 0 limit, where the concurrence is identically zero).
+    The Gibbs state of this model is always an X state, so the closed-form
+    kernel applies, J = 0 included; the result carries the sign diagnostic g
+    (reported as -1 in the diagonal J = 0 limit, where the concurrence is
+    identically zero).
     """
-    if p.J == 0.0:
-        _checked_temperature(p.J, p.Jz, p.B, p.b, T)
-        return replace(xstate_concurrence(gibbs_spectral(p, T)), sign_diagnostic=-1.0)
     value, roots = thermal_concurrence_values(p.J, p.Jz, p.B, p.b, T)
-    with np.errstate(over="ignore"):
-        g = float(np.expm1(log_sign_values(p.J, p.Jz, p.b, float(T))))
+    g = concurrence_sign(p, T) if p.J != 0.0 else -1.0
     return ConcurrenceResult(float(value), roots, METHOD_XSTATE, sign_diagnostic=g)

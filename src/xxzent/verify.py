@@ -12,13 +12,14 @@ worst point and details do not depend on the block size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import hermitian_eigen, hermiticity_defect
+from .linalg import PSD_TOL, hermitian_eigen, hermiticity_defect
 from .model import energy_values, hamiltonian_values
 from .thermal import (
+    DENSITY_TOL,
     ROUTE_TOL,
     concurrence_values,
     gibbs_closed_values,
@@ -29,8 +30,6 @@ from .thermal import (
 )
 
 SYMMETRY_TOL = 1e-12
-DENSITY_TRACE_TOL = 1e-12
-DENSITY_EIG_FLOOR = -1e-12
 
 # Draws per whole-array call.  It bounds the memory the (N, 4, 4) stacks
 # take: for 5000 draws, one block peaks at about 70 MB RSS against 41.5 MB
@@ -128,19 +127,14 @@ def suite_gibbs(draws: dict[str, np.ndarray]) -> SuiteResult:
     errors, trace, herm, lowest = _over_blocks(_gibbs_errors, draws)
     worst_trace = float(np.max(trace))
     min_eig = float(np.min(lowest))
-    result = _result("gibbs-oracle", draws, errors, ROUTE_TOL)
-    passed = result.passed and (
-        worst_trace <= DENSITY_TRACE_TOL and min_eig >= DENSITY_EIG_FLOOR
-    )
-    return SuiteResult(
-        result.name, result.samples, result.max_error, result.tolerance,
-        passed, result.worst,
-        details={
-            "max_trace_defect": worst_trace,
-            "max_hermiticity_defect": float(np.max(herm)),
-            "min_eigenvalue": min_eig,
-        },
-    )
+    details = {
+        "max_trace_defect": worst_trace,
+        "max_hermiticity_defect": float(np.max(herm)),
+        "min_eigenvalue": min_eig,
+    }
+    result = _result("gibbs-oracle", draws, errors, ROUTE_TOL, details)
+    valid = worst_trace <= DENSITY_TOL and min_eig >= -PSD_TOL
+    return replace(result, passed=result.passed and valid)
 
 
 def _route_errors(J, Jz, B, b, T):

@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +13,9 @@ import numpy as np
 import pytest
 
 import xxzent
-from xxzent.cli import main
+from xxzent.cli import UsageError, main
+from xxzent.linalg import XxzentError
+from xxzent.sweep import InvalidAxisError, UnknownFigureError
 from xxzent.thermal import concurrence_values
 
 C_REFERENCE = 2 * (math.sinh(1) - 1) / (2 + 2 * math.cosh(1))
@@ -58,7 +63,21 @@ class TestEval:
         record = run_json(capsys, "eval", "--j", "0", "--jz", "1", "--t", "1")
         jsonschema.validate(record, output_schema)
         assert record["results"]["concurrence"] == 0.0
-        assert record["diagnostics"]["g"] == -1.0
+        diagnostics = record["diagnostics"]
+        assert diagnostics["g"] == -1.0
+        # levels Jz/2 (twice) and -Jz/2 (twice)
+        assert diagnostics["Z"] == pytest.approx(4 * math.cosh(0.5), rel=1e-15)
+        assert diagnostics["m"] is None and diagnostics["n"] is None
+        assert diagnostics["s"] is None
+
+    def test_zero_coupling_runs_no_jacobi_solve(self, capsys, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("Jacobi solve at J = 0")
+
+        for module in ("linalg", "thermal"):
+            monkeypatch.setattr(f"xxzent.{module}.hermitian_eigen", refuse)
+        record = run_json(capsys, "eval", "--j", "0", "--b", "0.7", "--t", "0.4")
+        assert record["results"]["concurrence"] == 0.0
 
     def test_negative_temperature_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--t", "-1")
@@ -218,6 +237,14 @@ class TestCritical:
     def test_requires_axis(self, capsys):
         assert run_cli(capsys, "critical")[0] == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_uniform_low_temperature_is_quiet(self, capsys):
+        # g = exp(Jz/T) ... overflows to inf here, a valid positive sign
+        code, out, err = run_cli(capsys, "critical", "--axis", "big-b", "--jz", "3",
+                                 "--t", "0.001")
+        assert code == 0 and err == ""
+        assert "stays positive" in json.loads(out)["results"]["note"]
+
 
 class TestVerify:
     def test_passes_and_validates(self, capsys, output_schema):
@@ -254,3 +281,21 @@ def test_console_script_installed():
 
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_every_error_class_carries_an_exit_code():
+    # A class missing from XxzentError would leave the CLI as a traceback.
+    errors = []
+    for info in pkgutil.iter_modules(xxzent.__path__):
+        module = importlib.import_module(f"xxzent.{info.name}")
+        errors += [
+            obj for obj in vars(module).values()
+            if inspect.isclass(obj) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        ]
+    assert len(errors) >= 14
+    for error in errors:
+        assert issubclass(error, XxzentError), error
+    usage = {UsageError, InvalidAxisError, UnknownFigureError}
+    assert {error for error in errors if error.exit_code == 2} == usage
+    assert all(error.exit_code == 1 for error in errors if error not in usage)

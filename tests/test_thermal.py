@@ -40,6 +40,13 @@ def random_draw(rng, t_range=(0.05, 5.0)):
     return p, rng.uniform(*t_range)
 
 
+def draw_columns(rng, n):
+    draws = [random_draw(rng) for _ in range(n)]
+    names = ("J", "Jz", "B", "b")
+    columns = [np.array([getattr(p, name) for p, _ in draws]) for name in names]
+    return draws, (*columns, np.array([T for _, T in draws]))
+
+
 def bell_projector():
     s = 1 / math.sqrt(2)
     v = np.array([0.0, -s, s, 0.0], dtype=complex)
@@ -105,11 +112,10 @@ class TestGibbsClosed:
 class TestGibbsSpectral:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(303)
-        for _ in range(2000):
-            p, T = random_draw(rng)
-            closed, _ = gibbs_closed(p, T)
-            spectral = gibbs_spectral(p, T)
-            assert np.max(np.abs(closed - spectral)) <= 1e-10
+        _, columns = draw_columns(rng, 2000)
+        closed = gibbs_closed_values(*columns)
+        spectral = gibbs_spectral_values(*columns)
+        assert np.max(np.abs(closed - spectral)) <= 1e-10
 
     def test_diagonal_hamiltonian(self):
         rho = gibbs_spectral(ModelParams(0.0, 1.0, 0.0, 0.0), 1.0)
@@ -139,12 +145,14 @@ class TestWootters:
 
     def test_pure_state_consistency(self):
         rng = np.random.default_rng(304)
+        states = []
         for _ in range(1000):
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             v /= np.linalg.norm(v)
-            state = PureState.from_vector(v)
-            result = wootters_concurrence(state.projector())
-            assert abs(result.value - pure_concurrence(state)) <= 1e-10
+            states.append(PureState.from_vector(v))
+        values, _ = wootters_values(np.stack([state.projector() for state in states]))
+        expected = np.array([pure_concurrence(state) for state in states])
+        assert np.max(np.abs(values - expected)) <= 1e-10
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvalidDensityMatrixError):
@@ -181,13 +189,12 @@ class TestXState:
 
     def test_agrees_with_wootters(self):
         rng = np.random.default_rng(305)
-        for _ in range(2000):
-            p, T = random_draw(rng)
-            rho, _ = gibbs_closed(p, T)
-            a = xstate_concurrence(rho)
-            b = wootters_concurrence(rho)
-            assert abs(a.value - b.value) <= 1e-10
-            assert np.max(np.abs(a.wootters_roots - b.wootters_roots)) <= 1e-8
+        _, columns = draw_columns(rng, 2000)
+        rho = gibbs_closed_values(*columns)
+        x_values, x_roots = xstate_values(rho)
+        w_values, w_roots = wootters_values(rho)
+        assert np.max(np.abs(x_values - w_values)) <= 1e-10
+        assert np.max(np.abs(x_roots - w_roots)) <= 1e-8
 
 
 class TestThermalConcurrence:
@@ -333,13 +340,6 @@ class TestSymmetries:
             p, T = random_draw(rng)
             values = concurrence_values(p.J, p.Jz, grid, p.b, T)
             assert np.all(np.diff(values) <= 1e-12)
-
-
-def draw_columns(rng, n):
-    draws = [random_draw(rng) for _ in range(n)]
-    names = ("J", "Jz", "B", "b")
-    columns = [np.array([getattr(p, name) for p, _ in draws]) for name in names]
-    return draws, (*columns, np.array([T for _, T in draws]))
 
 
 class TestStackedKernels:
