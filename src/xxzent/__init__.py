@@ -14,10 +14,12 @@ from .linalg import (
     psd_sqrt,
 )
 from .model import (
+    BoltzmannOverflowError,
     ClosedSpectrum,
     GroundStateReport,
     InvalidParameterError,
     ModelParams,
+    NonPositiveTemperatureError,
     NotNormalizedError,
     Phase,
     PureState,
@@ -26,18 +28,14 @@ from .model import (
     closed_spectrum,
     ground_state,
     pure_concurrence,
-    xxx_ground_concurrence,
 )
 from .thermal import (
-    BoltzmannOverflowError,
-    ConcurrenceResult,
-    GibbsDiagnostics,
     InvalidDensityMatrixError,
-    NonPositiveTemperatureError,
     NotXStateError,
     concurrence_sign,
     concurrence_values,
     gibbs_closed,
+    gibbs_diagnostics,
     gibbs_spectral,
     thermal_concurrence,
     wootters_concurrence,

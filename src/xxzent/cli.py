@@ -31,7 +31,14 @@ from .sweep import (
     figure_data,
     sweep,
 )
-from .thermal import DENSITY_TOL, ROUTE_TOL, _gibbs_closed, thermal_concurrence
+from .thermal import (
+    DENSITY_TOL,
+    METHOD_XSTATE,
+    ROUTE_TOL,
+    concurrence_sign,
+    gibbs_diagnostics,
+    thermal_concurrence,
+)
 from .verify import run_suites
 
 SCHEMA_VERSION = "1"
@@ -45,6 +52,11 @@ class UsageError(XxzentError):
     """Bad flags or flag combination; reported without a class name."""
 
     exit_code = 2
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _jsonsafe(obj):
@@ -123,27 +135,28 @@ def _parse_axis(spec: str) -> Axis:
             f"unknown axis name {token!r}; expected one of {sorted(AXIS_TOKENS)}"
         )
     try:
-        return Axis(AXIS_TOKENS[token], float(start), float(stop), int(points))
+        start, stop, points = float(start), float(stop), int(points)
     except ValueError as exc:
         raise UsageError(f"malformed axis spec {spec!r}: {exc}") from exc
+    return Axis(AXIS_TOKENS[token], start, stop, points)
 
 
 def cmd_eval(args) -> int:
     p = _model_params(args)
-    result = thermal_concurrence(p, args.t)
-    _, diag = _gibbs_closed(p, args.t)
+    value, roots = thermal_concurrence(p.J, p.Jz, p.B, p.b, args.t)
     record = _record(
         "eval",
         {"J": p.J, "Jz": p.Jz, "B": p.B, "b": p.b, "T": float(args.t)},
         {
-            "concurrence": result.value,
-            "wootters_roots": list(result.wootters_roots),
-            "method": result.method,
+            "concurrence": float(value),
+            "wootters_roots": list(roots),
+            "method": METHOD_XSTATE,
         },
         {
-            "Z": diag.Z, "m": diag.m, "n": diag.n, "s": diag.s,
-            "g": result.sign_diagnostic,
-            "method": result.method,
+            **gibbs_diagnostics(p, args.t),
+            # the sign function; -1 in the diagonal J = 0 limit
+            "g": concurrence_sign(p, args.t) if p.J != 0.0 else -1.0,
+            "method": METHOD_XSTATE,
             "tolerances": TOLERANCES,
         },
     )
@@ -263,7 +276,7 @@ def _add_param_flags(parser, with_temperature: bool = True) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xxzent",
         description="Ground-state and thermal concurrence of the two-qubit "
         "XXZ pair in uniform (B) and inhomogeneous (b) fields.",
@@ -309,13 +322,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # --help and --version
+        return exc.code
     except XxzentError as exc:
         kind = "usage error" if exc.exit_code == 2 else "error"
         name = "" if isinstance(exc, UsageError) else f"{type(exc).__name__}: "

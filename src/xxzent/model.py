@@ -5,6 +5,9 @@ the site fields are B+b and B-b.  In the basis {|1,1>, |1,0>, |0,1>, |0,0>}
 it is real symmetric with a single 2x2 inner block, so the full eigensystem
 has a closed form built from eta = sqrt(b^2 + J^2), xi = b - eta and
 zeta = b + eta.
+
+The domain check that every entry point shares, _check_params, lives here
+too.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .linalg import XxzentError
 
 BOUNDARY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-9
+TEMPERATURE_GUARD = 1e-8
 
 
 class InvalidParameterError(XxzentError, ValueError):
@@ -33,6 +37,14 @@ class NotNormalizedError(XxzentError, ValueError):
     """Pure-state amplitudes deviate from unit norm beyond tolerance."""
 
 
+class NonPositiveTemperatureError(XxzentError, ValueError):
+    """Gibbs construction requires T > 0."""
+
+
+class BoltzmannOverflowError(XxzentError, OverflowError):
+    """Boltzmann exponents exceed the overflow guard."""
+
+
 class Phase(Enum):
     DISENTANGLED = "disentangled"
     ENTANGLED = "entangled"
@@ -43,8 +55,8 @@ class Phase(Enum):
 class ModelParams:
     """Dimensionless couplings (J, Jz) and fields (B, b).
 
-    B >= 0 is enforced (the `*_values` kernels take any B).  J = 0 is
-    accepted here but rejected by the operations that divide by J.
+    Runs _check_params: finite values and B >= 0.  J = 0 is accepted here
+    but rejected by the operations that divide by J.
     """
 
     J: float
@@ -54,12 +66,43 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("J", "Jz", "B", "b"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.B < 0.0:
-            raise InvalidParameterError(f"uniform field B must be >= 0, got {self.B!r}")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        _check_params(**vars(self))
+
+
+def _refuse(error, bad, values, message: str) -> None:
+    """Raise error(message) naming the first of values where bad holds, if any."""
+    if np.any(bad):
+        raise error(message.format(float(np.asarray(values).flat[np.flatnonzero(bad)[0]])))
+
+
+def _check_params(**values) -> None:
+    """Refuse values outside the model's domain, by parameter name.
+
+    Every value must be finite, B >= 0, and T > 0 and not below
+    TEMPERATURE_GUARD.  This is the domain of ModelParams, of the guarded
+    thermal functions and of sweep axes; each keyword is a float or an
+    array, and an error names its first offender.
+    """
+    for name, value in values.items():
+        _refuse(InvalidParameterError, ~np.isfinite(value), value,
+                name + " must be finite, got {!r}")
+    if "B" in values:
+        _refuse(InvalidParameterError, np.less(values["B"], 0.0), values["B"],
+                "uniform field B must be >= 0, got {!r}")
+    if "T" in values:
+        T = values["T"]
+        _refuse(NonPositiveTemperatureError, ~np.greater(T, 0.0), T,
+                "temperature must be > 0, got {!r}")
+        _refuse(BoltzmannOverflowError, np.less(T, TEMPERATURE_GUARD), T,
+                f"temperature {{!r}} below the overflow guard {TEMPERATURE_GUARD:g}")
+
+
+def _check_temperature(T):
+    """T after _check_params, as a float (or an array for array input)."""
+    _check_params(T=T)
+    T = np.asarray(T, dtype=float)
+    return float(T) if T.ndim == 0 else T
 
 
 @dataclass(frozen=True)
@@ -118,11 +161,11 @@ class GroundStateReport:
     threshold_B: float
 
 
-def hamiltonian_values(J, Jz, B, b) -> np.ndarray:
+def build_hamiltonian(J, Jz, B, b) -> np.ndarray:
     """Hamiltonian matrices over broadcast parameters, shape (..., 4, 4).
 
-    Real symmetric and traceless, in the standard basis; accepts J = 0 and
-    any sign of B (no ModelParams checks).
+    Real symmetric and traceless, in the standard basis; unguarded, so it
+    accepts J = 0 and any sign of B.
     """
     J, Jz, B, b = np.broadcast_arrays(J, Jz, B, b)
     h = np.zeros(J.shape + (4, 4), dtype=complex)
@@ -132,11 +175,6 @@ def hamiltonian_values(J, Jz, B, b) -> np.ndarray:
     h[..., 3, 3] = (Jz - 2.0 * B) / 2.0
     h[..., 1, 2] = h[..., 2, 1] = J
     return h
-
-
-def build_hamiltonian(p: ModelParams) -> np.ndarray:
-    """Hamiltonian matrix in the standard basis; real symmetric, traceless."""
-    return hamiltonian_values(p.J, p.Jz, p.B, p.b)
 
 
 def _energies(J, Jz, B, b):
@@ -188,15 +226,15 @@ def ground_state(p: ModelParams) -> GroundStateReport:
 
     The level crossing happens at eta = B - Jz: below it the product state
     |0,0> wins (zero concurrence), above it the entangled inner-block state
-    wins with concurrence 2|lam|/(1+lam^2).  Within BOUNDARY_TOL of the
-    crossing the ground level is degenerate and the concurrence is reported
-    as NaN.
+    wins with concurrence |J|/eta, independent of Jz (the equal form
+    2|lam|/(1+lam^2), lam = xi/J, cancels in xi = b - eta when |b| >> |J|).
+    Within BOUNDARY_TOL of the crossing the ground level is degenerate and
+    the concurrence is reported as NaN.
     """
     spectrum = closed_spectrum(p)
     gap = spectrum.eta - (p.B - p.Jz)
     threshold_jz = p.B - spectrum.eta
     threshold_b = spectrum.eta + p.Jz
-    lam = spectrum.lam
     if abs(gap) <= BOUNDARY_TOL:
         return GroundStateReport(
             Phase.BOUNDARY, spectrum.e3, math.nan, threshold_jz, threshold_b
@@ -205,9 +243,8 @@ def ground_state(p: ModelParams) -> GroundStateReport:
         return GroundStateReport(
             Phase.DISENTANGLED, spectrum.e1, 0.0, threshold_jz, threshold_b
         )
-    concurrence = 2.0 * abs(lam) / (1.0 + lam * lam)
     return GroundStateReport(
-        Phase.ENTANGLED, spectrum.e3, concurrence, threshold_jz, threshold_b
+        Phase.ENTANGLED, spectrum.e3, abs(p.J) / spectrum.eta, threshold_jz, threshold_b
     )
 
 
@@ -220,12 +257,3 @@ def pure_concurrence(state: PureState) -> float:
         raise NotNormalizedError(f"state norm^2 deviates from 1 by {norm_sq - 1.0:.3e}")
     return 2.0 * abs(state.a * state.d - state.b * state.c)
 
-
-def xxx_ground_concurrence(delta: float) -> float:
-    """Ground concurrence 1/sqrt(1+delta^2) of the isotropic (Jz = J) pair.
-
-    delta = b/J.  This is the Jz = J special case of the general ground
-    concurrence evaluated under the doubled parameterization (J, B, b) ->
-    (2J, 2B, 2b) used by the fig2 preset.
-    """
-    return 1.0 / math.sqrt(1.0 + delta * delta)

@@ -18,12 +18,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linalg import XxzentError
-from .model import ModelParams, ZeroXYCouplingError, ground_state
+from .model import (
+    ModelParams,
+    ZeroXYCouplingError,
+    _check_params,
+    _check_temperature,
+    ground_state,
+)
 from .thermal import (
-    TEMPERATURE_GUARD,
     METHOD_XSTATE,
     ROUTE_TOL,
-    _check_temperature,
     concurrence_sign,
     concurrence_values,
     log_sign_values,
@@ -52,7 +56,11 @@ class UnknownFigureError(XxzentError, ValueError):
 
 @dataclass(frozen=True)
 class Axis:
-    """Inclusive linear axis over one model parameter."""
+    """Inclusive linear axis over one model parameter.
+
+    Endpoints outside the parameter's domain raise the errors of
+    model._check_params; a malformed axis raises InvalidAxisError.
+    """
 
     name: str
     start: float
@@ -67,8 +75,7 @@ class Axis:
         object.__setattr__(self, "start", float(self.start))
         object.__setattr__(self, "stop", float(self.stop))
         object.__setattr__(self, "points", int(self.points))
-        if not (np.isfinite(self.start) and np.isfinite(self.stop)):
-            raise InvalidAxisError("axis endpoints must be finite")
+        _check_params(**{self.name: np.array([self.start, self.stop])})
         if self.points < 1:
             raise InvalidAxisError(f"axis needs at least 1 point, got {self.points}")
         if self.points == 1:
@@ -78,10 +85,6 @@ class Axis:
             raise InvalidAxisError(
                 f"axis requires start < stop, got [{self.start}, {self.stop}]"
             )
-        if self.name == "T" and self.start < TEMPERATURE_GUARD:
-            raise InvalidAxisError(f"T axis must start above {TEMPERATURE_GUARD:g}")
-        if self.name == "B" and self.start < 0.0:
-            raise InvalidAxisError("B axis must not go below 0")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
@@ -124,13 +127,7 @@ def _validate_sweep(axes: Sequence[Axis], fixed: Mapping[str, float]) -> None:
         raise InvalidAxisError(
             f"fixed parameters must be exactly {sorted(expected)}, got {sorted(fixed)}"
         )
-    for name, value in fixed.items():
-        if not np.isfinite(value):
-            raise InvalidAxisError(f"fixed {name} must be finite, got {value!r}")
-    if "B" in fixed and fixed["B"] < 0.0:
-        raise InvalidAxisError("fixed B must be >= 0")
-    if "T" in fixed:
-        _check_temperature(fixed["T"])
+    _check_params(**fixed)
 
 
 def axis_columns(axes: Sequence[Axis]) -> list[np.ndarray]:

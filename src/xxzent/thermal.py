@@ -11,15 +11,17 @@ decides concurrence positivity analytically and drives the root finders:
 so concurrence > 0  iff  g = exp(Jz/T) * (|J|/eta) * sinh(eta/T) - 1 > 0,
 independent of the uniform field B.
 
-Each route is written once, as a `*_values` kernel over broadcast parameters
-or (..., 4, 4) stacks of density matrices; the scalar functions call those
-kernels on a single point.
+Each route is one function that broadcasts over parameter arrays or
+(..., 4, 4) stacks of density matrices; a single point or state is the 0-d
+case (a concurrence then comes back as a numpy scalar).  The guarded
+functions (gibbs_closed, gibbs_spectral, thermal_concurrence) refuse what
+ModelParams refuses and apply the temperature and exponent guards;
+concurrence_values and log_sign_values are unguarded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,30 +34,28 @@ from .linalg import (
     psd_sqrt,
     singular_values,
 )
-from .model import ModelParams, ZeroXYCouplingError, _energies, hamiltonian_values
+from .model import (
+    BoltzmannOverflowError,
+    ModelParams,
+    ZeroXYCouplingError,
+    _check_params,
+    _check_temperature,
+    _energies,
+    build_hamiltonian,
+)
 
 # Largest disagreement accepted between two routes to the same quantity
 # (spectrum, Gibbs state, concurrence).
 ROUTE_TOL = 1e-10
 DENSITY_TOL = 1e-12
 XSTATE_TOL = 1e-12
-TEMPERATURE_GUARD = 1e-8
 EXPONENT_GUARD = 700.0
 
-METHOD_WOOTTERS = "generic-wootters"
 METHOD_XSTATE = "xstate-shortcut"
 
 # Entries an X state may hold: the diagonal and the central coherence.
 _X_PATTERN = np.eye(4, dtype=bool)
 _X_PATTERN[1, 2] = _X_PATTERN[2, 1] = True
-
-
-class NonPositiveTemperatureError(XxzentError, ValueError):
-    """Gibbs construction requires T > 0."""
-
-
-class BoltzmannOverflowError(XxzentError, OverflowError):
-    """Boltzmann exponents exceed the overflow guard."""
 
 
 class InvalidDensityMatrixError(XxzentError, ValueError):
@@ -64,44 +64,6 @@ class InvalidDensityMatrixError(XxzentError, ValueError):
 
 class NotXStateError(XxzentError, ValueError):
     """Matrix entries outside the X-state sparsity pattern."""
-
-
-@dataclass(frozen=True)
-class GibbsDiagnostics:
-    """Partition function and the closed-form entry building blocks.
-
-    At J = 0 only Z is defined and m, n and s are None.
-    """
-
-    Z: float
-    m: float | None  # cosh(eta/T)
-    n: float | None  # b * sinh(eta/T) / eta
-    s: float | None  # exp(Jz/2T) * J * sinh(eta/T) / eta
-
-
-@dataclass(frozen=True)
-class ConcurrenceResult:
-    value: float
-    wootters_roots: np.ndarray  # the four square-root eigenvalues, descending
-    method: str
-    sign_diagnostic: float | None = None
-
-
-def _check_temperature(T):
-    """T (a float, or an array for array input) after the temperature guards."""
-    T = np.asarray(T, dtype=float)
-    bad = np.flatnonzero(~(T > 0.0))
-    if bad.size:
-        raise NonPositiveTemperatureError(
-            f"temperature must be > 0, got {float(T.flat[bad[0]])!r}"
-        )
-    low = np.flatnonzero(T < TEMPERATURE_GUARD)
-    if low.size:
-        raise BoltzmannOverflowError(
-            f"temperature {float(T.flat[low[0]])!r} below the overflow guard "
-            f"{TEMPERATURE_GUARD:g}"
-        )
-    return float(T) if T.ndim == 0 else T
 
 
 def _check_exponents(energies, T) -> None:
@@ -119,14 +81,17 @@ def _weights(J, Jz, B, b, T, guard: bool):
 
     Returns (emin, T, eta, (w1, w2, w3, w4)) in the closed-form energy
     labels: (w1, w2) for the outer product states, (w3, w4) for the inner
-    pair with E3 <= E4.  With guard, T first passes the temperature guards
-    (and comes back as a float, or an array for array input) and the
-    energies the exponent guard; the energies are evaluated once either way.
-    emin comes first so that `_, _, eta, w = _weights(...)` frees it at once.
+    pair with E3 <= E4.  With guard, the parameters first pass the
+    ModelParams checks, T the temperature guards (it comes back as a float,
+    or an array for array input) and the energies the exponent guard; the
+    energies are evaluated once either way.  emin comes first so that
+    `_, _, eta, w = _weights(...)` frees it at once.
     """
+    if guard:
+        _check_params(J=J, Jz=Jz, B=B, b=b)
+        T = _check_temperature(T)
     energies, eta = _energies(J, Jz, B, b)
     if guard:
-        T = _check_temperature(T)
         _check_exponents(energies, T)
     e1, e2, e3, _ = energies
     emin = np.minimum(np.minimum(e1, e2), e3)
@@ -162,18 +127,20 @@ def concurrence_values(J, Jz, B, b, T) -> np.ndarray:
 
     Total for any finite parameters with T > 0 (J = 0 gives a diagonal Gibbs
     state and hence zero).  This is the kernel behind grid sweeps; it applies
-    no guard (see thermal_concurrence_values for the guarded kernel).
+    no guard (see thermal_concurrence for the guarded function).
     """
     _, _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T, guard=False)
     zs = w1 + w2 + w3 + w4
     return _x_concurrence(_coherence(J, eta, w3, w4), np.sqrt(w1 * w2), zs)
 
 
-def thermal_concurrence_values(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
+def thermal_concurrence(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
     """Gibbs-state concurrence and Wootters roots from the closed-form weights.
 
-    Broadcasts over the parameters; the roots gain a last axis of length 4.
-    Applies the temperature and exponent guards.
+    The Gibbs state of this model is always an X state, so the closed form
+    applies, J = 0 included (the state is then diagonal and the concurrence
+    zero).  Broadcasts over the parameters; the roots gain a last axis of
+    length 4.  Guarded.
     """
     _, _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T, guard=True)
     zs = w1 + w2 + w3 + w4
@@ -207,14 +174,15 @@ def concurrence_sign(p: ModelParams, T: float) -> float:
         return float(np.expm1(log_sign_values(p.J, p.Jz, p.b, T)))
 
 
-def _require_coupling(J) -> None:
+def gibbs_closed(J, Jz, B, b, T) -> np.ndarray:
+    """Closed-form Gibbs states exp(-H/T)/Z over broadcast parameters, (..., 4, 4).
+
+    Entries are assembled from shifted Boltzmann weights so the matrices
+    never overflow.  Requires J != 0; guarded.
+    """
     if np.any(np.asarray(J) == 0.0):
         raise ZeroXYCouplingError("closed-form Gibbs state requires J != 0")
-
-
-def _closed_states(J, b, eta, weights) -> np.ndarray:
-    """Gibbs states (..., 4, 4) from the shifted weights of _weights; needs eta > 0."""
-    w1, w2, w3, w4 = weights
+    _, _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T, guard=True)
     zs = w1 + w2 + w3 + w4
     half_sum = 0.5 * (w3 + w4)
     half_diff = 0.5 * (w3 - w4)
@@ -227,70 +195,43 @@ def _closed_states(J, b, eta, weights) -> np.ndarray:
     return rho
 
 
-def gibbs_closed_values(J, Jz, B, b, T) -> np.ndarray:
-    """Closed-form Gibbs states exp(-H/T)/Z over broadcast parameters, (..., 4, 4).
+def gibbs_diagnostics(p: ModelParams, T: float) -> dict[str, float | None]:
+    """Partition function and closed-form entry blocks at one point, by name.
 
-    Entries are assembled from shifted Boltzmann weights so the matrices
-    never overflow.  Requires J != 0; applies the temperature and exponent
-    guards.
-    """
-    _require_coupling(J)
-    _, _, eta, weights = _weights(J, Jz, B, b, T, guard=True)
-    return _closed_states(J, b, eta, weights)
-
-
-def _gibbs_closed(p: ModelParams, T) -> tuple[np.ndarray | None, GibbsDiagnostics]:
-    """gibbs_closed without the J != 0 check, from one set of guarded weights.
-
-    At J = 0 no state is formed (None) and the diagnostics hold Z alone.
+    Z is always the energy trace sum(exp(-E_k/T)), which is what unit trace
+    requires; m = cosh(eta/T), n = b sinh(eta/T)/eta and
+    s = exp(Jz/2T) J sinh(eta/T)/eta are None at J = 0.  Guarded like
+    gibbs_closed.
     """
     emin, T, eta, weights = _weights(p.J, p.Jz, p.B, p.b, T, guard=True)
     scale = math.exp(-emin / T)  # exp(-E_k/T) = w_k * scale
     Z = float(sum(weights) * scale)
     if p.J == 0.0:
-        return None, GibbsDiagnostics(Z, None, None, None)
+        return {"Z": Z, "m": None, "n": None, "s": None}
     _, _, w3, w4 = weights
     x = eta / T
-    diagnostics = GibbsDiagnostics(
-        Z=Z,
-        m=math.cosh(x),
-        n=p.b * math.sinh(x) / eta,
-        s=float(p.J * (w3 - w4) * scale / (2.0 * eta)),
-    )
-    return _closed_states(p.J, p.b, eta, weights), diagnostics
+    return {
+        "Z": Z,
+        "m": math.cosh(x),
+        "n": p.b * math.sinh(x) / eta,
+        "s": float(p.J * (w3 - w4) * scale / (2.0 * eta)),
+    }
 
 
-def gibbs_closed(p: ModelParams, T: float) -> tuple[np.ndarray, GibbsDiagnostics]:
-    """Closed-form Gibbs state exp(-H/T)/Z and its diagnostics.
-
-    Z is always the energy trace sum(exp(-E_k/T)), which is what unit trace
-    requires.  Requires J != 0.
-    """
-    _require_coupling(p.J)
-    return _gibbs_closed(p, T)
-
-
-def gibbs_spectral_values(J, Jz, B, b, T) -> np.ndarray:
+def gibbs_spectral(J, Jz, B, b, T) -> np.ndarray:
     """Gibbs states from the Jacobi eigensystems of the Hamiltonians, (..., 4, 4).
 
-    Independent of the closed form; accepts J = 0.  The exponent guard
-    applies to the Jacobi eigenvalues.
+    Independent of the closed form; accepts J = 0.  Guarded, with the
+    exponent guard on the Jacobi eigenvalues.
     """
+    _check_params(J=J, Jz=Jz, B=B, b=b)
     T = _check_temperature(T)
-    values, vectors = hermitian_eigen(hamiltonian_values(J, Jz, B, b))
+    values, vectors = hermitian_eigen(build_hamiltonian(J, Jz, B, b))
     _check_exponents(np.moveaxis(values, -1, 0), T)
     w = np.exp(-(values - values[..., :1]) / np.asarray(T)[..., np.newaxis])
     rho = (vectors * w[..., np.newaxis, :]) @ vectors.conj().swapaxes(-1, -2)
     rho /= w.sum(axis=-1)[..., np.newaxis, np.newaxis]
     return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
-
-
-def gibbs_spectral(p: ModelParams, T: float) -> np.ndarray:
-    """Gibbs state from the Jacobi eigensystem of the Hamiltonian.
-
-    Independent of the closed form; accepts J = 0.
-    """
-    return gibbs_spectral_values(p.J, p.Jz, p.B, p.b, T)
 
 
 def _check_density_matrix(rho: np.ndarray) -> None:
@@ -302,7 +243,7 @@ def _check_density_matrix(rho: np.ndarray) -> None:
         raise InvalidDensityMatrixError(f"trace deviates from 1 by {trace_defect:.3e}")
 
 
-def wootters_values(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Wootters concurrence and roots of a state or a (..., 4, 4) stack of states.
 
     The roots l_i are the square roots of the eigenvalues of rho @ rho_tilde
@@ -325,16 +266,7 @@ def wootters_values(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, roots
 
 
-def wootters_concurrence(rho: np.ndarray) -> ConcurrenceResult:
-    """Concurrence max(0, 2*max(l_i) - sum(l_i)) for any two-qubit state.
-
-    See wootters_values for the construction and the checks.
-    """
-    value, roots = wootters_values(rho)
-    return ConcurrenceResult(float(value), roots, METHOD_WOOTTERS)
-
-
-def xstate_values(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def xstate_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X-state concurrence and roots of a state or a (..., 4, 4) stack of states.
 
     Valid for states whose only nonzero entries are the diagonal and the
@@ -351,25 +283,3 @@ def xstate_values(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     corner = np.sqrt(diag[..., 0] * diag[..., 3])
     inner = np.sqrt(diag[..., 1] * diag[..., 2])
     return _x_concurrence(coh, corner, 1.0), _x_roots(coh, corner, inner, 1.0)
-
-
-def xstate_concurrence(rho: np.ndarray) -> ConcurrenceResult:
-    """Closed-form concurrence 2*max(0, |rho_23| - sqrt(rho_11 rho_44)).
-
-    See xstate_values for the states it accepts.
-    """
-    value, roots = xstate_values(rho)
-    return ConcurrenceResult(float(value), roots, METHOD_XSTATE)
-
-
-def thermal_concurrence(p: ModelParams, T: float) -> ConcurrenceResult:
-    """Concurrence of the Gibbs state at temperature T.
-
-    The Gibbs state of this model is always an X state, so the closed-form
-    kernel applies, J = 0 included; the result carries the sign diagnostic g
-    (reported as -1 in the diagonal J = 0 limit, where the concurrence is
-    identically zero).
-    """
-    value, roots = thermal_concurrence_values(p.J, p.Jz, p.B, p.b, T)
-    g = concurrence_sign(p, T) if p.J != 0.0 else -1.0
-    return ConcurrenceResult(float(value), roots, METHOD_XSTATE, sign_diagnostic=g)

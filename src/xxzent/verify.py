@@ -17,16 +17,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import PSD_TOL, hermitian_eigen, hermiticity_defect
-from .model import energy_values, hamiltonian_values
+from .model import build_hamiltonian, energy_values
 from .thermal import (
     DENSITY_TOL,
     ROUTE_TOL,
     concurrence_values,
-    gibbs_closed_values,
-    gibbs_spectral_values,
-    thermal_concurrence_values,
-    wootters_values,
-    xstate_values,
+    gibbs_closed,
+    gibbs_spectral,
+    thermal_concurrence,
+    wootters_concurrence,
+    xstate_concurrence,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -97,7 +97,7 @@ def _result(name, draws, errors, tol, details=None) -> SuiteResult:
 
 def _spectrum_errors(J, Jz, B, b, T):
     closed = np.sort(energy_values(J, Jz, B, b), axis=-1)
-    numeric = hermitian_eigen(hamiltonian_values(J, Jz, B, b)).values
+    numeric = hermitian_eigen(build_hamiltonian(J, Jz, B, b)).values
     return (np.max(np.abs(closed - numeric), axis=-1),)
 
 
@@ -110,8 +110,8 @@ def suite_spectrum(draws: dict[str, np.ndarray]) -> SuiteResult:
 def _gibbs_errors(J, Jz, B, b, T):
     """Per draw: route disagreement, then the worse of the two states' trace
     defect, Hermiticity defect and lowest eigenvalue."""
-    closed = gibbs_closed_values(J, Jz, B, b, T)
-    spectral = gibbs_spectral_values(J, Jz, B, b, T)
+    closed = gibbs_closed(J, Jz, B, b, T)
+    spectral = gibbs_spectral(J, Jz, B, b, T)
     both = np.stack([closed, spectral])
     trace = np.abs(np.trace(both, axis1=-2, axis2=-1) - 1.0)
     return (
@@ -138,8 +138,8 @@ def suite_gibbs(draws: dict[str, np.ndarray]) -> SuiteResult:
 
 
 def _route_errors(J, Jz, B, b, T):
-    rho = gibbs_closed_values(J, Jz, B, b, T)
-    return (np.abs(wootters_values(rho)[0] - xstate_values(rho)[0]),)
+    rho = gibbs_closed(J, Jz, B, b, T)
+    return (np.abs(wootters_concurrence(rho)[0] - xstate_concurrence(rho)[0]),)
 
 
 def suite_routes(draws: dict[str, np.ndarray]) -> SuiteResult:
@@ -152,8 +152,8 @@ def _mirror_suite(name, draws, mirror) -> SuiteResult:
     """Concurrence is unchanged by mirror(J, Jz, B, b) -> mirrored parameters."""
 
     def errors(J, Jz, B, b, T):
-        value = thermal_concurrence_values(J, Jz, B, b, T)[0]
-        return (np.abs(value - thermal_concurrence_values(*mirror(J, Jz, B, b), T)[0]),)
+        value = thermal_concurrence(J, Jz, B, b, T)[0]
+        return (np.abs(value - thermal_concurrence(*mirror(J, Jz, B, b), T)[0]),)
 
     (per_draw,) = _over_blocks(errors, draws)
     return _result(name, draws, per_draw, SYMMETRY_TOL)

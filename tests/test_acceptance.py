@@ -8,10 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from xxzent.model import ModelParams, Phase, PureState, ground_state, pure_concurrence, \
-    xxx_ground_concurrence
+from xxzent.model import ModelParams, Phase, PureState, ground_state, pure_concurrence
 from xxzent.sweep import critical_temperature, figure_data
-from xxzent.thermal import concurrence_values, thermal_concurrence, wootters_values
+from xxzent.thermal import concurrence_values, thermal_concurrence, wootters_concurrence
 from xxzent.verify import (
     draw_params,
     suite_b_monotonic,
@@ -65,7 +64,7 @@ def test_03_concurrence_route_agreement(draws):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         v /= np.linalg.norm(v)
         states.append(PureState.from_vector(v))
-    generic, _ = wootters_values(np.stack([state.projector() for state in states]))
+    generic, _ = wootters_concurrence(np.stack([state.projector() for state in states]))
     expected = np.array([pure_concurrence(state) for state in states])
     worst_pure = float(np.max(np.abs(generic - expected)))
     ok = routes.max_error <= 1e-10 and worst_pure <= 1e-10
@@ -95,7 +94,8 @@ def test_04_homogeneous_ground_anchor():
 
 def test_05_isotropic_case_anchor():
     target = 1 / math.sqrt(1 + 0.458**2)
-    closed = xxx_ground_concurrence(0.458)
+    # the fig2 preset point Jz = J = -1, b = 0.458 at doubled parameters
+    closed = ground_state(ModelParams(-2.0, -2.0, 0.0, 0.916)).ground_concurrence
     corner = figure_data(2)[0].values[0, 0]  # B = 0, lowest T = 0.01
     ok = (
         abs(closed - 0.909180) <= 1e-5
@@ -134,8 +134,8 @@ def test_07_jz_enhancement():
 def test_08_critical_temperature_anchor():
     p = ModelParams(1.0, 0.0, 0.0, 0.0)
     tc = critical_temperature(p).location
-    below = thermal_concurrence(p, tc * (1 - 1e-4)).value
-    above = thermal_concurrence(p, tc * (1 + 1e-4)).value
+    below = thermal_concurrence(p.J, p.Jz, p.B, p.b, tc * (1 - 1e-4))[0]
+    above = thermal_concurrence(p.J, p.Jz, p.B, p.b, tc * (1 + 1e-4))[0]
     ok = (
         abs(tc - 1.134593) <= 1e-6
         and abs(tc - TC_REFERENCE) <= 1e-6

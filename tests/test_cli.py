@@ -15,8 +15,9 @@ import pytest
 import xxzent
 from xxzent.cli import UsageError, main
 from xxzent.linalg import XxzentError
+from xxzent.model import ModelParams
 from xxzent.sweep import InvalidAxisError, UnknownFigureError
-from xxzent.thermal import concurrence_values
+from xxzent.thermal import concurrence_sign, concurrence_values, thermal_concurrence
 
 C_REFERENCE = 2 * (math.sinh(1) - 1) / (2 + 2 * math.cosh(1))
 
@@ -69,6 +70,21 @@ class TestEval:
         assert diagnostics["Z"] == pytest.approx(4 * math.cosh(0.5), rel=1e-15)
         assert diagnostics["m"] is None and diagnostics["n"] is None
         assert diagnostics["s"] is None
+
+    def test_sign_diagnostic_matches_sign_function(self, capsys):
+        rng = np.random.default_rng(306)
+        for _ in range(300):
+            p = ModelParams(
+                rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3),
+                rng.uniform(-3, 3), rng.uniform(0, 3), rng.uniform(-3, 3),
+            )
+            T = rng.uniform(0.05, 5.0)
+            record = run_json(capsys, "eval", f"--j={p.J!r}", f"--jz={p.Jz!r}",
+                              f"--big-b={p.B!r}", f"--b={p.b!r}", f"--t={T!r}")
+            assert record["diagnostics"]["g"] == concurrence_sign(p, T)
+            value, roots = thermal_concurrence(p.J, p.Jz, p.B, p.b, T)
+            assert record["results"]["concurrence"] == value
+            assert record["results"]["wootters_roots"] == list(roots)
 
     def test_zero_coupling_runs_no_jacobi_solve(self, capsys, monkeypatch):
         def refuse(matrix):
@@ -283,11 +299,65 @@ def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
+def package_modules():
+    return [
+        importlib.import_module(f"xxzent.{info.name}")
+        for info in pkgutil.iter_modules(xxzent.__path__)
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # out of the model's domain: exit 1 on every command
+        (["eval", "--big-b", "-1"], 1),
+        (["sweep", "--axis", "b:0:1:3", "--big-b", "-1"], 1),
+        (["sweep", "--axis", "big-b:-1:1:3"], 1),
+        (["eval", "--t", "0"], 1),
+        (["eval", "--t", "1e-9"], 1),
+        (["sweep", "--axis", "t:0:1:3"], 1),
+        (["sweep", "--axis", "t:1e-9:1:3"], 1),
+        (["eval", "--j", "nan"], 1),
+        (["sweep", "--axis", "b:0:1:3", "--j", "nan"], 1),
+        (["eval", "--t", "inf"], 1),
+        (["critical", "--axis", "b", "--t", "inf"], 1),
+        (["critical", "--axis", "big-b", "--t", "inf"], 1),
+        # the refused inputs of the benchmark's session workload
+        (["eval", "--t=-0.5"], 1),
+        (["eval", "--big-b=-0.25"], 1),
+        (["ground", "--j=0"], 1),
+        (["critical", "--axis", "t", "--j=0"], 1),
+        (["sweep", "--axis", "t:2:1:11"], 2),
+        (["sweep", "--axis", "q:0:1:11"], 2),
+        (["eval", "--t", "warm"], 2),
+    ],
+)
+def test_refused_input_fails_cleanly(capsys, argv, code):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == code
+    assert out == ""
+    lines = err.splitlines()
+    prefix = "usage error: " if code == 2 else "error: "
+    assert len(lines) == 1 and lines[0].startswith(prefix), err
+
+
+def test_no_scalar_twin_of_a_broadcast_function():
+    # Each route is one function; a public X next to a public X_values would
+    # be a second implementation of it.
+    for module in package_modules():
+        public = {
+            name for name, obj in vars(module).items()
+            if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+        }
+        twins = sorted(name for name in public if f"{name}_values" in public)
+        assert not twins, f"{module.__name__}: {twins}"
+
+
 def test_every_error_class_carries_an_exit_code():
     # A class missing from XxzentError would leave the CLI as a traceback.
     errors = []
-    for info in pkgutil.iter_modules(xxzent.__path__):
-        module = importlib.import_module(f"xxzent.{info.name}")
+    for module in package_modules():
         errors += [
             obj for obj in vars(module).values()
             if inspect.isclass(obj) and issubclass(obj, BaseException)

@@ -33,7 +33,7 @@ class TestHermitianEigen:
 
     def test_model_hamiltonian_energies(self):
         # eta = 1 at b = 0, so the closed energies are (0.2, 0.2, -1.2, 0.8)
-        h = build_hamiltonian(ModelParams(1.0, 0.4, 0.0, 0.0))
+        h = build_hamiltonian(1.0, 0.4, 0.0, 0.0)
         values, _ = hermitian_eigen(h)
         assert np.allclose(values, [-1.2, 0.2, 0.2, 0.8], atol=1e-12)
 
@@ -109,7 +109,7 @@ class TestHermitianEigen:
                 rng.choice([-1, 1]) * rng.uniform(0.05, 3),
                 rng.uniform(-3, 3), rng.uniform(0, 3), rng.uniform(-3, 3),
             )
-            numeric = hermitian_eigen(build_hamiltonian(p)).values
+            numeric = hermitian_eigen(build_hamiltonian(p.J, p.Jz, p.B, p.b)).values
             closed = np.sort(closed_spectrum(p).energies)
             assert np.max(np.abs(numeric - closed)) <= 1e-10
 
@@ -124,7 +124,7 @@ class TestPsdSqrt:
         assert np.allclose(root, np.diag([2.0, 1.0, 0.0, 0.0]), atol=1e-14)
 
     def test_gibbs_square(self):
-        rho, _ = gibbs_closed(ModelParams(1.0, 0.0, 0.0, 0.0), 1.0)
+        rho = gibbs_closed(1.0, 0.0, 0.0, 0.0, 1.0)
         root = psd_sqrt(rho)
         assert np.max(np.abs(root @ root - rho)) <= 1e-10
         assert hermiticity_defect(root) <= 1e-12

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from xxzent.model import (
     energy_values,
     ground_state,
     pure_concurrence,
-    xxx_ground_concurrence,
 )
 
 
@@ -47,13 +47,13 @@ class TestModelParams:
 
 class TestBuildHamiltonian:
     def test_zero_field_structure(self):
-        h = build_hamiltonian(ModelParams(1.0, 0.0, 0.0, 0.0))
+        h = build_hamiltonian(1.0, 0.0, 0.0, 0.0)
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 2] = expected[2, 1] = 1.0
         assert np.array_equal(h, expected)
 
     def test_entries(self):
-        h = build_hamiltonian(ModelParams(1.0, 0.4, 0.5, 0.2))
+        h = build_hamiltonian(1.0, 0.4, 0.5, 0.2)
         assert np.allclose(h.diagonal().real, [0.7, 0.0, -0.4, -0.3], atol=1e-15)
         assert h[1, 2] == h[2, 1] == 1.0
         structural = h - np.diag(h.diagonal())
@@ -63,7 +63,8 @@ class TestBuildHamiltonian:
     def test_traceless(self):
         rng = np.random.default_rng(201)
         for _ in range(1000):
-            h = build_hamiltonian(random_params(rng, j_min=0.0))
+            p = random_params(rng, j_min=0.0)
+            h = build_hamiltonian(p.J, p.Jz, p.B, p.b)
             assert abs(np.trace(h)) <= 1e-14
 
 
@@ -96,7 +97,7 @@ class TestClosedSpectrum:
         for _ in range(500):
             p = random_params(rng)
             spec = closed_spectrum(p)
-            h = build_hamiltonian(p)
+            h = build_hamiltonian(p.J, p.Jz, p.B, p.b)
             for k, energy in enumerate(spec.energies):
                 state = spec.states[:, k]
                 assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
@@ -206,25 +207,31 @@ class TestPureConcurrence:
 
 
 class TestXXXGroundConcurrence:
+    # The isotropic Jz = J pair of the fig2 preset, run through ground_state
+    # at doubled parameters (J, Jz, B, b) -> (2J, 2Jz, 2B, 2b): its ground
+    # concurrence is 1/sqrt(1 + (b/J)^2).
     def test_homogeneous_limit(self):
-        assert xxx_ground_concurrence(0.0) == 1.0
+        assert ground_state(ModelParams(2.0, 2.0, 0.0, 0.0)).ground_concurrence == 1.0
 
     def test_reference_inhomogeneity(self):
-        assert xxx_ground_concurrence(0.458) == pytest.approx(0.9091795772080864, abs=1e-12)
+        report = ground_state(ModelParams(-2.0, -2.0, 0.0, 0.916))
+        assert report.ground_concurrence == pytest.approx(0.9091795772080864, abs=1e-12)
 
-    def test_matches_doubled_general_path(self):
-        # identity 2(u - d)/(1 + (d - u)^2) = 1/u with u = sqrt(1 + d^2)
-        for j in (-1.0, 1.0):
-            for delta in np.linspace(-2.0, 2.0, 41):
-                b = delta * j
-                doubled = ModelParams(2 * j, 2 * j, 0.0, 2 * b)
-                report = ground_state(doubled)
-                if report.phase is Phase.BOUNDARY:
-                    # ferromagnetic delta = 0: exact level crossing
-                    assert j < 0 and delta == 0.0
-                    continue
-                assert report.phase is Phase.ENTANGLED
-                assert abs(report.ground_concurrence - xxx_ground_concurrence(delta)) <= 1e-12
+
+def test_ground_concurrence_relative_accuracy_at_large_field_ratio():
+    # Reference 2|lam|/(1 + lam^2), lam = (b - eta)/J, in 40-digit decimals,
+    # where the cancellation in b - eta costs nothing.
+    for J in (0.05, -0.05):
+        for ratio in (1.0, 60.0, 600.0, 6000.0, 6e4):
+            for b in (ratio * abs(J), -ratio * abs(J)):
+                report = ground_state(ModelParams(J, 0.0, 0.0, b))
+                with localcontext() as ctx:
+                    ctx.prec = 40
+                    dj, db = Decimal(J), Decimal(b)
+                    lam = (db - (db * db + dj * dj).sqrt()) / dj
+                    expected = 2 * abs(lam) / (1 + lam * lam)
+                    error = abs(Decimal(report.ground_concurrence) - expected) / expected
+                assert error <= Decimal("4e-16"), (J, b, error)
 
 
 def test_ground_concurrence_matches_jacobi_ground_vector():
@@ -242,7 +249,7 @@ def test_ground_concurrence_matches_jacobi_ground_vector():
         others = np.sort(spec.energies)
         if report.phase is Phase.BOUNDARY or gap < 1e-3 or others[1] - others[0] < 1e-3:
             continue
-        values, vectors = hermitian_eigen(build_hamiltonian(p))
+        values, vectors = hermitian_eigen(build_hamiltonian(p.J, p.Jz, p.B, p.b))
         numeric = pure_concurrence(PureState.from_vector(vectors[:, 0]))
         assert numeric == pytest.approx(report.ground_concurrence, abs=1e-9)
         checked += 1

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from xxzent.model import ModelParams, ZeroXYCouplingError
+from xxzent.model import (
+    BoltzmannOverflowError,
+    InvalidParameterError,
+    ModelParams,
+    NonPositiveTemperatureError,
+    ZeroXYCouplingError,
+)
 from xxzent.sweep import (
     Axis,
     InvalidAxisError,
@@ -26,19 +32,23 @@ class TestAxis:
     @pytest.mark.parametrize(
         "bad",
         [
-            ("x", 0, 1, 5),
-            ("b", 0, 1, 0),
-            ("b", 1, 0, 5),
-            ("b", 0, 1, 1),        # single point needs start == stop
-            ("T", 0.0, 1, 5),      # T must stay positive
-            ("T", -1.0, 1, 5),
-            ("B", -1.0, 1, 5),     # B must stay nonnegative
-            ("b", math.inf, 1, 5),
+            (("x", 0, 1, 5), InvalidAxisError),
+            (("b", 0, 1, 0), InvalidAxisError),
+            (("b", 1, 0, 5), InvalidAxisError),
+            (("b", 0, 1, 1), InvalidAxisError),  # single point needs start == stop
+            # out of the model's domain: the errors eval raises, exit code 1
+            (("T", 0.0, 1, 5), NonPositiveTemperatureError),
+            (("T", -1.0, 1, 5), NonPositiveTemperatureError),
+            (("B", -1.0, 1, 5), InvalidParameterError),
+            (("b", math.inf, 1, 5), InvalidParameterError),
+            (("T", 1e-9, 1, 5), BoltzmannOverflowError),
+            (("T", 0.1, math.inf, 5), InvalidParameterError),
         ],
     )
     def test_rejects_invalid(self, bad):
-        with pytest.raises(InvalidAxisError):
-            Axis(*bad)
+        spec, error = bad
+        with pytest.raises(error):
+            Axis(*spec)
 
     def test_single_point(self):
         assert np.array_equal(Axis("T", 0.7, 0.7, 1).values(), [0.7])
@@ -49,7 +59,7 @@ class TestSweep:
         grid = sweep(
             [Axis("b", 0.4, 0.4, 1)], {"J": 1.0, "Jz": 0.2, "B": 0.3, "T": 0.8}
         )
-        direct = thermal_concurrence(ModelParams(1.0, 0.2, 0.3, 0.4), 0.8).value
+        direct = thermal_concurrence(1.0, 0.2, 0.3, 0.4, 0.8)[0]
         assert grid.values.shape == (1,)
         assert grid.values[0] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
@@ -58,7 +68,7 @@ class TestSweep:
         assert grid.values.shape == (2,)
         for value, T in zip(grid.values, (0.4, 1.0)):
             assert value == pytest.approx(
-                thermal_concurrence(ModelParams(1.0, 0.0, 0.0, 0.0), T).value,
+                thermal_concurrence(1.0, 0.0, 0.0, 0.0, T)[0],
                 rel=1e-12,
             )
 
@@ -104,7 +114,9 @@ class TestSweep:
         ],
     )
     def test_rejects_bad_specs(self, axes, fixed):
-        with pytest.raises(InvalidAxisError):
+        # a negative fixed B is out of the model's domain; the rest are structural
+        error = InvalidParameterError if fixed.get("B", 0) < 0 else InvalidAxisError
+        with pytest.raises(error):
             sweep(axes, fixed)
 
 
@@ -117,8 +129,8 @@ class TestCriticalTemperature:
     def test_certified_by_concurrence_sign_change(self):
         p = ModelParams(1.0, 0.0, 0.0, 0.0)
         tc = critical_temperature(p).location
-        assert thermal_concurrence(p, tc * (1 - 1e-4)).value > 0.0
-        assert thermal_concurrence(p, tc * (1 + 1e-4)).value == 0.0
+        assert thermal_concurrence(1.0, 0.0, 0.0, 0.0, tc * (1 - 1e-4))[0] > 0.0
+        assert thermal_concurrence(1.0, 0.0, 0.0, 0.0, tc * (1 + 1e-4))[0] == 0.0
 
     def test_bracket_signs_disagree(self):
         p = ModelParams(1.0, 0.9, 0.0, 0.4)
@@ -196,8 +208,6 @@ class TestCriticalField:
             critical_field(ModelParams(1.0, 0.0, 0.0, 0.0), 1.0, "Jz")
 
     def test_rejects_bad_temperature(self):
-        from xxzent.thermal import NonPositiveTemperatureError
-
         with pytest.raises(NonPositiveTemperatureError):
             critical_field(ModelParams(1.0, 0.0, 0.0, 0.0), 0.0, "b")
 

@@ -1,35 +1,40 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from xxzent.linalg import hermitian_eigen, hermiticity_defect
-from xxzent.model import ModelParams, PureState, ZeroXYCouplingError, pure_concurrence
-from xxzent.thermal import (
+from xxzent.model import (
     BoltzmannOverflowError,
-    InvalidDensityMatrixError,
-    METHOD_XSTATE,
+    InvalidParameterError,
+    ModelParams,
     NonPositiveTemperatureError,
+    PureState,
+    ZeroXYCouplingError,
+    build_hamiltonian,
+    energy_values,
+    pure_concurrence,
+)
+from xxzent.thermal import (
+    InvalidDensityMatrixError,
     NotXStateError,
     concurrence_sign,
     concurrence_values,
     gibbs_closed,
-    gibbs_closed_values,
+    gibbs_diagnostics,
     gibbs_spectral,
-    gibbs_spectral_values,
     log_sign_values,
     thermal_concurrence,
-    thermal_concurrence_values,
     wootters_concurrence,
-    wootters_values,
     xstate_concurrence,
-    xstate_values,
 )
 
 # frozen reference: 2*max(0, sinh(1) - 1) / (2 + 2*cosh(1))
 C_REFERENCE = 2 * (math.sinh(1) - 1) / (2 + 2 * math.cosh(1))
 Z_REFERENCE = 2 + 2 * math.cosh(1)
 P_REFERENCE = ModelParams(1.0, 0.0, 0.0, 0.0)
+GUARDED = (gibbs_closed, gibbs_spectral, thermal_concurrence)
 
 
 def random_draw(rng, t_range=(0.05, 5.0)):
@@ -47,6 +52,11 @@ def draw_columns(rng, n):
     return draws, (*columns, np.array([T for _, T in draws]))
 
 
+def concurrence(p, T):
+    """Thermal concurrence at one point, as a float."""
+    return float(thermal_concurrence(*astuple(p), T)[0])
+
+
 def bell_projector():
     s = 1 / math.sqrt(2)
     v = np.array([0.0, -s, s, 0.0], dtype=complex)
@@ -55,70 +65,70 @@ def bell_projector():
 
 class TestGibbsClosed:
     def test_reference_point(self):
-        rho, diag = gibbs_closed(P_REFERENCE, 1.0)
-        assert diag.Z == pytest.approx(Z_REFERENCE, abs=1e-13)
+        rho = gibbs_closed(*astuple(P_REFERENCE), 1.0)
+        diag = gibbs_diagnostics(P_REFERENCE, 1.0)
+        assert diag["Z"] == pytest.approx(Z_REFERENCE, abs=1e-13)
         expected = np.diag([1.0, math.cosh(1), math.cosh(1), 1.0]).astype(complex)
         expected[1, 2] = expected[2, 1] = -math.sinh(1)
         assert np.max(np.abs(rho - expected / Z_REFERENCE)) <= 1e-14
-        assert diag.m == pytest.approx(math.cosh(1), abs=1e-15)
-        assert diag.n == 0.0
-        assert diag.s == pytest.approx(math.sinh(1), abs=1e-15)
+        assert diag["m"] == pytest.approx(math.cosh(1), abs=1e-15)
+        assert diag["n"] == 0.0
+        assert diag["s"] == pytest.approx(math.sinh(1), abs=1e-15)
 
     def test_infinite_temperature_limit(self):
-        rho, _ = gibbs_closed(ModelParams(1.0, 0.4, 0.5, 0.2), 1e6)
+        rho = gibbs_closed(1.0, 0.4, 0.5, 0.2, 1e6)
         assert np.max(np.abs(rho.diagonal() - 0.25)) <= 1e-5
         assert abs(rho[1, 2]) <= 1e-5
 
     def test_commutes_with_hamiltonian(self):
-        from xxzent.model import build_hamiltonian
-
         rng = np.random.default_rng(301)
         for _ in range(300):
             p, T = random_draw(rng)
-            rho, _ = gibbs_closed(p, T)
-            h = build_hamiltonian(p)
+            rho = gibbs_closed(*astuple(p), T)
+            h = build_hamiltonian(*astuple(p))
             assert np.max(np.abs(rho @ h - h @ rho)) <= 1e-12
 
     def test_unit_trace_and_psd(self):
         rng = np.random.default_rng(302)
         for _ in range(300):
             p, T = random_draw(rng)
-            rho, diag = gibbs_closed(p, T)
+            rho = gibbs_closed(*astuple(p), T)
+            diag = gibbs_diagnostics(p, T)
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert hermiticity_defect(rho) <= 1e-12
             assert hermitian_eigen(rho).values[0] >= -1e-12
-            assert diag.Z > 0
-            assert diag.m >= 1.0
+            assert diag["Z"] > 0
+            assert diag["m"] >= 1.0
             eta = float(np.hypot(p.b, p.J))
-            assert abs(diag.n) <= math.sinh(eta / T) * (1 + 1e-12)
+            assert abs(diag["n"]) <= math.sinh(eta / T) * (1 + 1e-12)
 
     def test_rejects_bad_temperature(self):
         with pytest.raises(NonPositiveTemperatureError):
-            gibbs_closed(P_REFERENCE, 0.0)
+            gibbs_closed(*astuple(P_REFERENCE), 0.0)
         with pytest.raises(NonPositiveTemperatureError):
-            gibbs_closed(P_REFERENCE, -1.0)
+            gibbs_closed(*astuple(P_REFERENCE), -1.0)
         with pytest.raises(BoltzmannOverflowError):
-            gibbs_closed(P_REFERENCE, 1e-9)
+            gibbs_closed(*astuple(P_REFERENCE), 1e-9)
 
     def test_exponent_guard(self):
         with pytest.raises(BoltzmannOverflowError):
-            gibbs_closed(ModelParams(3.0, 3.0, 3.0, 3.0), 0.002)
+            gibbs_closed(3.0, 3.0, 3.0, 3.0, 0.002)
 
     def test_rejects_zero_coupling(self):
         with pytest.raises(ZeroXYCouplingError):
-            gibbs_closed(ModelParams(0.0, 1.0, 0.0, 0.0), 1.0)
+            gibbs_closed(0.0, 1.0, 0.0, 0.0, 1.0)
 
 
 class TestGibbsSpectral:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(303)
         _, columns = draw_columns(rng, 2000)
-        closed = gibbs_closed_values(*columns)
-        spectral = gibbs_spectral_values(*columns)
+        closed = gibbs_closed(*columns)
+        spectral = gibbs_spectral(*columns)
         assert np.max(np.abs(closed - spectral)) <= 1e-10
 
     def test_diagonal_hamiltonian(self):
-        rho = gibbs_spectral(ModelParams(0.0, 1.0, 0.0, 0.0), 1.0)
+        rho = gibbs_spectral(0.0, 1.0, 0.0, 0.0, 1.0)
         off = rho - np.diag(rho.diagonal())
         assert np.max(np.abs(off)) == 0.0
         assert abs(np.trace(rho) - 1.0) <= 1e-12
@@ -128,20 +138,20 @@ class TestGibbsSpectral:
 
         spec = closed_spectrum(P_REFERENCE)
         ground = np.outer(spec.states[:, 2], spec.states[:, 2].conj())
-        rho = gibbs_spectral(P_REFERENCE, 0.05)
+        rho = gibbs_spectral(*astuple(P_REFERENCE), 0.05)
         assert np.max(np.abs(rho - ground)) <= 1e-8
 
 
 class TestWootters:
     def test_maximally_mixed(self):
-        result = wootters_concurrence(np.eye(4, dtype=complex) / 4)
-        assert result.value == 0.0
-        assert np.allclose(result.wootters_roots, 0.25, atol=1e-12)
+        value, roots = wootters_concurrence(np.eye(4, dtype=complex) / 4)
+        assert value == 0.0
+        assert np.allclose(roots, 0.25, atol=1e-12)
 
     def test_bell_projector(self):
-        result = wootters_concurrence(bell_projector())
-        assert result.value == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(result.wootters_roots, [1.0, 0.0, 0.0, 0.0], atol=1e-7)
+        value, roots = wootters_concurrence(bell_projector())
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(roots, [1.0, 0.0, 0.0, 0.0], atol=1e-7)
 
     def test_pure_state_consistency(self):
         rng = np.random.default_rng(304)
@@ -150,7 +160,7 @@ class TestWootters:
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             v /= np.linalg.norm(v)
             states.append(PureState.from_vector(v))
-        values, _ = wootters_values(np.stack([state.projector() for state in states]))
+        values, _ = wootters_concurrence(np.stack([state.projector() for state in states]))
         expected = np.array([pure_concurrence(state) for state in states])
         assert np.max(np.abs(values - expected)) <= 1e-10
 
@@ -172,14 +182,14 @@ class TestWootters:
 
 class TestXState:
     def test_maximally_mixed(self):
-        assert xstate_concurrence(np.eye(4, dtype=complex) / 4).value == 0.0
+        assert xstate_concurrence(np.eye(4, dtype=complex) / 4)[0] == 0.0
 
     def test_bell_pattern(self):
-        assert xstate_concurrence(bell_projector()).value == pytest.approx(1.0, abs=1e-15)
+        assert xstate_concurrence(bell_projector())[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_reference_gibbs(self):
-        rho, _ = gibbs_closed(P_REFERENCE, 1.0)
-        assert xstate_concurrence(rho).value == pytest.approx(C_REFERENCE, abs=1e-13)
+        rho = gibbs_closed(*astuple(P_REFERENCE), 1.0)
+        assert xstate_concurrence(rho)[0] == pytest.approx(C_REFERENCE, abs=1e-13)
 
     def test_rejects_corner_entries(self):
         rho = np.eye(4, dtype=complex) / 4
@@ -190,45 +200,36 @@ class TestXState:
     def test_agrees_with_wootters(self):
         rng = np.random.default_rng(305)
         _, columns = draw_columns(rng, 2000)
-        rho = gibbs_closed_values(*columns)
-        x_values, x_roots = xstate_values(rho)
-        w_values, w_roots = wootters_values(rho)
+        rho = gibbs_closed(*columns)
+        x_values, x_roots = xstate_concurrence(rho)
+        w_values, w_roots = wootters_concurrence(rho)
         assert np.max(np.abs(x_values - w_values)) <= 1e-10
         assert np.max(np.abs(x_roots - w_roots)) <= 1e-8
 
 
 class TestThermalConcurrence:
     def test_reference_point(self):
-        result = thermal_concurrence(P_REFERENCE, 1.0)
-        assert result.value == pytest.approx(C_REFERENCE, abs=1e-13)
-        assert result.method == METHOD_XSTATE
+        value, roots = thermal_concurrence(*astuple(P_REFERENCE), 1.0)
+        assert value == pytest.approx(C_REFERENCE, abs=1e-13)
+        assert np.ndim(value) == 0 and np.shape(roots) == (4,)
 
     def test_vanishes_above_critical_temperature(self):
-        result = thermal_concurrence(P_REFERENCE, 2.0)
-        assert result.value == 0.0
-        assert result.sign_diagnostic < 0.0
-
-    def test_sign_diagnostic_matches_sign_function(self):
-        rng = np.random.default_rng(306)
-        for _ in range(300):
-            p, T = random_draw(rng)
-            result = thermal_concurrence(p, T)
-            assert result.sign_diagnostic == concurrence_sign(p, T)
+        assert concurrence(P_REFERENCE, 2.0) == 0.0
+        assert concurrence_sign(P_REFERENCE, 2.0) < 0.0
 
     def test_positivity_iff_sign_positive(self):
         rng = np.random.default_rng(307)
         for _ in range(2000):
             p, T = random_draw(rng)
-            result = thermal_concurrence(p, T)
-            g = result.sign_diagnostic
+            g = concurrence_sign(p, T)
             if abs(g) <= 1e-12:
                 continue
-            assert (result.value > 0.0) == (g > 0.0)
+            assert (concurrence(p, T) > 0.0) == (g > 0.0)
 
     def test_sign_invariant_in_uniform_field(self):
         signs = set()
         for B in (0.0, 1.0, 2.0, 5.0):
-            value = thermal_concurrence(ModelParams(1.0, 0.4, B, 0.8), 0.6).value
+            value = concurrence(ModelParams(1.0, 0.4, B, 0.8), 0.6)
             signs.add(value > 0.0)
         assert len(signs) == 1
 
@@ -236,29 +237,26 @@ class TestThermalConcurrence:
         rng = np.random.default_rng(308)
         for _ in range(500):
             p, T = random_draw(rng)
-            scalar = thermal_concurrence(p, T).value
+            scalar = concurrence(p, T)
             kernel = float(concurrence_values(p.J, p.Jz, p.B, p.b, T))
             assert scalar == pytest.approx(kernel, rel=1e-12, abs=1e-15)
 
     def test_accepts_zero_coupling(self):
-        result = thermal_concurrence(ModelParams(0.0, 1.0, 0.5, 0.3), 1.0)
-        assert result.value == 0.0
-        assert result.sign_diagnostic == -1.0
+        assert concurrence(ModelParams(0.0, 1.0, 0.5, 0.3), 1.0) == 0.0
 
     def test_roots_match_wootters(self):
         rng = np.random.default_rng(309)
         for _ in range(300):
             p, T = random_draw(rng, t_range=(0.3, 5.0))
-            direct = thermal_concurrence(p, T)
-            rho, _ = gibbs_closed(p, T)
-            generic = wootters_concurrence(rho)
-            assert np.max(np.abs(direct.wootters_roots - generic.wootters_roots)) <= 1e-10
+            _, direct = thermal_concurrence(*astuple(p), T)
+            _, generic = wootters_concurrence(gibbs_closed(*astuple(p), T))
+            assert np.max(np.abs(direct - generic)) <= 1e-10
 
     def test_jz_enhancement(self):
         for b in np.linspace(-3, 3, 7):
             for T in np.linspace(0.1, 3, 7):
                 values = [
-                    thermal_concurrence(ModelParams(1.0, jz, 0.0, b), T).value
+                    concurrence(ModelParams(1.0, jz, 0.0, b), T)
                     for jz in (0.0, 0.3, 0.6, 0.9)
                 ]
                 assert np.all(np.diff(values) >= -1e-12)
@@ -273,14 +271,14 @@ class TestThermalConcurrence:
             ModelParams(2.0, 1.0, 2.0, -1.2),
         ):
             report = ground_state(p)
-            thermal = thermal_concurrence(p, 0.01).value
+            thermal = concurrence(p, 0.01)
             assert abs(thermal - report.ground_concurrence) <= 1e-3
 
     def test_range_and_state_validity(self):
         rng = np.random.default_rng(310)
         for _ in range(500):
             p, T = random_draw(rng)
-            value = thermal_concurrence(p, T).value
+            value = concurrence(p, T)
             assert 0.0 <= value <= 1.0
 
 
@@ -318,20 +316,14 @@ class TestSymmetries:
         for _ in range(500):
             p, T = random_draw(rng)
             mirrored = ModelParams(p.J, p.Jz, p.B, -p.b)
-            assert (
-                thermal_concurrence(p, T).value
-                == thermal_concurrence(mirrored, T).value
-            )
+            assert concurrence(p, T) == concurrence(mirrored, T)
 
     def test_even_in_coupling(self):
         rng = np.random.default_rng(312)
         for _ in range(500):
             p, T = random_draw(rng)
             mirrored = ModelParams(-p.J, p.Jz, p.B, p.b)
-            assert (
-                thermal_concurrence(p, T).value
-                == thermal_concurrence(mirrored, T).value
-            )
+            assert concurrence(p, T) == concurrence(mirrored, T)
 
     def test_nonincreasing_in_uniform_field(self):
         rng = np.random.default_rng(313)
@@ -344,32 +336,30 @@ class TestSymmetries:
 
 class TestStackedKernels:
     def test_match_scalar_routes(self):
+        # a point or state gives the same result alone as inside a stack
         rng = np.random.default_rng(314)
         draws, columns = draw_columns(rng, 200)
-        closed = gibbs_closed_values(*columns)
-        spectral = gibbs_spectral_values(*columns)
-        woot_values, woot_roots = wootters_values(closed)
-        x_values, x_roots = xstate_values(closed)
-        thermal_values, thermal_roots = thermal_concurrence_values(*columns)
+        closed = gibbs_closed(*columns)
+        spectral = gibbs_spectral(*columns)
+        woot_values, woot_roots = wootters_concurrence(closed)
+        x_values, x_roots = xstate_concurrence(closed)
+        thermal_values, thermal_roots = thermal_concurrence(*columns)
         for i, (p, T) in enumerate(draws):
-            rho, _ = gibbs_closed(p, T)
+            rho = gibbs_closed(*astuple(p), T)
             assert np.array_equal(closed[i], rho)
-            assert np.array_equal(spectral[i], gibbs_spectral(p, T))
-            woot = wootters_concurrence(rho)
-            assert woot.value == woot_values[i]
-            assert np.array_equal(woot.wootters_roots, woot_roots[i])
-            x = xstate_concurrence(rho)
-            assert x.value == x_values[i]
-            assert np.array_equal(x.wootters_roots, x_roots[i])
-            thermal = thermal_concurrence(p, T)
-            assert thermal.value == thermal_values[i]
-            assert np.array_equal(thermal.wootters_roots, thermal_roots[i])
+            assert np.array_equal(spectral[i], gibbs_spectral(*astuple(p), T))
+            for route, values, roots in (
+                (wootters_concurrence(rho), woot_values, woot_roots),
+                (xstate_concurrence(rho), x_values, x_roots),
+                (thermal_concurrence(*astuple(p), T), thermal_values, thermal_roots),
+            ):
+                assert route[0] == values[i]
+                assert np.array_equal(route[1], roots[i])
 
     def test_guards_fire_for_one_member(self):
         rng = np.random.default_rng(315)
         _, (J, Jz, B, b, T) = draw_columns(rng, 50)
-        kernels = (gibbs_closed_values, gibbs_spectral_values, thermal_concurrence_values)
-        for kernel in kernels:
+        for kernel in GUARDED:
             for bad_T, error in (
                 (0.0, NonPositiveTemperatureError),
                 (1e-9, BoltzmannOverflowError),  # temperature guard
@@ -382,12 +372,41 @@ class TestStackedKernels:
         couplings = J.copy()
         couplings[7] = 0.0
         with pytest.raises(ZeroXYCouplingError):
-            gibbs_closed_values(couplings, Jz, B, b, T)
+            gibbs_closed(couplings, Jz, B, b, T)
+
+    def test_domain_refused_for_one_member(self):
+        # the guarded functions refuse what ModelParams refuses
+        rng = np.random.default_rng(317)
+        _, columns = draw_columns(rng, 50)
+        for kernel in GUARDED:
+            for index, bad, message in (
+                (0, math.nan, "J must be finite"),
+                (1, math.inf, "Jz must be finite"),
+                (2, -0.5, "B must be >= 0, got -0.5"),
+                (3, -math.inf, "b must be finite"),
+                (4, math.inf, "T must be finite"),
+            ):
+                stack = [column.copy() for column in columns]
+                stack[index][23] = bad
+                with pytest.raises(InvalidParameterError, match=message):
+                    kernel(*stack)
+                point = [float(column[23]) for column in stack]
+                with pytest.raises(InvalidParameterError, match=message):
+                    kernel(*point)
+                if index == 2:
+                    with pytest.raises(InvalidParameterError, match=message):
+                        ModelParams(*point[:4])
+
+    def test_unguarded_kernels_take_any_field(self):
+        h = build_hamiltonian(1.0, 0.4, -0.5, 0.2)
+        assert h[0, 0] == pytest.approx(-0.3, abs=1e-15)
+        assert energy_values(1.0, 0.4, -0.5, 0.2)[1] == pytest.approx(-0.3, abs=1e-15)
+        assert 0.0 <= concurrence_values(1.0, 0.4, -0.5, 0.2, 1.0) <= 1.0
 
     def test_state_checks_fire_for_one_member(self):
         rng = np.random.default_rng(316)
         _, columns = draw_columns(rng, 50)
-        rho = gibbs_closed_values(*columns)
+        rho = gibbs_closed(*columns)
         for corrupt in (
             lambda m: m * 2.0,  # trace 2
             lambda m: m + np.triu(np.full((4, 4), 1e-3), 1),  # not Hermitian
@@ -396,8 +415,8 @@ class TestStackedKernels:
             bad = rho.copy()
             bad[12] = corrupt(bad[12])
             with pytest.raises(InvalidDensityMatrixError):
-                wootters_values(bad)
+                wootters_concurrence(bad)
         bad = rho.copy()
         bad[12, 0, 3] = bad[12, 3, 0] = 0.1
         with pytest.raises(NotXStateError):
-            xstate_values(bad)
+            xstate_concurrence(bad)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xxzent import verify
-from xxzent.thermal import BoltzmannOverflowError, NonPositiveTemperatureError
+from xxzent.model import BoltzmannOverflowError, NonPositiveTemperatureError
 from xxzent.verify import (
     ALL_SUITES,
     draw_params,
