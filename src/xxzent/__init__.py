@@ -18,7 +18,6 @@ from .model import (
     ClosedSpectrum,
     GroundStateReport,
     InvalidParameterError,
-    ModelParams,
     NonPositiveTemperatureError,
     NotNormalizedError,
     Phase,
@@ -32,7 +31,6 @@ from .model import (
 from .thermal import (
     InvalidDensityMatrixError,
     NotXStateError,
-    concurrence_sign,
     concurrence_values,
     gibbs_closed,
     gibbs_diagnostics,

@@ -14,13 +14,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .linalg import XxzentError
-from .model import BOUNDARY_TOL, ModelParams, ground_state
+from .model import BOUNDARY_TOL, _check_params, ground_state
 from .sweep import (
     Axis,
     ROOT_RESIDUAL_TOL,
@@ -35,15 +36,16 @@ from .thermal import (
     DENSITY_TOL,
     METHOD_XSTATE,
     ROUTE_TOL,
-    concurrence_sign,
     gibbs_diagnostics,
+    log_sign_values,
     thermal_concurrence,
 )
 from .verify import run_suites
 
 SCHEMA_VERSION = "1"
 
-AXIS_TOKENS = {"t": "T", "b": "b", "big-b": "B", "jz": "Jz", "j": "J"}
+# Flag and axis token of each model parameter, in the order (J, Jz, B, b, T).
+AXIS_TOKENS = {"j": "J", "jz": "Jz", "big-b": "B", "b": "b", "t": "T"}
 
 TOLERANCES = {"route_agreement": ROUTE_TOL, "density_matrix": DENSITY_TOL}
 
@@ -66,7 +68,7 @@ def _jsonsafe(obj):
         return [_jsonsafe(value) for value in obj]
     if isinstance(obj, (np.floating, float)):
         value = float(obj)
-        return None if math.isnan(value) else value
+        return value if math.isfinite(value) else None
     return obj
 
 
@@ -106,10 +108,7 @@ def _grid_record(grid: SweepGrid) -> dict:
         "sweep",
         dict(grid.fixed),
         {
-            "axes": [
-                {"name": a.name, "start": a.start, "stop": a.stop, "points": a.points}
-                for a in grid.axes
-            ],
+            "axes": [asdict(axis) for axis in grid.axes],
             "values": grid.values.tolist(),
         },
         dict(grid.metadata),
@@ -121,8 +120,13 @@ def _write_grid(grid: SweepGrid, path: Path, fmt: str) -> None:
     path.write_text(text, encoding="utf-8", newline="")
 
 
-def _model_params(args) -> ModelParams:
-    return ModelParams(args.j, args.jz, args.big_b, args.b)
+def _params(args) -> dict[str, float]:
+    """The parameter flags of a command by model name, in (J, Jz, B, b, T) order.
+
+    The same dict is a record's params and the library's keyword arguments.
+    """
+    dests = {name: token.replace("-", "_") for token, name in AXIS_TOKENS.items()}
+    return {name: getattr(args, dest) for name, dest in dests.items() if hasattr(args, dest)}
 
 
 def _parse_axis(spec: str) -> Axis:
@@ -142,20 +146,23 @@ def _parse_axis(spec: str) -> Axis:
 
 
 def cmd_eval(args) -> int:
-    p = _model_params(args)
-    value, roots = thermal_concurrence(p.J, p.Jz, p.B, p.b, args.t)
+    params = _params(args)
+    value, roots = thermal_concurrence(**params)
+    J, Jz, _, b, T = params.values()
+    # the sign function, -1 in the diagonal J = 0 limit; null past the double range
+    with np.errstate(over="ignore"):
+        g = float(np.expm1(log_sign_values(J, Jz, b, T))) if J != 0.0 else -1.0
     record = _record(
         "eval",
-        {"J": p.J, "Jz": p.Jz, "B": p.B, "b": p.b, "T": float(args.t)},
+        params,
         {
             "concurrence": float(value),
             "wootters_roots": list(roots),
             "method": METHOD_XSTATE,
         },
         {
-            **gibbs_diagnostics(p, args.t),
-            # the sign function; -1 in the diagonal J = 0 limit
-            "g": concurrence_sign(p, args.t) if p.J != 0.0 else -1.0,
+            **gibbs_diagnostics(**params),
+            "g": g,
             "method": METHOD_XSTATE,
             "tolerances": TOLERANCES,
         },
@@ -165,19 +172,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    p = _model_params(args)
-    report = ground_state(p)
+    params = _params(args)
     record = _record(
-        "ground",
-        {"J": p.J, "Jz": p.Jz, "B": p.B, "b": p.b},
-        {
-            "phase": report.phase.value,
-            "ground_energy": report.ground_energy,
-            "ground_concurrence": report.ground_concurrence,
-            "threshold_Jz": report.threshold_Jz,
-            "threshold_B": report.threshold_B,
-        },
-        {"boundary_tolerance": BOUNDARY_TOL},
+        "ground", params, asdict(ground_state(**params)), {"boundary_tolerance": BOUNDARY_TOL}
     )
     _emit(record, args.out)
     return 0
@@ -199,8 +196,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("provide at least one --axis or --figure")
     axes = [_parse_axis(spec) for spec in args.axis]
     swept = {axis.name for axis in axes}
-    flags = {"J": args.j, "Jz": args.jz, "B": args.big_b, "b": args.b, "T": args.t}
-    fixed = {name: value for name, value in flags.items() if name not in swept}
+    fixed = {name: value for name, value in _params(args).items() if name not in swept}
     grid = sweep(axes, fixed)
     if args.out:
         _write_grid(grid, Path(args.out), args.format)
@@ -212,23 +208,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    p = _model_params(args)
+    params = _params(args)
     if args.axis == "t":
-        point = critical_temperature(p)
+        *model, T = params.values()
+        point = critical_temperature(*model)
+        _check_params(T=T)  # recorded, though the critical temperature ignores it
     else:
-        point = critical_field(p, args.t, AXIS_TOKENS[args.axis])
+        point = critical_field(**params, axis=AXIS_TOKENS[args.axis])
     record = _record(
-        "critical",
-        {"J": p.J, "Jz": p.Jz, "B": p.B, "b": p.b, "T": float(args.t)},
-        {
-            "axis": point.axis,
-            "location": point.location,
-            "bracket": list(point.bracket) if point.bracket else None,
-            "residual": point.residual,
-            "note": point.note,
-            "zero_temperature_boundary": point.zero_temperature_boundary,
-        },
-        {"root_tolerance": ROOT_RESIDUAL_TOL},
+        "critical", params, asdict(point), {"root_tolerance": ROOT_RESIDUAL_TOL}
     )
     _emit(record, args.out)
     return 0
@@ -243,18 +231,7 @@ def cmd_verify(args) -> int:
         "verify",
         {"samples": args.samples, "seed": args.seed},
         {
-            "suites": [
-                {
-                    "name": s.name,
-                    "samples": s.samples,
-                    "max_error": s.max_error,
-                    "tolerance": s.tolerance,
-                    "passed": s.passed,
-                    "worst_params": s.worst,
-                    "details": s.details,
-                }
-                for s in suites
-            ],
+            "suites": [asdict(suite) for suite in suites],
             "all_passed": all_passed,
         },
         {"rng": "philox-counter-64", "tolerances": TOLERANCES},

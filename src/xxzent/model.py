@@ -6,8 +6,9 @@ it is real symmetric with a single 2x2 inner block, so the full eigensystem
 has a closed form built from eta = sqrt(b^2 + J^2), xi = b - eta and
 zeta = b + eta.
 
-The domain check that every entry point shares, _check_params, lives here
-too.
+Every operation takes the parameters as plain numbers in the order
+(J, Jz, B, b[, T]).  The domain check that all of them share,
+_check_params, lives here too.
 """
 
 from __future__ import annotations
@@ -45,29 +46,12 @@ class BoltzmannOverflowError(XxzentError, OverflowError):
     """Boltzmann exponents exceed the overflow guard."""
 
 
-class Phase(Enum):
+class Phase(str, Enum):
+    """Ground-state phase; a str, so a JSON record holds its value."""
+
     DISENTANGLED = "disentangled"
     ENTANGLED = "entangled"
     BOUNDARY = "boundary"
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Dimensionless couplings (J, Jz) and fields (B, b).
-
-    Runs _check_params: finite values and B >= 0.  J = 0 is accepted here
-    but rejected by the operations that divide by J.
-    """
-
-    J: float
-    Jz: float
-    B: float
-    b: float
-
-    def __post_init__(self) -> None:
-        for name in ("J", "Jz", "B", "b"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        _check_params(**vars(self))
 
 
 def _refuse(error, bad, values, message: str) -> None:
@@ -76,13 +60,14 @@ def _refuse(error, bad, values, message: str) -> None:
         raise error(message.format(float(np.asarray(values).flat[np.flatnonzero(bad)[0]])))
 
 
-def _check_params(**values) -> None:
+def _check_params(divides_by_J: str = "", **values) -> None:
     """Refuse values outside the model's domain, by parameter name.
 
     Every value must be finite, B >= 0, and T > 0 and not below
-    TEMPERATURE_GUARD.  This is the domain of ModelParams, of the guarded
-    thermal functions and of sweep axes; each keyword is a float or an
-    array, and an error names its first offender.
+    TEMPERATURE_GUARD.  This is the domain of every model operation, of the
+    guarded thermal functions and of sweep axes; each keyword is a float or
+    an array, and an error names its first offender.  divides_by_J names an
+    operation that divides by J, which then refuses J = 0.
     """
     for name, value in values.items():
         _refuse(InvalidParameterError, ~np.isfinite(value), value,
@@ -90,6 +75,8 @@ def _check_params(**values) -> None:
     if "B" in values:
         _refuse(InvalidParameterError, np.less(values["B"], 0.0), values["B"],
                 "uniform field B must be >= 0, got {!r}")
+    if divides_by_J and np.any(np.equal(values["J"], 0.0)):
+        raise ZeroXYCouplingError(divides_by_J + " requires J != 0")
     if "T" in values:
         T = values["T"]
         _refuse(NonPositiveTemperatureError, ~np.greater(T, 0.0), T,
@@ -199,16 +186,15 @@ def energy_values(J, Jz, B, b) -> np.ndarray:
     return np.stack(_energies(J, Jz, B, b)[0], axis=-1)
 
 
-def closed_spectrum(p: ModelParams) -> ClosedSpectrum:
+def closed_spectrum(J, Jz, B, b) -> ClosedSpectrum:
     """Closed-form energies and normalized eigenvectors; requires J != 0."""
-    if p.J == 0.0:
-        raise ZeroXYCouplingError("closed-form spectrum requires J != 0")
-    levels, eta = _energies(p.J, p.Jz, p.B, p.b)
+    _check_params("closed-form spectrum", J=J, Jz=Jz, B=B, b=b)
+    levels, eta = _energies(J, Jz, B, b)
     e1, e2, e3, e4, eta = (float(v) for v in (*levels, eta))
-    xi = p.b - eta
-    zeta = p.b + eta
-    lam = xi / p.J
-    mu = zeta / p.J
+    xi = b - eta
+    zeta = b + eta
+    lam = xi / J
+    mu = zeta / J
     states = np.zeros((4, 4), dtype=complex)
     states[3, 0] = 1.0  # |0,0>
     states[0, 1] = 1.0  # |1,1>
@@ -221,7 +207,7 @@ def closed_spectrum(p: ModelParams) -> ClosedSpectrum:
     return ClosedSpectrum(e1, e2, e3, e4, eta, xi, zeta, lam, states)
 
 
-def ground_state(p: ModelParams) -> GroundStateReport:
+def ground_state(J, Jz, B, b) -> GroundStateReport:
     """Ground-state phase, energy and concurrence.
 
     The level crossing happens at eta = B - Jz: below it the product state
@@ -231,10 +217,10 @@ def ground_state(p: ModelParams) -> GroundStateReport:
     Within BOUNDARY_TOL of the crossing the ground level is degenerate and
     the concurrence is reported as NaN.
     """
-    spectrum = closed_spectrum(p)
-    gap = spectrum.eta - (p.B - p.Jz)
-    threshold_jz = p.B - spectrum.eta
-    threshold_b = spectrum.eta + p.Jz
+    spectrum = closed_spectrum(J, Jz, B, b)
+    gap = spectrum.eta - (B - Jz)
+    threshold_jz = B - spectrum.eta
+    threshold_b = spectrum.eta + Jz
     if abs(gap) <= BOUNDARY_TOL:
         return GroundStateReport(
             Phase.BOUNDARY, spectrum.e3, math.nan, threshold_jz, threshold_b
@@ -244,7 +230,7 @@ def ground_state(p: ModelParams) -> GroundStateReport:
             Phase.DISENTANGLED, spectrum.e1, 0.0, threshold_jz, threshold_b
         )
     return GroundStateReport(
-        Phase.ENTANGLED, spectrum.e3, abs(p.J) / spectrum.eta, threshold_jz, threshold_b
+        Phase.ENTANGLED, spectrum.e3, abs(J) / spectrum.eta, threshold_jz, threshold_b
     )
 
 

@@ -18,20 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linalg import XxzentError
-from .model import (
-    ModelParams,
-    ZeroXYCouplingError,
-    _check_params,
-    _check_temperature,
-    ground_state,
-)
-from .thermal import (
-    METHOD_XSTATE,
-    ROUTE_TOL,
-    concurrence_sign,
-    concurrence_values,
-    log_sign_values,
-)
+from .model import _check_params, ground_state
+from .thermal import METHOD_XSTATE, ROUTE_TOL, concurrence_values, log_sign_values
 
 PARAM_NAMES = ("J", "Jz", "B", "b", "T")
 
@@ -197,18 +185,17 @@ def _sign_root(axis, h, bracket, nonpositive, positive, note="") -> CriticalPoin
     return CriticalPoint(axis, root, bracket, float(np.expm1(h(root))), note=note)
 
 
-def critical_temperature(p: ModelParams) -> CriticalPoint:
+def critical_temperature(J, Jz, B, b) -> CriticalPoint:
     """Temperature above which the thermal concurrence vanishes.
 
     Bisection on the sign function over T in T_BRACKET; g is strictly
     decreasing in T wherever it can be positive, so a single sign check at
     the bracket ends decides existence.  Independent of B.
     """
-    if p.J == 0.0:
-        raise ZeroXYCouplingError("critical temperature requires J != 0")
+    _check_params("critical temperature", J=J, Jz=Jz, B=B, b=b)
 
     def h(T: float) -> float:
-        return float(log_sign_values(p.J, p.Jz, p.b, T))
+        return float(log_sign_values(J, Jz, b, T))
 
     return _sign_root(
         "T", h, T_BRACKET,
@@ -219,7 +206,7 @@ def critical_temperature(p: ModelParams) -> CriticalPoint:
     )
 
 
-def critical_field(p: ModelParams, T: float, axis: str) -> CriticalPoint:
+def critical_field(J, Jz, B, b, T, axis: str) -> CriticalPoint:
     """Critical inhomogeneous field (axis="b") or uniform field (axis="B").
 
     For axis="b" the sign function is increasing in b >= 0, so bisection
@@ -230,11 +217,11 @@ def critical_field(p: ModelParams, T: float, axis: str) -> CriticalPoint:
     no finite-temperature root exists; the report carries the zero-temperature
     phase boundary B^f = eta + Jz instead.
     """
-    if p.J == 0.0:
-        raise ZeroXYCouplingError("critical field requires J != 0")
-    T = _check_temperature(T)
+    _check_params("critical field", J=J, Jz=Jz, B=B, b=b, T=T)
     if axis == "B":
-        if concurrence_sign(p, T) > 0.0:
+        with np.errstate(over="ignore"):  # log(g + 1) = inf is a valid positive sign
+            positive = log_sign_values(J, Jz, b, T) > 0.0
+        if positive:
             note = (
                 "sign of the concurrence is independent of B, so it stays "
                 "positive for every B >= 0 at this temperature; the T -> 0 "
@@ -247,13 +234,13 @@ def critical_field(p: ModelParams, T: float, axis: str) -> CriticalPoint:
             )
         return CriticalPoint(
             "B", None, None, None, note=note,
-            zero_temperature_boundary=ground_state(p).threshold_B,
+            zero_temperature_boundary=ground_state(J, Jz, B, b).threshold_B,
         )
     if axis != "b":
         raise InvalidAxisError(f"critical field axis must be 'b' or 'B', got {axis!r}")
 
-    def h(b: float) -> float:
-        return float(log_sign_values(p.J, p.Jz, b, T))
+    def h(inhomogeneity: float) -> float:
+        return float(log_sign_values(J, Jz, inhomogeneity, T))
 
     return _sign_root(
         "b", h, B_INHOMOGENEOUS_BRACKET,

@@ -14,9 +14,10 @@ independent of the uniform field B.
 Each route is one function that broadcasts over parameter arrays or
 (..., 4, 4) stacks of density matrices; a single point or state is the 0-d
 case (a concurrence then comes back as a numpy scalar).  The guarded
-functions (gibbs_closed, gibbs_spectral, thermal_concurrence) refuse what
-ModelParams refuses and apply the temperature and exponent guards;
-concurrence_values and log_sign_values are unguarded.
+functions (gibbs_closed, gibbs_spectral, thermal_concurrence and the scalar
+gibbs_diagnostics) refuse what model._check_params refuses and apply the
+temperature and exponent guards; concurrence_values and log_sign_values are
+unguarded.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .linalg import (
 )
 from .model import (
     BoltzmannOverflowError,
-    ModelParams,
-    ZeroXYCouplingError,
     _check_params,
     _check_temperature,
     _energies,
@@ -81,8 +80,8 @@ def _weights(J, Jz, B, b, T, guard: bool):
 
     Returns (emin, T, eta, (w1, w2, w3, w4)) in the closed-form energy
     labels: (w1, w2) for the outer product states, (w3, w4) for the inner
-    pair with E3 <= E4.  With guard, the parameters first pass the
-    ModelParams checks, T the temperature guards (it comes back as a float,
+    pair with E3 <= E4.  With guard, the parameters first pass
+    _check_params, T the temperature guards (it comes back as a float,
     or an array for array input) and the energies the exponent guard; the
     energies are evaluated once either way.  emin comes first so that
     `_, _, eta, w = _weights(...)` frees it at once.
@@ -162,26 +161,13 @@ def log_sign_values(J, Jz, b, T) -> np.ndarray:
     return Jz / T + np.log(np.abs(J) / eta) + log_sinh
 
 
-def concurrence_sign(p: ModelParams, T: float) -> float:
-    """Sign function g = exp(Jz/T) * (|J|/eta) * sinh(eta/T) - 1.
-
-    Thermal concurrence is positive iff g > 0; g does not depend on B.
-    """
-    if p.J == 0.0:
-        raise ZeroXYCouplingError("sign function requires J != 0")
-    T = _check_temperature(T)
-    with np.errstate(over="ignore"):  # g = inf is a valid positive sign
-        return float(np.expm1(log_sign_values(p.J, p.Jz, p.b, T)))
-
-
 def gibbs_closed(J, Jz, B, b, T) -> np.ndarray:
     """Closed-form Gibbs states exp(-H/T)/Z over broadcast parameters, (..., 4, 4).
 
     Entries are assembled from shifted Boltzmann weights so the matrices
     never overflow.  Requires J != 0; guarded.
     """
-    if np.any(np.asarray(J) == 0.0):
-        raise ZeroXYCouplingError("closed-form Gibbs state requires J != 0")
+    _check_params("closed-form Gibbs state", J=J)
     _, _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T, guard=True)
     zs = w1 + w2 + w3 + w4
     half_sum = 0.5 * (w3 + w4)
@@ -195,7 +181,7 @@ def gibbs_closed(J, Jz, B, b, T) -> np.ndarray:
     return rho
 
 
-def gibbs_diagnostics(p: ModelParams, T: float) -> dict[str, float | None]:
+def gibbs_diagnostics(J, Jz, B, b, T) -> dict[str, float | None]:
     """Partition function and closed-form entry blocks at one point, by name.
 
     Z is always the energy trace sum(exp(-E_k/T)), which is what unit trace
@@ -203,18 +189,18 @@ def gibbs_diagnostics(p: ModelParams, T: float) -> dict[str, float | None]:
     s = exp(Jz/2T) J sinh(eta/T)/eta are None at J = 0.  Guarded like
     gibbs_closed.
     """
-    emin, T, eta, weights = _weights(p.J, p.Jz, p.B, p.b, T, guard=True)
+    emin, T, eta, weights = _weights(J, Jz, B, b, T, guard=True)
     scale = math.exp(-emin / T)  # exp(-E_k/T) = w_k * scale
     Z = float(sum(weights) * scale)
-    if p.J == 0.0:
+    if J == 0.0:
         return {"Z": Z, "m": None, "n": None, "s": None}
     _, _, w3, w4 = weights
     x = eta / T
     return {
         "Z": Z,
         "m": math.cosh(x),
-        "n": p.b * math.sinh(x) / eta,
-        "s": float(p.J * (w3 - w4) * scale / (2.0 * eta)),
+        "n": b * math.sinh(x) / eta,
+        "s": float(J * (w3 - w4) * scale / (2.0 * eta)),
     }
 
 

@@ -46,7 +46,7 @@ class SuiteResult:
     max_error: float
     tolerance: float
     passed: bool
-    worst: dict[str, float]
+    worst_params: dict[str, float]
     details: dict[str, float] = field(default_factory=dict)
 
 
@@ -90,7 +90,7 @@ def _result(name, draws, errors, tol, details=None) -> SuiteResult:
         max_error=max_error,
         tolerance=tol,
         passed=bool(max_error <= tol),
-        worst=_point(draws, worst_index),
+        worst_params=_point(draws, worst_index),
         details=details or {},
     )
 

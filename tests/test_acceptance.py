@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from xxzent.model import ModelParams, Phase, PureState, ground_state, pure_concurrence
+from xxzent.model import Phase, PureState, ground_state, pure_concurrence
 from xxzent.sweep import critical_temperature, figure_data
 from xxzent.thermal import concurrence_values, thermal_concurrence, wootters_concurrence
 from xxzent.verify import (
@@ -85,7 +85,7 @@ def test_04_homogeneous_ground_anchor():
             continue
         B = 0.99 * threshold * rng.random()
         checked += 1
-        result = ground_state(ModelParams(j, jz, B, 0.0))
+        result = ground_state(j, jz, B, 0.0)
         assert result.phase is Phase.ENTANGLED
         worst = max(worst, abs(result.ground_concurrence - 1.0))
     report(4, "homogeneous-ground-anchor", worst <= 1e-12,
@@ -95,7 +95,7 @@ def test_04_homogeneous_ground_anchor():
 def test_05_isotropic_case_anchor():
     target = 1 / math.sqrt(1 + 0.458**2)
     # the fig2 preset point Jz = J = -1, b = 0.458 at doubled parameters
-    closed = ground_state(ModelParams(-2.0, -2.0, 0.0, 0.916)).ground_concurrence
+    closed = ground_state(-2.0, -2.0, 0.0, 0.916).ground_concurrence
     corner = figure_data(2)[0].values[0, 0]  # B = 0, lowest T = 0.01
     ok = (
         abs(closed - 0.909180) <= 1e-5
@@ -123,8 +123,8 @@ def test_07_jz_enhancement():
         [concurrence_values(1.0, jz, 0.0, b, T) for jz in (0.0, 0.3, 0.6, 0.9)]
     )
     worst_drop = float(np.min(np.diff(stack, axis=0)))
-    tc_low = critical_temperature(ModelParams(1.0, 0.0, 0.0, 0.0)).location
-    tc_high = critical_temperature(ModelParams(1.0, 0.9, 0.0, 0.0)).location
+    tc_low = critical_temperature(1.0, 0.0, 0.0, 0.0).location
+    tc_high = critical_temperature(1.0, 0.9, 0.0, 0.0).location
     ok = worst_drop >= -1e-12 and tc_high > tc_low
     report(7, "jz-enhancement", ok,
            f"min concurrence step across Jz grid = {worst_drop:.3e} (>= -1e-12), "
@@ -132,10 +132,10 @@ def test_07_jz_enhancement():
 
 
 def test_08_critical_temperature_anchor():
-    p = ModelParams(1.0, 0.0, 0.0, 0.0)
-    tc = critical_temperature(p).location
-    below = thermal_concurrence(p.J, p.Jz, p.B, p.b, tc * (1 - 1e-4))[0]
-    above = thermal_concurrence(p.J, p.Jz, p.B, p.b, tc * (1 + 1e-4))[0]
+    p = (1.0, 0.0, 0.0, 0.0)  # J, Jz, B, b
+    tc = critical_temperature(*p).location
+    below = thermal_concurrence(*p, tc * (1 - 1e-4))[0]
+    above = thermal_concurrence(*p, tc * (1 + 1e-4))[0]
     ok = (
         abs(tc - 1.134593) <= 1e-6
         and abs(tc - TC_REFERENCE) <= 1e-6
@@ -163,8 +163,8 @@ def test_09_uniform_field_behavior(draws):
 
     monotonic = suite_b_monotonic(draws)
 
-    boundary_b0 = ground_state(ModelParams(1.0, 0.4, 0.0, 0.0)).threshold_B
-    boundary_b08 = ground_state(ModelParams(1.0, 0.4, 0.0, 0.8)).threshold_B
+    boundary_b0 = ground_state(1.0, 0.4, 0.0, 0.0).threshold_B
+    boundary_b08 = ground_state(1.0, 0.4, 0.0, 0.8).threshold_B
     boundaries_ok = (
         abs(boundary_b0 - 1.4) <= 1e-12
         and abs(boundary_b08 - 1.6806248474865697) <= 1e-9

@@ -15,9 +15,26 @@ import pytest
 import xxzent
 from xxzent.cli import UsageError, main
 from xxzent.linalg import XxzentError
-from xxzent.model import ModelParams
-from xxzent.sweep import InvalidAxisError, UnknownFigureError
-from xxzent.thermal import concurrence_sign, concurrence_values, thermal_concurrence
+from xxzent.model import (
+    InvalidParameterError,
+    ZeroXYCouplingError,
+    closed_spectrum,
+    ground_state,
+)
+from xxzent.sweep import (
+    PARAM_NAMES,
+    InvalidAxisError,
+    UnknownFigureError,
+    critical_field,
+    critical_temperature,
+)
+from xxzent.thermal import (
+    concurrence_values,
+    gibbs_closed,
+    gibbs_diagnostics,
+    log_sign_values,
+    thermal_concurrence,
+)
 
 C_REFERENCE = 2 * (math.sinh(1) - 1) / (2 + 2 * math.cosh(1))
 
@@ -74,17 +91,27 @@ class TestEval:
     def test_sign_diagnostic_matches_sign_function(self, capsys):
         rng = np.random.default_rng(306)
         for _ in range(300):
-            p = ModelParams(
-                rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3),
-                rng.uniform(-3, 3), rng.uniform(0, 3), rng.uniform(-3, 3),
+            J, Jz, B, b = (
+                float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3)),
+                float(rng.uniform(-3, 3)), float(rng.uniform(0, 3)), float(rng.uniform(-3, 3)),
             )
             T = rng.uniform(0.05, 5.0)
-            record = run_json(capsys, "eval", f"--j={p.J!r}", f"--jz={p.Jz!r}",
-                              f"--big-b={p.B!r}", f"--b={p.b!r}", f"--t={T!r}")
-            assert record["diagnostics"]["g"] == concurrence_sign(p, T)
-            value, roots = thermal_concurrence(p.J, p.Jz, p.B, p.b, T)
+            record = run_json(capsys, "eval", f"--j={J!r}", f"--jz={Jz!r}",
+                              f"--big-b={B!r}", f"--b={b!r}", f"--t={T!r}")
+            assert record["diagnostics"]["g"] == float(np.expm1(log_sign_values(J, Jz, b, T)))
+            value, roots = thermal_concurrence(J, Jz, B, b, T)
             assert record["results"]["concurrence"] == value
             assert record["results"]["wootters_roots"] == list(roots)
+
+    def test_sign_past_double_range_is_null(self, capsys, output_schema):
+        # log(g + 1) is about 1000 here, so g overflows a double
+        code, out, err = run_cli(capsys, "eval", "--jz", "1", "--t", "0.001", "--j", "0.001")
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        jsonschema.validate(record, output_schema)
+        assert record["diagnostics"]["g"] is None
+        value, _ = thermal_concurrence(0.001, 1.0, 0.0, 0.0, 0.001)
+        assert record["results"]["concurrence"] == value
 
     def test_zero_coupling_runs_no_jacobi_solve(self, capsys, monkeypatch):
         def refuse(matrix):
@@ -331,6 +358,11 @@ def package_modules():
         (["sweep", "--axis", "t:2:1:11"], 2),
         (["sweep", "--axis", "q:0:1:11"], 2),
         (["eval", "--t", "warm"], 2),
+        # the temperature that critical --axis t records but does not use
+        (["critical", "--axis", "t", "--t", "0"], 1),
+        (["critical", "--axis", "t", "--t", "nan"], 1),
+        (["critical", "--axis", "t", "--t", "inf"], 1),
+        (["critical", "--axis", "t", "--t", "1e-9"], 1),
     ],
 )
 def test_refused_input_fails_cleanly(capsys, argv, code):
@@ -352,6 +384,60 @@ def test_no_scalar_twin_of_a_broadcast_function():
         }
         twins = sorted(name for name in public if f"{name}_values" in public)
         assert not twins, f"{module.__name__}: {twins}"
+
+
+def test_model_parameters_keep_one_order():
+    # Every operation takes the model's parameters first, as plain numbers
+    # in the order (J, Jz, B, b, T); it may leave some of them out.
+    modules = [m for m in package_modules() if m.__name__.rsplit(".", 1)[1] in
+               ("model", "thermal", "sweep")]
+    assert len(modules) == 3
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(obj) \
+                    or obj.__module__ != module.__name__:
+                continue
+            names = list(inspect.signature(obj).parameters)
+            model = [n for n in names if n in PARAM_NAMES]
+            assert names[:len(model)] == model, f"{name}{names}"
+            assert model == [n for n in PARAM_NAMES if n in model], f"{name}{names}"
+
+
+def _raised(operation, *args, **kwargs):
+    """The class of the error operation(*args, **kwargs) raises, or None."""
+    try:
+        operation(*args, **kwargs)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+# Each scalar operation, its arguments besides the model's, and whether it
+# divides by J.
+SCALAR_OPERATIONS = [
+    (closed_spectrum, {}, True),
+    (ground_state, {}, True),
+    (gibbs_diagnostics, {}, False),
+    (critical_temperature, {}, True),
+    (critical_field, {"axis": "b"}, True),
+    (critical_field, {"axis": "B"}, True),
+]
+
+
+def test_scalar_operations_refuse_like_the_broadcast_routes():
+    good = {"J": 1.0, "Jz": 0.4, "B": 0.5, "b": 0.3, "T": 0.7}
+    for bad, route, error in (
+        ({"B": -1.0}, thermal_concurrence, InvalidParameterError),
+        ({"J": math.nan}, thermal_concurrence, InvalidParameterError),
+        ({"J": 0.0}, gibbs_closed, ZeroXYCouplingError),
+    ):
+        point = {**good, **bad}
+        assert _raised(route, **point) is error
+        for operation, extra, divides_by_J in SCALAR_OPERATIONS:
+            names = inspect.signature(operation).parameters
+            args = {n: v for n, v in point.items() if n in names}
+            expected = None if bad == {"J": 0.0} and not divides_by_J else error
+            assert _raised(operation, **args, **extra) is expected, (operation, bad)
 
 
 def test_every_error_class_carries_an_exit_code():

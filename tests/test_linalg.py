@@ -11,7 +11,7 @@ from xxzent.linalg import (
     psd_sqrt,
     singular_values,
 )
-from xxzent.model import ModelParams, build_hamiltonian, closed_spectrum
+from xxzent.model import build_hamiltonian, closed_spectrum
 from xxzent.thermal import gibbs_closed
 
 
@@ -105,12 +105,12 @@ class TestHermitianEigen:
         # module-boundary oracle contract (full 10^4 version in acceptance)
         rng = np.random.default_rng(102)
         for _ in range(2000):
-            p = ModelParams(
+            params = (
                 rng.choice([-1, 1]) * rng.uniform(0.05, 3),
                 rng.uniform(-3, 3), rng.uniform(0, 3), rng.uniform(-3, 3),
             )
-            numeric = hermitian_eigen(build_hamiltonian(p.J, p.Jz, p.B, p.b)).values
-            closed = np.sort(closed_spectrum(p).energies)
+            numeric = hermitian_eigen(build_hamiltonian(*params)).values
+            closed = np.sort(closed_spectrum(*params).energies)
             assert np.max(np.abs(numeric - closed)) <= 1e-10
 
 

@@ -6,7 +6,6 @@ import pytest
 from xxzent.model import (
     BoltzmannOverflowError,
     InvalidParameterError,
-    ModelParams,
     NonPositiveTemperatureError,
     ZeroXYCouplingError,
 )
@@ -19,7 +18,7 @@ from xxzent.sweep import (
     figure_data,
     sweep,
 )
-from xxzent.thermal import concurrence_sign, thermal_concurrence
+from xxzent.thermal import log_sign_values, thermal_concurrence
 
 TC_REFERENCE = 1 / math.log(1 + math.sqrt(2))
 
@@ -122,94 +121,89 @@ class TestSweep:
 
 class TestCriticalTemperature:
     def test_reference_root(self):
-        point = critical_temperature(ModelParams(1.0, 0.0, 0.0, 0.0))
+        point = critical_temperature(1.0, 0.0, 0.0, 0.0)
         assert point.location == pytest.approx(TC_REFERENCE, abs=1e-9)
         assert abs(point.residual) <= 1e-9
 
-    def test_certified_by_concurrence_sign_change(self):
-        p = ModelParams(1.0, 0.0, 0.0, 0.0)
-        tc = critical_temperature(p).location
+    def test_certified_by_a_sign_change_of_the_concurrence(self):
+        tc = critical_temperature(1.0, 0.0, 0.0, 0.0).location
         assert thermal_concurrence(1.0, 0.0, 0.0, 0.0, tc * (1 - 1e-4))[0] > 0.0
         assert thermal_concurrence(1.0, 0.0, 0.0, 0.0, tc * (1 + 1e-4))[0] == 0.0
 
     def test_bracket_signs_disagree(self):
-        p = ModelParams(1.0, 0.9, 0.0, 0.4)
-        point = critical_temperature(p)
+        point = critical_temperature(1.0, 0.9, 0.0, 0.4)
         lo, hi = point.bracket
-        assert concurrence_sign(p, lo) > 0.0
-        assert concurrence_sign(p, hi) < 0.0
+        assert log_sign_values(1.0, 0.9, 0.4, lo) > 0.0
+        assert log_sign_values(1.0, 0.9, 0.4, hi) < 0.0
 
     def test_improved_by_z_coupling(self):
-        stronger = critical_temperature(ModelParams(1.0, 0.9, 0.0, 0.0)).location
+        stronger = critical_temperature(1.0, 0.9, 0.0, 0.0).location
         assert stronger > TC_REFERENCE
 
     def test_independent_of_uniform_field(self):
-        a = critical_temperature(ModelParams(1.0, 0.4, 0.0, 0.2)).location
-        b = critical_temperature(ModelParams(1.0, 0.4, 2.0, 0.2)).location
+        a = critical_temperature(1.0, 0.4, 0.0, 0.2).location
+        b = critical_temperature(1.0, 0.4, 2.0, 0.2).location
         assert a == b
 
     def test_monotone_in_z_coupling_and_field(self):
         tcs = [
-            critical_temperature(ModelParams(1.0, jz, 0.0, 0.0)).location
+            critical_temperature(1.0, jz, 0.0, 0.0).location
             for jz in (0.0, 0.3, 0.6, 0.9)
         ]
         assert np.all(np.diff(tcs) > 0)
         tcs = [
-            critical_temperature(ModelParams(1.0, 0.0, 0.0, b)).location
+            critical_temperature(1.0, 0.0, 0.0, b).location
             for b in (0.0, 0.5, 1.0, 2.0)
         ]
         assert np.all(np.diff(tcs) > 0)
 
     def test_no_root_for_strongly_ferromagnetic_z(self):
-        point = critical_temperature(ModelParams(1.0, -3.0, 0.0, 0.0))
+        point = critical_temperature(1.0, -3.0, 0.0, 0.0)
         assert point.location is None
         assert "g <= 0" in point.note
 
     def test_rejects_zero_coupling(self):
         with pytest.raises(ZeroXYCouplingError):
-            critical_temperature(ModelParams(0.0, 1.0, 0.0, 0.0))
+            critical_temperature(0.0, 1.0, 0.0, 0.0)
 
 
 class TestCriticalField:
     def test_inhomogeneous_no_root_when_positive_everywhere(self):
-        point = critical_field(ModelParams(1.0, 0.0, 0.0, 0.0), 0.6, "b")
+        point = critical_field(1.0, 0.0, 0.0, 0.0, 0.6, "b")
         assert point.location is None
         assert "asymptotically" in point.note
 
     def test_inhomogeneous_onset_root(self):
         # b = 0 is disentangled at T = 2 but large b restores entanglement
-        p = ModelParams(1.0, 0.0, 0.0, 0.0)
-        point = critical_field(p, 2.0, "b")
+        point = critical_field(1.0, 0.0, 0.0, 0.0, 2.0, "b")
         assert point.location is not None
         assert abs(point.residual) <= 1e-9
-        below = ModelParams(1.0, 0.0, 0.0, point.location * (1 - 1e-6))
-        above = ModelParams(1.0, 0.0, 0.0, point.location * (1 + 1e-6))
-        assert concurrence_sign(below, 2.0) < 0.0
-        assert concurrence_sign(above, 2.0) > 0.0
+        assert log_sign_values(1.0, 0.0, point.location * (1 - 1e-6), 2.0) < 0.0
+        assert log_sign_values(1.0, 0.0, point.location * (1 + 1e-6), 2.0) > 0.0
 
     def test_uniform_field_reports_zero_temperature_boundary(self):
-        point = critical_field(ModelParams(1.0, 0.4, 0.0, 0.8), 0.01, "B")
+        point = critical_field(1.0, 0.4, 0.0, 0.8, 0.01, "B")
         assert point.location is None
         assert point.zero_temperature_boundary == pytest.approx(
             1.6806248474865697, abs=1e-12
         )
-        point = critical_field(ModelParams(1.0, 0.4, 0.0, 0.0), 0.01, "B")
+        point = critical_field(1.0, 0.4, 0.0, 0.0, 0.01, "B")
         assert point.zero_temperature_boundary == pytest.approx(1.4, abs=1e-15)
 
     def test_uniform_boundary_grows_with_inhomogeneity(self):
         boundaries = [
-            critical_field(ModelParams(1.0, 0.4, 0.0, b), 0.01, "B").zero_temperature_boundary
+            critical_field(1.0, 0.4, 0.0, b, 0.01, "B").zero_temperature_boundary
             for b in (0.0, 0.4, 0.8, 1.2)
         ]
         assert np.all(np.diff(boundaries) > 0)
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(InvalidAxisError):
-            critical_field(ModelParams(1.0, 0.0, 0.0, 0.0), 1.0, "Jz")
+            critical_field(1.0, 0.0, 0.0, 0.0, 1.0, "Jz")
 
     def test_rejects_bad_temperature(self):
         with pytest.raises(NonPositiveTemperatureError):
-            critical_field(ModelParams(1.0, 0.0, 0.0, 0.0), 0.0, "b")
+            critical_field(1.0, 0.0, 0.0, 0.0, 0.0, "b")
 
 
 class TestFigureData:

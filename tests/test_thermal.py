@@ -1,25 +1,27 @@
+import json
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from xxzent.cli import main
 from xxzent.linalg import hermitian_eigen, hermiticity_defect
 from xxzent.model import (
     BoltzmannOverflowError,
     InvalidParameterError,
-    ModelParams,
     NonPositiveTemperatureError,
     PureState,
     ZeroXYCouplingError,
     build_hamiltonian,
+    closed_spectrum,
     energy_values,
+    ground_state,
     pure_concurrence,
 )
+from xxzent.sweep import critical_field
 from xxzent.thermal import (
     InvalidDensityMatrixError,
     NotXStateError,
-    concurrence_sign,
     concurrence_values,
     gibbs_closed,
     gibbs_diagnostics,
@@ -33,28 +35,33 @@ from xxzent.thermal import (
 # frozen reference: 2*max(0, sinh(1) - 1) / (2 + 2*cosh(1))
 C_REFERENCE = 2 * (math.sinh(1) - 1) / (2 + 2 * math.cosh(1))
 Z_REFERENCE = 2 + 2 * math.cosh(1)
-P_REFERENCE = ModelParams(1.0, 0.0, 0.0, 0.0)
+P_REFERENCE = (1.0, 0.0, 0.0, 0.0)  # J, Jz, B, b
 GUARDED = (gibbs_closed, gibbs_spectral, thermal_concurrence)
 
 
 def random_draw(rng, t_range=(0.05, 5.0)):
-    p = ModelParams(
+    """((J, Jz, B, b), T), the model parameters as floats."""
+    p = tuple(float(x) for x in (
         rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3),
         rng.uniform(-3, 3), rng.uniform(0, 3), rng.uniform(-3, 3),
-    )
+    ))
     return p, rng.uniform(*t_range)
 
 
 def draw_columns(rng, n):
     draws = [random_draw(rng) for _ in range(n)]
-    names = ("J", "Jz", "B", "b")
-    columns = [np.array([getattr(p, name) for p, _ in draws]) for name in names]
+    columns = [np.array(column) for column in zip(*(p for p, _ in draws))]
     return draws, (*columns, np.array([T for _, T in draws]))
 
 
 def concurrence(p, T):
     """Thermal concurrence at one point, as a float."""
-    return float(thermal_concurrence(*astuple(p), T)[0])
+    return float(thermal_concurrence(*p, T)[0])
+
+
+def sign_function(J, Jz, B, b, T):
+    """g = exp(Jz/T) (|J|/eta) sinh(eta/T) - 1, as eval reports it."""
+    return float(np.expm1(log_sign_values(J, Jz, b, T)))
 
 
 def bell_projector():
@@ -65,8 +72,8 @@ def bell_projector():
 
 class TestGibbsClosed:
     def test_reference_point(self):
-        rho = gibbs_closed(*astuple(P_REFERENCE), 1.0)
-        diag = gibbs_diagnostics(P_REFERENCE, 1.0)
+        rho = gibbs_closed(*P_REFERENCE, 1.0)
+        diag = gibbs_diagnostics(*P_REFERENCE, 1.0)
         assert diag["Z"] == pytest.approx(Z_REFERENCE, abs=1e-13)
         expected = np.diag([1.0, math.cosh(1), math.cosh(1), 1.0]).astype(complex)
         expected[1, 2] = expected[2, 1] = -math.sinh(1)
@@ -84,31 +91,32 @@ class TestGibbsClosed:
         rng = np.random.default_rng(301)
         for _ in range(300):
             p, T = random_draw(rng)
-            rho = gibbs_closed(*astuple(p), T)
-            h = build_hamiltonian(*astuple(p))
+            rho = gibbs_closed(*p, T)
+            h = build_hamiltonian(*p)
             assert np.max(np.abs(rho @ h - h @ rho)) <= 1e-12
 
     def test_unit_trace_and_psd(self):
         rng = np.random.default_rng(302)
         for _ in range(300):
             p, T = random_draw(rng)
-            rho = gibbs_closed(*astuple(p), T)
-            diag = gibbs_diagnostics(p, T)
+            rho = gibbs_closed(*p, T)
+            diag = gibbs_diagnostics(*p, T)
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert hermiticity_defect(rho) <= 1e-12
             assert hermitian_eigen(rho).values[0] >= -1e-12
             assert diag["Z"] > 0
             assert diag["m"] >= 1.0
-            eta = float(np.hypot(p.b, p.J))
+            J, _, _, b = p
+            eta = float(np.hypot(b, J))
             assert abs(diag["n"]) <= math.sinh(eta / T) * (1 + 1e-12)
 
     def test_rejects_bad_temperature(self):
         with pytest.raises(NonPositiveTemperatureError):
-            gibbs_closed(*astuple(P_REFERENCE), 0.0)
+            gibbs_closed(*P_REFERENCE, 0.0)
         with pytest.raises(NonPositiveTemperatureError):
-            gibbs_closed(*astuple(P_REFERENCE), -1.0)
+            gibbs_closed(*P_REFERENCE, -1.0)
         with pytest.raises(BoltzmannOverflowError):
-            gibbs_closed(*astuple(P_REFERENCE), 1e-9)
+            gibbs_closed(*P_REFERENCE, 1e-9)
 
     def test_exponent_guard(self):
         with pytest.raises(BoltzmannOverflowError):
@@ -134,11 +142,9 @@ class TestGibbsSpectral:
         assert abs(np.trace(rho) - 1.0) <= 1e-12
 
     def test_low_temperature_projector(self):
-        from xxzent.model import closed_spectrum
-
-        spec = closed_spectrum(P_REFERENCE)
+        spec = closed_spectrum(*P_REFERENCE)
         ground = np.outer(spec.states[:, 2], spec.states[:, 2].conj())
-        rho = gibbs_spectral(*astuple(P_REFERENCE), 0.05)
+        rho = gibbs_spectral(*P_REFERENCE, 0.05)
         assert np.max(np.abs(rho - ground)) <= 1e-8
 
 
@@ -188,7 +194,7 @@ class TestXState:
         assert xstate_concurrence(bell_projector())[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_reference_gibbs(self):
-        rho = gibbs_closed(*astuple(P_REFERENCE), 1.0)
+        rho = gibbs_closed(*P_REFERENCE, 1.0)
         assert xstate_concurrence(rho)[0] == pytest.approx(C_REFERENCE, abs=1e-13)
 
     def test_rejects_corner_entries(self):
@@ -209,19 +215,19 @@ class TestXState:
 
 class TestThermalConcurrence:
     def test_reference_point(self):
-        value, roots = thermal_concurrence(*astuple(P_REFERENCE), 1.0)
+        value, roots = thermal_concurrence(*P_REFERENCE, 1.0)
         assert value == pytest.approx(C_REFERENCE, abs=1e-13)
         assert np.ndim(value) == 0 and np.shape(roots) == (4,)
 
     def test_vanishes_above_critical_temperature(self):
         assert concurrence(P_REFERENCE, 2.0) == 0.0
-        assert concurrence_sign(P_REFERENCE, 2.0) < 0.0
+        assert sign_function(*P_REFERENCE, 2.0) < 0.0
 
     def test_positivity_iff_sign_positive(self):
         rng = np.random.default_rng(307)
         for _ in range(2000):
             p, T = random_draw(rng)
-            g = concurrence_sign(p, T)
+            g = sign_function(*p, T)
             if abs(g) <= 1e-12:
                 continue
             assert (concurrence(p, T) > 0.0) == (g > 0.0)
@@ -229,7 +235,7 @@ class TestThermalConcurrence:
     def test_sign_invariant_in_uniform_field(self):
         signs = set()
         for B in (0.0, 1.0, 2.0, 5.0):
-            value = concurrence(ModelParams(1.0, 0.4, B, 0.8), 0.6)
+            value = concurrence((1.0, 0.4, B, 0.8), 0.6)
             signs.add(value > 0.0)
         assert len(signs) == 1
 
@@ -238,39 +244,37 @@ class TestThermalConcurrence:
         for _ in range(500):
             p, T = random_draw(rng)
             scalar = concurrence(p, T)
-            kernel = float(concurrence_values(p.J, p.Jz, p.B, p.b, T))
+            kernel = float(concurrence_values(*p, T))
             assert scalar == pytest.approx(kernel, rel=1e-12, abs=1e-15)
 
     def test_accepts_zero_coupling(self):
-        assert concurrence(ModelParams(0.0, 1.0, 0.5, 0.3), 1.0) == 0.0
+        assert concurrence((0.0, 1.0, 0.5, 0.3), 1.0) == 0.0
 
     def test_roots_match_wootters(self):
         rng = np.random.default_rng(309)
         for _ in range(300):
             p, T = random_draw(rng, t_range=(0.3, 5.0))
-            _, direct = thermal_concurrence(*astuple(p), T)
-            _, generic = wootters_concurrence(gibbs_closed(*astuple(p), T))
+            _, direct = thermal_concurrence(*p, T)
+            _, generic = wootters_concurrence(gibbs_closed(*p, T))
             assert np.max(np.abs(direct - generic)) <= 1e-10
 
     def test_jz_enhancement(self):
         for b in np.linspace(-3, 3, 7):
             for T in np.linspace(0.1, 3, 7):
                 values = [
-                    concurrence(ModelParams(1.0, jz, 0.0, b), T)
+                    concurrence((1.0, jz, 0.0, b), T)
                     for jz in (0.0, 0.3, 0.6, 0.9)
                 ]
                 assert np.all(np.diff(values) >= -1e-12)
 
     def test_zero_temperature_limit(self):
-        from xxzent.model import ground_state
-
         for p in (
-            ModelParams(1.0, 0.4, 0.5, 0.3),
-            ModelParams(1.0, 0.0, 2.0, 0.0),
-            ModelParams(-1.5, -0.2, 0.3, 0.7),
-            ModelParams(2.0, 1.0, 2.0, -1.2),
+            (1.0, 0.4, 0.5, 0.3),
+            (1.0, 0.0, 2.0, 0.0),
+            (-1.5, -0.2, 0.3, 0.7),
+            (2.0, 1.0, 2.0, -1.2),
         ):
-            report = ground_state(p)
+            report = ground_state(*p)
             thermal = concurrence(p, 0.01)
             assert abs(thermal - report.ground_concurrence) <= 1e-3
 
@@ -285,25 +289,29 @@ class TestThermalConcurrence:
 class TestConcurrenceSign:
     def test_root_of_reference_model(self):
         T = 1 / math.log(1 + math.sqrt(2))
-        assert abs(concurrence_sign(P_REFERENCE, T)) <= 1e-10
+        assert abs(sign_function(*P_REFERENCE, T)) <= 1e-10
 
     def test_direct_value(self):
-        assert concurrence_sign(P_REFERENCE, 0.5) == pytest.approx(
+        assert sign_function(*P_REFERENCE, 0.5) == pytest.approx(
             math.sinh(2) - 1, abs=1e-12
         )
 
-    def test_independent_of_uniform_field(self):
-        a = concurrence_sign(ModelParams(1.0, 0.4, 0.0, 0.8), 0.7)
-        b = concurrence_sign(ModelParams(1.0, 0.4, 3.0, 0.8), 0.7)
-        assert a == b
+    def test_independent_of_uniform_field(self, capsys):
+        # eval reports g; its value must not move with B
+        signs = []
+        for B in ("0", "3"):
+            main(["eval", "--j", "1", "--jz", "0.4", "--big-b", B, "--b", "0.8", "--t", "0.7"])
+            signs.append(json.loads(capsys.readouterr().out)["diagnostics"]["g"])
+        assert signs[0] == signs[1] == sign_function(1.0, 0.4, 0.0, 0.8, 0.7)
 
+    # critical_field(axis="B") reports the sign of g at one point, guarded
     def test_rejects_zero_coupling(self):
         with pytest.raises(ZeroXYCouplingError):
-            concurrence_sign(ModelParams(0.0, 1.0, 0.0, 0.0), 1.0)
+            critical_field(0.0, 1.0, 0.0, 0.0, 1.0, "B")
 
     def test_rejects_bad_temperature(self):
         with pytest.raises(NonPositiveTemperatureError):
-            concurrence_sign(P_REFERENCE, -0.5)
+            critical_field(*P_REFERENCE, -0.5, "B")
 
     def test_log_form_is_overflow_safe(self):
         h = float(log_sign_values(3.0, 3.0, 3.0, 1e-3))
@@ -315,22 +323,23 @@ class TestSymmetries:
         rng = np.random.default_rng(311)
         for _ in range(500):
             p, T = random_draw(rng)
-            mirrored = ModelParams(p.J, p.Jz, p.B, -p.b)
-            assert concurrence(p, T) == concurrence(mirrored, T)
+            J, Jz, B, b = p
+            assert concurrence(p, T) == concurrence((J, Jz, B, -b), T)
 
     def test_even_in_coupling(self):
         rng = np.random.default_rng(312)
         for _ in range(500):
             p, T = random_draw(rng)
-            mirrored = ModelParams(-p.J, p.Jz, p.B, p.b)
-            assert concurrence(p, T) == concurrence(mirrored, T)
+            J, Jz, B, b = p
+            assert concurrence(p, T) == concurrence((-J, Jz, B, b), T)
 
     def test_nonincreasing_in_uniform_field(self):
         rng = np.random.default_rng(313)
         grid = np.arange(0.0, 3.25, 0.25)
         for _ in range(300):
             p, T = random_draw(rng)
-            values = concurrence_values(p.J, p.Jz, grid, p.b, T)
+            J, Jz, _, b = p
+            values = concurrence_values(J, Jz, grid, b, T)
             assert np.all(np.diff(values) <= 1e-12)
 
 
@@ -345,13 +354,13 @@ class TestStackedKernels:
         x_values, x_roots = xstate_concurrence(closed)
         thermal_values, thermal_roots = thermal_concurrence(*columns)
         for i, (p, T) in enumerate(draws):
-            rho = gibbs_closed(*astuple(p), T)
+            rho = gibbs_closed(*p, T)
             assert np.array_equal(closed[i], rho)
-            assert np.array_equal(spectral[i], gibbs_spectral(*astuple(p), T))
+            assert np.array_equal(spectral[i], gibbs_spectral(*p, T))
             for route, values, roots in (
                 (wootters_concurrence(rho), woot_values, woot_roots),
                 (xstate_concurrence(rho), x_values, x_roots),
-                (thermal_concurrence(*astuple(p), T), thermal_values, thermal_roots),
+                (thermal_concurrence(*p, T), thermal_values, thermal_roots),
             ):
                 assert route[0] == values[i]
                 assert np.array_equal(route[1], roots[i])
@@ -375,7 +384,7 @@ class TestStackedKernels:
             gibbs_closed(couplings, Jz, B, b, T)
 
     def test_domain_refused_for_one_member(self):
-        # the guarded functions refuse what ModelParams refuses
+        # the guarded functions refuse what the scalar operations refuse
         rng = np.random.default_rng(317)
         _, columns = draw_columns(rng, 50)
         for kernel in GUARDED:
@@ -395,7 +404,7 @@ class TestStackedKernels:
                     kernel(*point)
                 if index == 2:
                     with pytest.raises(InvalidParameterError, match=message):
-                        ModelParams(*point[:4])
+                        ground_state(*point[:4])
 
     def test_unguarded_kernels_take_any_field(self):
         h = build_hamiltonian(1.0, 0.4, -0.5, 0.2)

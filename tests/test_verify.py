@@ -33,9 +33,9 @@ def test_all_suites_pass():
     results = run_suites(500, 42)
     assert len(results) == len(ALL_SUITES)
     for result in results:
-        assert result.passed, f"{result.name}: {result.max_error} at {result.worst}"
+        assert result.passed, f"{result.name}: {result.max_error} at {result.worst_params}"
         assert result.max_error <= result.tolerance
-        assert set(result.worst) == {"J", "Jz", "B", "b", "T"}
+        assert set(result.worst_params) == {"J", "Jz", "B", "b", "T"}
 
 
 def test_suite_results_deterministic():
