@@ -43,7 +43,7 @@ class NonPositiveTemperatureError(XxzentError, ValueError):
 
 
 class BoltzmannOverflowError(XxzentError, OverflowError):
-    """Boltzmann exponents exceed the overflow guard."""
+    """Temperature below the overflow guard TEMPERATURE_GUARD."""
 
 
 class Phase(str, Enum):
@@ -83,13 +83,6 @@ def _check_params(divides_by_J: str = "", **values) -> None:
                 "temperature must be > 0, got {!r}")
         _refuse(BoltzmannOverflowError, np.less(T, TEMPERATURE_GUARD), T,
                 f"temperature {{!r}} below the overflow guard {TEMPERATURE_GUARD:g}")
-
-
-def _check_temperature(T):
-    """T after _check_params, as a float (or an array for array input)."""
-    _check_params(T=T)
-    T = np.asarray(T, dtype=float)
-    return float(T) if T.ndim == 0 else T
 
 
 @dataclass(frozen=True)
@@ -208,29 +201,32 @@ def closed_spectrum(J, Jz, B, b) -> ClosedSpectrum:
 
 
 def ground_state(J, Jz, B, b) -> GroundStateReport:
-    """Ground-state phase, energy and concurrence.
+    """Ground-state phase, energy and concurrence; requires J != 0.
 
     The level crossing happens at eta = B - Jz: below it the product state
     |0,0> wins (zero concurrence), above it the entangled inner-block state
     wins with concurrence |J|/eta, independent of Jz (the equal form
     2|lam|/(1+lam^2), lam = xi/J, cancels in xi = b - eta when |b| >> |J|).
-    Within BOUNDARY_TOL of the crossing the ground level is degenerate and
-    the concurrence is reported as NaN.
+    Within BOUNDARY_TOL times the parameter scale max(|J|, |Jz|, B, |b|) of
+    the crossing the ground level is degenerate and the concurrence is
+    reported as NaN.
     """
-    spectrum = closed_spectrum(J, Jz, B, b)
-    gap = spectrum.eta - (B - Jz)
-    threshold_jz = B - spectrum.eta
-    threshold_b = spectrum.eta + Jz
-    if abs(gap) <= BOUNDARY_TOL:
+    _check_params("ground state", J=J, Jz=Jz, B=B, b=b)
+    (e1, _, e3, _), eta = _energies(J, Jz, B, b)
+    e1, e3, eta = float(e1), float(e3), float(eta)
+    gap = eta - (B - Jz)
+    threshold_jz = B - eta
+    threshold_b = eta + Jz
+    if abs(gap) <= BOUNDARY_TOL * max(abs(J), abs(Jz), B, abs(b)):
         return GroundStateReport(
-            Phase.BOUNDARY, spectrum.e3, math.nan, threshold_jz, threshold_b
+            Phase.BOUNDARY, e3, math.nan, threshold_jz, threshold_b
         )
     if gap < 0.0:
         return GroundStateReport(
-            Phase.DISENTANGLED, spectrum.e1, 0.0, threshold_jz, threshold_b
+            Phase.DISENTANGLED, e1, 0.0, threshold_jz, threshold_b
         )
     return GroundStateReport(
-        Phase.ENTANGLED, spectrum.e3, abs(J) / spectrum.eta, threshold_jz, threshold_b
+        Phase.ENTANGLED, e3, abs(J) / eta, threshold_jz, threshold_b
     )
 
 

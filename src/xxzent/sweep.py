@@ -4,14 +4,16 @@ Grids evaluate the vectorized X-state kernel, so full figure regeneration
 takes milliseconds.  Critical points are zeros of the analytic sign function
 g rather than "concurrence < eps" thresholds: g is monotone along every axis
 searched here (decreasing in T where a root can exist, increasing in |b|),
-so a bracket sign check plus bisection certifies existence and location.
-Regimes where the concurrence only decays asymptotically report no finite
-root instead of a fabricated one.
+so its limits decide existence and bisection from a bracket grown from the
+parameters' own scale certifies the location; no absolute constant decides
+an answer.  Regimes where the concurrence only decays asymptotically
+report no finite root instead of a fabricated one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -23,9 +25,6 @@ from .thermal import METHOD_XSTATE, ROUTE_TOL, concurrence_values, log_sign_valu
 
 PARAM_NAMES = ("J", "Jz", "B", "b", "T")
 
-T_BRACKET = (1e-3, 50.0)
-B_INHOMOGENEOUS_BRACKET = (0.0, 100.0)
-BISECT_XTOL = 1e-12
 ROOT_RESIDUAL_TOL = 1e-9
 MAX_GRID_POINTS_2D = 1001
 
@@ -154,64 +153,53 @@ def sweep(axes: Sequence[Axis], fixed: Mapping[str, float]) -> SweepGrid:
     return _grid(axes, fixed, flat)
 
 
-def _bisect(fun, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Bisection for a sign change certified by the caller."""
-    for _ in range(200):
-        if hi - lo <= BISECT_XTOL:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = fun(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
+def _sign_root(axis, h, scale, decreasing: bool, note="") -> CriticalPoint:
+    """Root of h on (0, inf), where h > 0 only below it if decreasing, only above if not.
 
-
-def _sign_root(axis, h, bracket, nonpositive, positive, note="") -> CriticalPoint:
-    """Root of the log sign function h over bracket, or a report of no sign change.
-
-    nonpositive and positive are the notes for h <= 0, resp. h > 0, at both ends.
+    The bracket grows from scale by doubling or halving until h changes sign
+    across it; bisection then narrows it to two adjacent doubles.
     """
-    lo, hi = bracket
-    hlo, hhi = h(lo), h(hi)
-    if hlo <= 0.0 and hhi <= 0.0:
-        return CriticalPoint(axis, None, bracket, None, note=nonpositive)
-    if hlo > 0.0 and hhi > 0.0:
-        return CriticalPoint(axis, None, bracket, None, note=positive)
-    root = _bisect(h, lo, hi, hlo, hhi)
-    return CriticalPoint(axis, root, bracket, float(np.expm1(h(root))), note=note)
+
+    def below(x: float) -> bool:
+        return (h(x) > 0.0) == decreasing
+
+    lo = hi = scale
+    while below(hi) and hi < sys.float_info.max:
+        lo, hi = hi, min(2.0 * hi, sys.float_info.max)
+    while lo > 0.0 and not below(lo):
+        lo, hi = 0.5 * lo, lo
+    if lo == 0.0 or below(hi):
+        note = "sign function g changes sign past the double range: no double holds the root"
+        return CriticalPoint(axis, None, None, None, note=note)
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    root = min(lo, hi, key=lambda x: abs(h(x)))
+    return CriticalPoint(axis, root, (lo, hi), float(np.expm1(h(root))), note=note)
 
 
 def critical_temperature(J, Jz, B, b) -> CriticalPoint:
     """Temperature above which the thermal concurrence vanishes.
 
-    Bisection on the sign function over T in T_BRACKET; g is strictly
-    decreasing in T wherever it can be positive, so a single sign check at
-    the bracket ends decides existence.  Independent of B.
+    g -> +inf as T -> 0 iff Jz + eta > 0, g -> -1 as T -> inf, and g is
+    strictly decreasing in T wherever it can be positive; so a root exists
+    iff Jz + eta > 0, and it is bracketed from eta.  Independent of B.
     """
     _check_params("critical temperature", J=J, Jz=Jz, B=B, b=b)
-
-    def h(T: float) -> float:
-        return float(log_sign_values(J, Jz, b, T))
-
+    eta = float(np.hypot(b, J))
+    if not Jz + eta > 0.0:
+        note = "Jz + eta <= 0, so g <= 0 at every temperature: no thermal entanglement"
+        return CriticalPoint("T", None, None, None, note=note)
     return _sign_root(
-        "T", h, T_BRACKET,
-        nonpositive="sign function g <= 0 across the bracket: no thermal "
-        "entanglement at any temperature in it",
-        positive="sign function g > 0 across the bracket: critical "
-        "temperature lies above the bracket if it exists",
+        "T", lambda T: float(log_sign_values(J, Jz, b, T)), eta, decreasing=True
     )
 
 
 def critical_field(J, Jz, B, b, T, axis: str) -> CriticalPoint:
     """Critical inhomogeneous field (axis="b") or uniform field (axis="B").
 
-    For axis="b" the sign function is increasing in b >= 0, so bisection
-    over B_INHOMOGENEOUS_BRACKET finds the unique root when the bracket ends
-    disagree in sign (b-symmetry gives the mirror root at -location).
+    For axis="b" the sign function grows without bound in b >= 0, so a root
+    exists iff g <= 0 at b = 0; it is bracketed from max(|J|, T) (b-symmetry
+    gives the mirror root at -location).
 
     For axis="B" the sign of the concurrence does not depend on B at all, so
     no finite-temperature root exists; the report carries the zero-temperature
@@ -219,9 +207,7 @@ def critical_field(J, Jz, B, b, T, axis: str) -> CriticalPoint:
     """
     _check_params("critical field", J=J, Jz=Jz, B=B, b=b, T=T)
     if axis == "B":
-        with np.errstate(over="ignore"):  # log(g + 1) = inf is a valid positive sign
-            positive = log_sign_values(J, Jz, b, T) > 0.0
-        if positive:
+        if log_sign_values(J, Jz, b, T) > 0.0:
             note = (
                 "sign of the concurrence is independent of B, so it stays "
                 "positive for every B >= 0 at this temperature; the T -> 0 "
@@ -242,13 +228,15 @@ def critical_field(J, Jz, B, b, T, axis: str) -> CriticalPoint:
     def h(inhomogeneity: float) -> float:
         return float(log_sign_values(J, Jz, inhomogeneity, T))
 
+    if h(0.0) > 0.0:
+        note = (
+            "sign function g > 0 at b = 0 and grows with |b|: the concurrence "
+            "decays only asymptotically with |b| and has no finite critical "
+            "inhomogeneous field here"
+        )
+        return CriticalPoint("b", None, None, None, note=note)
     return _sign_root(
-        "b", h, B_INHOMOGENEOUS_BRACKET,
-        nonpositive="sign function g <= 0 across the bracket: no entanglement "
-        "onset within it",
-        positive="sign function g > 0 for every b in the bracket: the "
-        "concurrence decays only asymptotically with |b| and has no "
-        "finite critical inhomogeneous field here",
+        "b", h, max(abs(J), T), decreasing=False,
         note="b-symmetric mirror root at the negated location",
     )
 

@@ -15,9 +15,10 @@ Each route is one function that broadcasts over parameter arrays or
 (..., 4, 4) stacks of density matrices; a single point or state is the 0-d
 case (a concurrence then comes back as a numpy scalar).  The guarded
 functions (gibbs_closed, gibbs_spectral, thermal_concurrence and the scalar
-gibbs_diagnostics) refuse what model._check_params refuses and apply the
-temperature and exponent guards; concurrence_values and log_sign_values are
-unguarded.
+gibbs_diagnostics) refuse what model._check_params refuses, the temperature
+guard included; concurrence_values and log_sign_values are unguarded.  Every
+route forms only shifted weights exp(-(E_k - E_min)/T) <= 1, so no weight
+can overflow.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ from .linalg import (
     singular_values,
 )
 from .model import (
-    BoltzmannOverflowError,
     _check_params,
-    _check_temperature,
     _energies,
     build_hamiltonian,
 )
@@ -48,7 +47,7 @@ from .model import (
 ROUTE_TOL = 1e-10
 DENSITY_TOL = 1e-12
 XSTATE_TOL = 1e-12
-EXPONENT_GUARD = 700.0
+_TINY = np.finfo(float).tiny
 
 METHOD_XSTATE = "xstate-shortcut"
 
@@ -65,42 +64,24 @@ class NotXStateError(XxzentError, ValueError):
     """Matrix entries outside the X-state sparsity pattern."""
 
 
-def _check_exponents(energies, T) -> None:
-    """Exponent guard on energies, one array per level, each broadcasting with T."""
-    worst = np.max(np.abs(energies), axis=0) / T
-    if np.any(worst > EXPONENT_GUARD):
-        raise BoltzmannOverflowError(
-            f"|E|/T = {float(np.max(worst)):.3g} exceeds the exponent guard "
-            f"{EXPONENT_GUARD:g}"
-        )
-
-
-def _weights(J, Jz, B, b, T, guard: bool):
+def _weights(J, Jz, B, b, T):
     """Shifted Boltzmann weights exp(-(E_k - E_min)/T) of the closed energies; broadcasts.
 
-    Returns (emin, T, eta, (w1, w2, w3, w4)) in the closed-form energy
-    labels: (w1, w2) for the outer product states, (w3, w4) for the inner
-    pair with E3 <= E4.  With guard, the parameters first pass
-    _check_params, T the temperature guards (it comes back as a float,
-    or an array for array input) and the energies the exponent guard; the
-    energies are evaluated once either way.  emin comes first so that
-    `_, _, eta, w = _weights(...)` frees it at once.
+    Returns (emin, eta, (w1, w2, w3, w4)) in the closed-form energy labels:
+    (w1, w2) for the outer product states, (w3, w4) for the inner pair with
+    E3 <= E4; a weight whose exponent passes the double range is 0.  Unguarded.
     """
-    if guard:
-        _check_params(J=J, Jz=Jz, B=B, b=b)
-        T = _check_temperature(T)
     energies, eta = _energies(J, Jz, B, b)
-    if guard:
-        _check_exponents(energies, T)
     e1, e2, e3, _ = energies
     emin = np.minimum(np.minimum(e1, e2), e3)
-    return emin, T, eta, tuple(np.exp(-(e - emin) / T) for e in energies)
+    with np.errstate(over="ignore"):
+        return emin, eta, tuple(np.exp(-(e - emin) / T) for e in energies)
 
 
 def _coherence(J, eta, w3, w4):
     """|rho_23| times the shifted partition sum; zero at eta = 0 (J = b = 0)."""
     safe = np.where(eta > 0.0, eta, 1.0)
-    return np.where(eta > 0.0, np.abs(J) * (w3 - w4) / (2.0 * safe), 0.0)
+    return np.where(eta > 0.0, np.abs(J) * (w3 - w4) / safe / 2.0, 0.0)
 
 
 def _x_concurrence(coh, corner, norm):
@@ -128,7 +109,7 @@ def concurrence_values(J, Jz, B, b, T) -> np.ndarray:
     state and hence zero).  This is the kernel behind grid sweeps; it applies
     no guard (see thermal_concurrence for the guarded function).
     """
-    _, _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T, guard=False)
+    _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
     zs = w1 + w2 + w3 + w4
     return _x_concurrence(_coherence(J, eta, w3, w4), np.sqrt(w1 * w2), zs)
 
@@ -141,7 +122,8 @@ def thermal_concurrence(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
     zero).  Broadcasts over the parameters; the roots gain a last axis of
     length 4.  Guarded.
     """
-    _, _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T, guard=True)
+    _check_params(J=J, Jz=Jz, B=B, b=b, T=T)
+    _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
     zs = w1 + w2 + w3 + w4
     coh = _coherence(J, eta, w3, w4)
     corner = np.sqrt(w1 * w2)
@@ -149,16 +131,32 @@ def thermal_concurrence(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
     return _x_concurrence(coh, corner, zs), _x_roots(coh, corner, inner, zs)
 
 
-def log_sign_values(J, Jz, b, T) -> np.ndarray:
-    """log of (g+1): Jz/T + log(|J|/eta) + log(sinh(eta/T)); broadcasts.
+def _log_ratio(a, c):
+    """log(a/c) for 0 < a <= c: the log of the quotient, or log a - log c where it underflows."""
+    q = a / c
+    return np.where(q >= _TINY, np.log(np.maximum(q, _TINY)), np.log(a) - np.log(c))
 
-    Positive iff thermal concurrence is positive.  Computed in log form so
-    the root finders can bracket without overflow; requires J != 0.
+
+def log_sign_values(J, Jz, b, T) -> np.ndarray:
+    """log of (g+1) = Jz/T + log(|J|/eta) + log(sinh(x)), x = eta/T; broadcasts.
+
+    Positive iff thermal concurrence is positive; requires J != 0.  It is
+    evaluated as Jz/T + log(|J|/T) + log(sinh(x)/x) for x <= 1 and as
+    (Jz + eta)/T + log(|J|/eta) - log 2 + log1p(-exp(-x)^2) above, so no
+    quantity underflows into the log of zero and no inf - inf arises.  A
+    value past the double range comes back as +-inf, which keeps its sign.
     """
     eta = np.hypot(b, J)
-    x = eta / T
-    log_sinh = x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0)
-    return Jz / T + np.log(np.abs(J) / eta) + log_sinh
+    with np.errstate(over="ignore"):
+        x = eta / T
+        near = np.clip(x, _TINY, 1.0)  # sinh(x)/x is 1.0 long before x underflows
+        far = np.maximum(x, 1.0)
+        return np.where(
+            x <= 1.0,
+            Jz / T + _log_ratio(np.abs(J), T) + np.log(np.sinh(near) / near),
+            (Jz + eta) / T + _log_ratio(np.abs(J), eta) - math.log(2.0)
+            + np.log1p(-np.exp(-far) ** 2),
+        )
 
 
 def gibbs_closed(J, Jz, B, b, T) -> np.ndarray:
@@ -167,8 +165,8 @@ def gibbs_closed(J, Jz, B, b, T) -> np.ndarray:
     Entries are assembled from shifted Boltzmann weights so the matrices
     never overflow.  Requires J != 0; guarded.
     """
-    _check_params("closed-form Gibbs state", J=J)
-    _, _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T, guard=True)
+    _check_params("closed-form Gibbs state", J=J, Jz=Jz, B=B, b=b, T=T)
+    _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
     zs = w1 + w2 + w3 + w4
     half_sum = 0.5 * (w3 + w4)
     half_diff = 0.5 * (w3 - w4)
@@ -186,34 +184,34 @@ def gibbs_diagnostics(J, Jz, B, b, T) -> dict[str, float | None]:
 
     Z is always the energy trace sum(exp(-E_k/T)), which is what unit trace
     requires; m = cosh(eta/T), n = b sinh(eta/T)/eta and
-    s = exp(Jz/2T) J sinh(eta/T)/eta are None at J = 0.  Guarded like
-    gibbs_closed.
+    s = exp(Jz/2T) J sinh(eta/T)/eta are None at J = 0.  A value past the
+    double range comes back as inf or nan, which a record writes as null.
+    Guarded like gibbs_closed.
     """
-    emin, T, eta, weights = _weights(J, Jz, B, b, T, guard=True)
-    scale = math.exp(-emin / T)  # exp(-E_k/T) = w_k * scale
-    Z = float(sum(weights) * scale)
-    if J == 0.0:
-        return {"Z": Z, "m": None, "n": None, "s": None}
-    _, _, w3, w4 = weights
-    x = eta / T
-    return {
-        "Z": Z,
-        "m": math.cosh(x),
-        "n": b * math.sinh(x) / eta,
-        "s": float(J * (w3 - w4) * scale / (2.0 * eta)),
-    }
+    _check_params(J=J, Jz=Jz, B=B, b=b, T=T)
+    emin, eta, weights = _weights(J, Jz, B, b, T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(-emin / T)  # exp(-E_k/T) = w_k * scale
+        Z = float(sum(weights) * scale)
+        if J == 0.0:
+            return {"Z": Z, "m": None, "n": None, "s": None}
+        _, _, w3, w4 = weights
+        x = eta / T
+        return {
+            "Z": Z,
+            "m": float(np.cosh(x)),
+            "n": float(b * np.sinh(x) / eta),
+            "s": float(J * (w3 - w4) * scale / (2.0 * eta)),
+        }
 
 
 def gibbs_spectral(J, Jz, B, b, T) -> np.ndarray:
     """Gibbs states from the Jacobi eigensystems of the Hamiltonians, (..., 4, 4).
 
-    Independent of the closed form; accepts J = 0.  Guarded, with the
-    exponent guard on the Jacobi eigenvalues.
+    Independent of the closed form; accepts J = 0.  Guarded.
     """
-    _check_params(J=J, Jz=Jz, B=B, b=b)
-    T = _check_temperature(T)
+    _check_params(J=J, Jz=Jz, B=B, b=b, T=T)
     values, vectors = hermitian_eigen(build_hamiltonian(J, Jz, B, b))
-    _check_exponents(np.moveaxis(values, -1, 0), T)
     w = np.exp(-(values - values[..., :1]) / np.asarray(T)[..., np.newaxis])
     rho = (vectors * w[..., np.newaxis, :]) @ vectors.conj().swapaxes(-1, -2)
     rho /= w.sum(axis=-1)[..., np.newaxis, np.newaxis]

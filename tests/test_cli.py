@@ -113,6 +113,17 @@ class TestEval:
         value, _ = thermal_concurrence(0.001, 1.0, 0.0, 0.0, 0.001)
         assert record["results"]["concurrence"] == value
 
+    def test_partition_function_past_double_range_is_null(self, capsys, output_schema):
+        # |E|/T = 2000: Z = exp(2000) overflows, the shifted weights do not
+        code, out, err = run_cli(capsys, "eval", "--t", "0.001", "--big-b", "2")
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        jsonschema.validate(record, output_schema)
+        assert record["diagnostics"]["Z"] is None
+        _, csv, _ = run_cli(capsys, "sweep", "--axis", "t:0.001:0.001:1", "--big-b", "2")
+        swept = float(csv.splitlines()[1].split(",")[1])
+        assert record["results"]["concurrence"] == swept
+
     def test_zero_coupling_runs_no_jacobi_solve(self, capsys, monkeypatch):
         def refuse(matrix):
             raise AssertionError("Jacobi solve at J = 0")
@@ -169,6 +180,12 @@ class TestGround:
 
     def test_rejects_temperature_flag(self, capsys):
         assert run_cli(capsys, "ground", "--t", "1")[0] == 2
+
+    def test_boundary_tolerance_is_relative(self, capsys):
+        # the gap eta - (B - Jz) = 1e-13 is the whole scale here, not a crossing
+        record = run_json(capsys, "ground", "--j", "1e-13")
+        assert record["results"]["phase"] == "entangled"
+        assert record["results"]["ground_concurrence"] == 1.0
 
 
 class TestSweep:
@@ -280,6 +297,30 @@ class TestCritical:
     def test_requires_axis(self, capsys):
         assert run_cli(capsys, "critical")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("--axis", "t", "--j", "100"), 100 / math.asinh(1)),
+            (("--axis", "t", "--j", "1e-5"), 1e-5 / math.asinh(1)),
+            (("--axis", "b", "--j", "1000", "--t", "2000"),
+             1000 * critical_field(1.0, 0.0, 0.0, 0.0, 2.0, "b").location),
+        ],
+        ids=["t-j100", "t-j1e-5", "b-j1000-t2000"],
+    )
+    def test_scaled_parameters_scale_the_root(self, capsys, argv, expected):
+        record = run_json(capsys, "critical", *argv)
+        assert record["results"]["location"] == pytest.approx(expected, rel=1e-12)
+        lo, hi = record["results"]["bracket"]
+        assert lo < hi and hi - lo <= 4e-16 * hi  # adjacent doubles
+
+    def test_root_past_double_range(self, capsys, output_schema):
+        # the onset lies near b = 4.2e308, beyond the largest double
+        record = run_json(capsys, "critical", "--axis", "b", "--j", "1e300", "--t", "1e308")
+        jsonschema.validate(record, output_schema)
+        results = record["results"]
+        assert results["location"] is None and results["bracket"] is None
+        assert "past the double range" in results["note"]
+
     @pytest.mark.filterwarnings("error")
     def test_uniform_low_temperature_is_quiet(self, capsys):
         # g = exp(Jz/T) ... overflows to inf here, a valid positive sign
@@ -324,6 +365,22 @@ def test_console_script_installed():
 
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--j", "1e-300", "--t", "1e300"),  # eta/T underflows
+        ("critical", "--axis", "b", "--j", "1e-300", "--t", "1e300"),
+        ("critical", "--axis", "big-b", "--j", "1e-300", "--t", "1e300"),
+        ("critical", "--axis", "b", "--j", "1e300", "--t", "1e-8"),  # eta/T near the top
+    ],
+)
+def test_extreme_scales_are_quiet(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    json.loads(out)
 
 
 def package_modules():
