@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -26,7 +28,6 @@ from .sweep import (
     Axis,
     ROOT_RESIDUAL_TOL,
     SweepGrid,
-    axis_columns,
     critical_field,
     critical_temperature,
     figure_data,
@@ -94,13 +95,15 @@ def _emit(record: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _grid_csv(grid: SweepGrid) -> str:
-    names = [axis.name for axis in grid.axes]
-    columns = axis_columns(grid.axes) + [grid.values.ravel()]
-    lines = [",".join(names + ["concurrence"])]
-    for row in zip(*columns):
-        lines.append(",".join(format(float(x), ".17g") for x in row))
-    return "\n".join(lines) + "\n"
+def _write_csv(grid: SweepGrid, stream) -> None:
+    """Write the grid as CSV, each axis value formatted once: a first-axis row is the
+    last axis's line template, with the row's label for NUL, filled by one `%`."""
+    stream.write(",".join([axis.name for axis in grid.axes] + ["concurrence"]) + "\n")
+    *outer, inner = (["%.17g" % x for x in axis.values().tolist()] for axis in grid.axes)
+    template = "".join(f"\0{x},%.17g\n" for x in inner)
+    prefixes = [x + "," for x in outer[0]] if outer else [""]
+    for prefix, row in zip(prefixes, grid.values.reshape(len(prefixes), -1)):
+        stream.write(template.replace("\0", prefix) % tuple(row.tolist()))
 
 
 def _grid_record(grid: SweepGrid) -> dict:
@@ -115,9 +118,14 @@ def _grid_record(grid: SweepGrid) -> dict:
     )
 
 
-def _write_grid(grid: SweepGrid, path: Path, fmt: str) -> None:
-    text = _grid_csv(grid) if fmt == "csv" else _json_text(_grid_record(grid))
-    path.write_text(text, encoding="utf-8", newline="")
+def _write_grid(grid: SweepGrid, out: Path | None, fmt: str) -> None:
+    """Write the grid to the file `out`, or to stdout if there is none."""
+    with open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as stream:
+        if fmt == "csv":
+            _write_csv(grid, stream)
+        else:
+            stream.write(_json_text(_grid_record(grid)))
+        stream.flush()  # on stdout, a closed pipe raises here and not at interpreter exit
 
 
 def _params(args) -> dict[str, float]:
@@ -197,13 +205,7 @@ def cmd_sweep(args) -> int:
     axes = [_parse_axis(spec) for spec in args.axis]
     swept = {axis.name for axis in axes}
     fixed = {name: value for name, value in _params(args).items() if name not in swept}
-    grid = sweep(axes, fixed)
-    if args.out:
-        _write_grid(grid, Path(args.out), args.format)
-    elif args.format == "csv":
-        sys.stdout.write(_grid_csv(grid))
-    else:
-        _emit(_grid_record(grid), None)
+    _write_grid(sweep(axes, fixed), Path(args.out) if args.out else None, args.format)
     return 0
 
 
@@ -304,6 +306,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except SystemExit as exc:  # --help and --version
         return exc.code
+    except BrokenPipeError:
+        # stdout's reader has gone (`xxzent sweep ... | head`): end quietly, and point
+        # stdout at devnull so the flush at interpreter exit has nothing to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except XxzentError as exc:
         kind = "usage error" if exc.exit_code == 2 else "error"
         name = "" if isinstance(exc, UsageError) else f"{type(exc).__name__}: "

@@ -1,0 +1,133 @@
+"""The streaming CSV writer of `xxzent sweep` against the per-field oracle.
+
+The writer formats each axis value once and fills a whole row of
+concurrences through one `%` of a preformatted template; its bytes must equal
+those of tests/csv_oracle.py on every grid shape, on the bundled presets and
+on the extreme doubles, on stdout and in a file.
+"""
+
+import contextlib
+import io
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import xxzent
+from csv_oracle import grid_csv
+from xxzent.cli import _write_grid, main
+from xxzent.sweep import Axis, SweepGrid, figure_data, sweep
+
+MAX = 1.7976931348623157e308
+FIXED = {"J": 1.0, "Jz": 0.3, "B": 0.2, "b": 0.5, "T": 0.7}
+
+
+def swept(*axes):
+    names = {axis.name for axis in axes}
+    return sweep(list(axes), {k: v for k, v in FIXED.items() if k not in names})
+
+
+def extremes():
+    # Doubles at the edges of the format: no concurrence, only the formatting is under test.
+    values = np.array([[-0.0, 5e-324], [MAX, np.nan], [np.inf, -np.inf]])
+    return SweepGrid({}, (Axis("b", 5e-324, MAX, 3), Axis("Jz", -1.0, 1.0, 2)), values)
+
+
+GRIDS = {
+    "1d": lambda: swept(Axis("T", 0.05, 3.0, 37)),
+    "2d": lambda: swept(Axis("b", -2.0, 2.0, 9), Axis("T", 0.1, 2.0, 13)),
+    "1d-single": lambda: swept(Axis("T", 0.5, 0.5, 1)),
+    "2d-single-outer": lambda: swept(Axis("Jz", 0.0, 0.0, 1), Axis("b", -1.0, 1.0, 5)),
+    "2d-single-inner": lambda: swept(Axis("B", 0.0, 2.0, 4), Axis("T", 1.0, 1.0, 1)),
+    "2d-single-both": lambda: swept(Axis("b", 0.0, 0.0, 1), Axis("T", 1.0, 1.0, 1)),
+    "extremes": extremes,
+}
+
+
+def written(grid, tmp_path) -> bytes:
+    path = tmp_path / "grid.csv"
+    _write_grid(grid, path, "csv")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_file_bytes_match_oracle(name, tmp_path):
+    grid = GRIDS[name]()
+    assert written(grid, tmp_path) == grid_csv(grid).encode("utf-8")
+
+
+@pytest.mark.parametrize("figure", range(1, 6))
+def test_figure_bytes_match_oracle(figure, tmp_path):
+    for grid in figure_data(figure):
+        assert written(grid, tmp_path) == grid_csv(grid).encode("utf-8")
+
+
+def test_extremes_print_in_17_digits(tmp_path):
+    lines = written(extremes(), tmp_path).decode("utf-8").splitlines()
+    assert lines[1:] == [
+        "4.9406564584124654e-324,-1,-0",
+        "4.9406564584124654e-324,1,4.9406564584124654e-324",
+        "8.9884656743115785e+307,-1,1.7976931348623157e+308",
+        "8.9884656743115785e+307,1,nan",
+        "1.7976931348623157e+308,-1,inf",
+        "1.7976931348623157e+308,1,-inf",
+    ]
+
+
+DOUBLES = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+@settings(max_examples=2000, deadline=None, database=None)
+@given(DOUBLES)
+def test_percent_format_is_format_spec(x):
+    # the template's `%.17g` and the oracle's format spec print every double alike
+    assert "%.17g" % x == format(x, ".17g")
+
+
+def run_cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def test_stdout_matches_out_file(tmp_path):
+    argv = ["sweep", "--axis", "b:-3:3:41", "--axis", "t:0.05:2:23", "--jz", "0.4"]
+    text = run_cli(*argv)
+    path = tmp_path / "grid.csv"
+    assert run_cli(*argv, "--out", str(path)) == ""
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "points,header",
+    [
+        # the reader stops after the header, as `xxzent sweep ... | head -1` does;
+        # the 4 MB table is far larger than a pipe buffer, so a write fails
+        (301, b"b,T,concurrence\n"),
+        # the reader is gone before the first byte, so the final flush fails
+        # and leaves its bytes buffered for the flush at interpreter exit
+        (3, b""),
+    ],
+    ids=["after-header", "before-output"],
+)
+def test_closed_stdout_pipe_exits_quietly(points, header):
+    src = str(Path(xxzent.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    child = subprocess.Popen(  # stdout block-buffered, the interpreter's default for a pipe
+        [sys.executable, "-m", "xxzent.cli", "sweep", "--axis", f"b:-1:1:{points}",
+         "--axis", f"t:0.1:2:{points}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    if header:
+        assert child.stdout.readline() == header
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (0, b"")
