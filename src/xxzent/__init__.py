@@ -1,54 +1,35 @@
-"""Ground-state and thermal concurrence of a two-qubit XXZ spin pair."""
+"""Ground-state and thermal concurrence of a two-qubit XXZ spin pair.
+
+The names below resolve on first use (PEP 562), so `import xxzent` loads no
+numpy and the CLI can set numpy's thread count before numpy loads.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .linalg import (
-    EigenSystem,
-    NoConvergenceError,
-    NonHermitianError,
-    NotPSDError,
-    SPIN_FLIP,
-    XxzentError,
-    hermitian_eigen,
-    hermiticity_defect,
-    psd_sqrt,
-)
-from .model import (
-    BoltzmannOverflowError,
-    ClosedSpectrum,
-    GroundStateReport,
-    InvalidParameterError,
-    NonPositiveTemperatureError,
-    NotNormalizedError,
-    Phase,
-    PureState,
-    ZeroXYCouplingError,
-    build_hamiltonian,
-    closed_spectrum,
-    ground_state,
-    pure_concurrence,
-)
-from .thermal import (
-    InvalidDensityMatrixError,
-    NotXStateError,
-    concurrence_values,
-    gibbs_closed,
-    gibbs_diagnostics,
-    gibbs_spectral,
-    thermal_concurrence,
-    wootters_concurrence,
-    xstate_concurrence,
-)
-from .sweep import (
-    Axis,
-    CriticalPoint,
-    InvalidAxisError,
-    SweepGrid,
-    UnknownFigureError,
-    critical_field,
-    critical_temperature,
-    figure_data,
-    sweep,
-)
+_HOME = {
+    name: module
+    for module, names in (
+        ("linalg", "EigenSystem NoConvergenceError NonHermitianError NotPSDError SPIN_FLIP "
+                   "XxzentError hermitian_eigen hermiticity_defect psd_sqrt"),
+        ("model", "BoltzmannOverflowError ClosedSpectrum GroundStateReport InvalidParameterError "
+                  "NonPositiveTemperatureError NotNormalizedError Phase PureState "
+                  "ZeroXYCouplingError build_hamiltonian closed_spectrum ground_state "
+                  "pure_concurrence"),
+        ("thermal", "InvalidDensityMatrixError NotXStateError concurrence_values gibbs_closed "
+                    "gibbs_diagnostics gibbs_spectral thermal_concurrence wootters_concurrence "
+                    "xstate_concurrence"),
+        ("sweep", "Axis CriticalPoint InvalidAxisError SweepGrid UnknownFigureError "
+                  "critical_field critical_temperature figure_data"),
+    )
+    for name in names.split()
+}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

@@ -164,9 +164,10 @@ def _energies(J, Jz, B, b):
     |1,1>, E3 <= E4 for the inner pair, with eta = sqrt(b^2 + J^2).
     """
     eta = np.hypot(b, J)
-    energies = np.broadcast_arrays(
-        0.5 * (Jz - 2.0 * B), 0.5 * (Jz + 2.0 * B), -0.5 * Jz - eta, -0.5 * Jz + eta
-    )
+    with np.errstate(over="ignore"):  # a level past the double range is +-inf
+        energies = np.broadcast_arrays(
+            0.5 * (Jz - 2.0 * B), 0.5 * (Jz + 2.0 * B), -0.5 * Jz - eta, -0.5 * Jz + eta
+        )
     return tuple(energies), eta
 
 

@@ -375,6 +375,8 @@ def test_help_exits_0(capsys):
         ("critical", "--axis", "b", "--j", "1e-300", "--t", "1e300"),
         ("critical", "--axis", "big-b", "--j", "1e-300", "--t", "1e300"),
         ("critical", "--axis", "b", "--j", "1e300", "--t", "1e-8"),  # eta/T near the top
+        ("ground", "--j", "1e308", "--b", "1e308", "--jz", "1e308"),  # E3 overflows
+        ("critical", "--axis", "big-b", "--j", "1e308", "--b", "1e308", "--jz", "1e308"),
     ],
 )
 def test_extreme_scales_are_quiet(capsys, argv):

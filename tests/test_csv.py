@@ -105,26 +105,32 @@ def test_stdout_matches_out_file(tmp_path):
     assert path.read_bytes() == text.encode("utf-8")
 
 
+def grid_argv(points):
+    return ["sweep", "--axis", f"b:-1:1:{points}", "--axis", f"t:0.1:2:{points}"]
+
+
 @pytest.mark.parametrize(
-    "points,header",
+    "argv,header",
     [
         # the reader stops after the header, as `xxzent sweep ... | head -1` does;
         # the 4 MB table is far larger than a pipe buffer, so a write fails
-        (301, b"b,T,concurrence\n"),
+        (grid_argv(301), b"b,T,concurrence\n"),
         # the reader is gone before the first byte, so the final flush fails
         # and leaves its bytes buffered for the flush at interpreter exit
-        (3, b""),
+        (grid_argv(3), b""),
+        # the same for a JSON record and for the paths `sweep --figure` prints
+        (["eval"], b""),
+        (["sweep", "--figure", "1", "--out", "figures"], b""),
     ],
-    ids=["after-header", "before-output"],
+    ids=["after-header", "before-output", "json-record", "figure-paths"],
 )
-def test_closed_stdout_pipe_exits_quietly(points, header):
+def test_closed_stdout_pipe_exits_quietly(tmp_path, argv, header):
     src = str(Path(xxzent.__file__).resolve().parent.parent)
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     child = subprocess.Popen(  # stdout block-buffered, the interpreter's default for a pipe
-        [sys.executable, "-m", "xxzent.cli", "sweep", "--axis", f"b:-1:1:{points}",
-         "--axis", f"t:0.1:2:{points}"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        [sys.executable, "-m", "xxzent.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
     )
     if header:
         assert child.stdout.readline() == header
