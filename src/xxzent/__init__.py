@@ -17,9 +17,8 @@ _HOME = {
                   "NonPositiveTemperatureError NotNormalizedError Phase PureState "
                   "ZeroXYCouplingError build_hamiltonian closed_spectrum ground_state "
                   "pure_concurrence"),
-        ("thermal", "InvalidDensityMatrixError NotXStateError concurrence_values gibbs_closed "
-                    "gibbs_diagnostics gibbs_spectral thermal_concurrence wootters_concurrence "
-                    "xstate_concurrence"),
+        ("thermal", "InvalidDensityMatrixError concurrence_values gibbs_closed "
+                    "gibbs_diagnostics gibbs_spectral thermal_concurrence wootters_concurrence"),
         ("sweep", "Axis CriticalPoint InvalidAxisError SweepGrid UnknownFigureError "
                   "critical_field critical_temperature figure_data"),
     )

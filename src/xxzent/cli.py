@@ -30,7 +30,6 @@ from .linalg import XxzentError
 from .model import BOUNDARY_TOL, _check_params, ground_state
 from .sweep import (
     Axis,
-    ROOT_RESIDUAL_TOL,
     SweepGrid,
     critical_field,
     critical_temperature,
@@ -200,10 +199,11 @@ def cmd_sweep(args) -> int:
         grids = figure_data(args.figure)
         outdir = Path(args.out) if args.out else Path(".")
         outdir.mkdir(parents=True, exist_ok=True)
-        for grid in grids:
-            path = outdir / f"{grid.metadata['label']}.{args.format}"
+        # all files before any path, so a closed stdout pipe cannot cut the file set short
+        paths = [outdir / f"{grid.metadata['label']}.{args.format}" for grid in grids]
+        for grid, path in zip(grids, paths):
             _write_grid(grid, path, args.format)
-            print(path)
+        print(*paths, sep="\n")
         sys.stdout.flush()
         return 0
     if not args.axis:
@@ -223,10 +223,7 @@ def cmd_critical(args) -> int:
         _check_params(T=T)  # recorded, though the critical temperature ignores it
     else:
         point = critical_field(**params, axis=AXIS_TOKENS[args.axis])
-    record = _record(
-        "critical", params, asdict(point), {"root_tolerance": ROOT_RESIDUAL_TOL}
-    )
-    _emit(record, args.out)
+    _emit(_record("critical", params, asdict(point), {}), args.out)
     return 0
 
 

@@ -25,7 +25,6 @@ from .thermal import METHOD_XSTATE, ROUTE_TOL, concurrence_values, log_sign_valu
 
 PARAM_NAMES = ("J", "Jz", "B", "b", "T")
 
-ROOT_RESIDUAL_TOL = 1e-9
 MAX_GRID_POINTS_2D = 1001
 
 

@@ -1,9 +1,11 @@
 """Gibbs states of the spin pair and their concurrence.
 
 Two independent density-matrix routes (closed form vs spectral decomposition
-through the Jacobi solver) and two concurrence routes (generic Wootters vs
-the X-state shortcut) cross-validate each other.  A scalar sign function g
-decides concurrence positivity analytically and drives the root finders:
+through the Jacobi solver) and two concurrence routes (generic Wootters on a
+density matrix vs the X-state shortcut from the closed-form weights, which
+eval, sweep and the figures ship) cross-validate each other.  A scalar sign
+function g decides concurrence positivity analytically and drives the root
+finders:
 
     |rho_23| * Z = exp(Jz/2T) * |J| * sinh(eta/T) / eta
     sqrt(rho_11 rho_44) * Z = exp(-Jz/2T)        (since E1 + E2 = Jz)
@@ -46,22 +48,13 @@ from .model import (
 # (spectrum, Gibbs state, concurrence).
 ROUTE_TOL = 1e-10
 DENSITY_TOL = 1e-12
-XSTATE_TOL = 1e-12
 _TINY = np.finfo(float).tiny
 
 METHOD_XSTATE = "xstate-shortcut"
 
-# Entries an X state may hold: the diagonal and the central coherence.
-_X_PATTERN = np.eye(4, dtype=bool)
-_X_PATTERN[1, 2] = _X_PATTERN[2, 1] = True
-
 
 class InvalidDensityMatrixError(XxzentError, ValueError):
     """Input fails the Hermitian / unit-trace / PSD density-matrix checks."""
-
-
-class NotXStateError(XxzentError, ValueError):
-    """Matrix entries outside the X-state sparsity pattern."""
 
 
 def _weights(J, Jz, B, b, T):
@@ -84,34 +77,19 @@ def _coherence(J, eta, w3, w4):
     return np.where(eta > 0.0, np.abs(J) * (w3 - w4) / safe / 2.0, 0.0)
 
 
-def _x_concurrence(coh, corner, norm):
-    """X-state concurrence 2 (coh - corner) / norm, clipped to [0, 1]."""
-    return np.minimum(np.maximum(0.0, 2.0 * (coh - corner) / norm), 1.0)
-
-
-def _x_roots(coh, corner, inner, norm):
-    """X-state Wootters roots, descending along a new last axis, divided by norm.
-
-    coh = |rho_23|, corner = sqrt(rho_11 rho_44) and inner =
-    sqrt(rho_22 rho_33), all times norm.
-    """
-    roots = np.stack(
-        np.broadcast_arrays(inner + coh, np.maximum(inner - coh, 0.0), corner, corner),
-        axis=-1,
-    )
-    return np.sort(roots, axis=-1)[..., ::-1] / np.asarray(norm)[..., np.newaxis]
-
-
 def concurrence_values(J, Jz, B, b, T) -> np.ndarray:
     """Thermal concurrence via the X-state closed form; broadcasts over arrays.
 
-    Total for any finite parameters with T > 0 (J = 0 gives a diagonal Gibbs
-    state and hence zero).  This is the kernel behind grid sweeps; it applies
-    no guard (see thermal_concurrence for the guarded function).
+    C = 2 (|rho_23| - sqrt(rho_11 rho_44)), clipped to [0, 1].  Total for any
+    finite parameters with T > 0 (J = 0 gives a diagonal Gibbs state and
+    hence zero).  This is the kernel behind eval, grid sweeps and verify's
+    route check; it applies no guard (see thermal_concurrence for the
+    guarded function).
     """
     _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
     zs = w1 + w2 + w3 + w4
-    return _x_concurrence(_coherence(J, eta, w3, w4), np.sqrt(w1 * w2), zs)
+    corner = np.sqrt(w1 * w2)
+    return np.minimum(np.maximum(0.0, 2.0 * (_coherence(J, eta, w3, w4) - corner) / zs), 1.0)
 
 
 def thermal_concurrence(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
@@ -119,8 +97,9 @@ def thermal_concurrence(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
 
     The Gibbs state of this model is always an X state, so the closed form
     applies, J = 0 included (the state is then diagonal and the concurrence
-    zero).  Broadcasts over the parameters; the roots gain a last axis of
-    length 4.  Guarded.
+    zero).  The value is concurrence_values; the roots, descending along a
+    new last axis of length 4, are sqrt(rho_22 rho_33) +- |rho_23| and
+    sqrt(rho_11 rho_44) twice.  Broadcasts over the parameters.  Guarded.
     """
     _check_params(J=J, Jz=Jz, B=B, b=b, T=T)
     _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
@@ -128,7 +107,12 @@ def thermal_concurrence(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
     coh = _coherence(J, eta, w3, w4)
     corner = np.sqrt(w1 * w2)
     inner = np.sqrt(w3 * w4 + coh * coh)
-    return _x_concurrence(coh, corner, zs), _x_roots(coh, corner, inner, zs)
+    roots = np.stack(
+        np.broadcast_arrays(inner + coh, np.maximum(inner - coh, 0.0), corner, corner),
+        axis=-1,
+    )
+    roots = np.sort(roots, axis=-1)[..., ::-1] / np.asarray(zs)[..., np.newaxis]
+    return concurrence_values(J, Jz, B, b, T), roots
 
 
 def _log_ratio(a, c):
@@ -248,22 +232,3 @@ def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     roots = singular_values(root @ SPIN_FLIP @ root.conj())
     value = np.minimum(np.maximum(0.0, 2.0 * roots[..., 0] - roots.sum(axis=-1)), 1.0)
     return value, roots
-
-
-def xstate_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X-state concurrence and roots of a state or a (..., 4, 4) stack of states.
-
-    Valid for states whose only nonzero entries are the diagonal and the
-    central (|1,0>, |0,1>) coherence; raises NotXStateError otherwise.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    worst = float(np.max(np.abs(np.where(_X_PATTERN, 0.0, rho))))
-    if worst > XSTATE_TOL:
-        raise NotXStateError(
-            f"entry outside the X pattern has magnitude {worst:.3e} > {XSTATE_TOL:g}"
-        )
-    diag = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None)
-    coh = np.abs(rho[..., 1, 2])
-    corner = np.sqrt(diag[..., 0] * diag[..., 3])
-    inner = np.sqrt(diag[..., 1] * diag[..., 2])
-    return _x_concurrence(coh, corner, 1.0), _x_roots(coh, corner, inner, 1.0)

@@ -26,7 +26,6 @@ from .thermal import (
     gibbs_spectral,
     thermal_concurrence,
     wootters_concurrence,
-    xstate_concurrence,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -138,12 +137,12 @@ def suite_gibbs(draws: dict[str, np.ndarray]) -> SuiteResult:
 
 
 def _route_errors(J, Jz, B, b, T):
-    rho = gibbs_closed(J, Jz, B, b, T)
-    return (np.abs(wootters_concurrence(rho)[0] - xstate_concurrence(rho)[0]),)
+    generic = wootters_concurrence(gibbs_closed(J, Jz, B, b, T))[0]
+    return (np.abs(generic - thermal_concurrence(J, Jz, B, b, T)[0]),)
 
 
 def suite_routes(draws: dict[str, np.ndarray]) -> SuiteResult:
-    """Generic Wootters vs X-state shortcut on the same Gibbs states."""
+    """Generic Wootters on the closed-form Gibbs state vs the shipped X-state kernel."""
     (errors,) = _over_blocks(_route_errors, draws)
     return _result("concurrence-routes", draws, errors, ROUTE_TOL)
 

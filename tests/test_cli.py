@@ -278,6 +278,7 @@ class TestCritical:
         jsonschema.validate(record, output_schema)
         assert record["results"]["location"] == pytest.approx(1.134593, abs=1e-6)
         assert abs(record["results"]["residual"]) <= 1e-9
+        assert record["diagnostics"] == {}  # the bracket, not a residual bound, certifies the root
 
     def test_inhomogeneous_no_finite_root(self, capsys, output_schema):
         record = run_json(capsys, "critical", "--axis", "b", "--j", "1", "--jz", "0",
@@ -508,7 +509,7 @@ def test_every_error_class_carries_an_exit_code():
             if inspect.isclass(obj) and issubclass(obj, BaseException)
             and obj.__module__ == module.__name__
         ]
-    assert len(errors) >= 14
+    assert len(errors) >= 13
     for error in errors:
         assert issubclass(error, XxzentError), error
     usage = {UsageError, InvalidAxisError, UnknownFigureError}

@@ -109,6 +109,21 @@ def grid_argv(points):
     return ["sweep", "--axis", f"b:-1:1:{points}", "--axis", f"t:0.1:2:{points}"]
 
 
+def run_with_closed_stdout(cwd, argv, env, header=b""):
+    """Run the CLI in a child whose stdout reader closes after `header`; (exit code, stderr)."""
+    src = str(Path(xxzent.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "xxzent.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=cwd,
+    )
+    if header:
+        assert child.stdout.readline() == header
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    return child.returncode, err
+
+
 @pytest.mark.parametrize(
     "argv,header",
     [
@@ -125,15 +140,16 @@ def grid_argv(points):
     ids=["after-header", "before-output", "json-record", "figure-paths"],
 )
 def test_closed_stdout_pipe_exits_quietly(tmp_path, argv, header):
-    src = str(Path(xxzent.__file__).resolve().parent.parent)
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    child = subprocess.Popen(  # stdout block-buffered, the interpreter's default for a pipe
-        [sys.executable, "-m", "xxzent.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
-    )
-    if header:
-        assert child.stdout.readline() == header
-    child.stdout.close()
-    _, err = child.communicate(timeout=60)
-    assert (child.returncode, err) == (0, b"")
+    # stdout block-buffered, the interpreter's default for a pipe
+    assert run_with_closed_stdout(tmp_path, argv, env, header) == (0, b"")
+
+
+def test_unbuffered_closed_pipe_keeps_every_figure_file(tmp_path):
+    # unbuffered, each printed path reaches the closed pipe at once, so a path
+    # printed between two grids would end the command before the later files
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    argv = ["sweep", "--figure", "4", "--out", "figures"]
+    assert run_with_closed_stdout(tmp_path, argv, env) == (0, b"")
+    written = sorted(path.name for path in (tmp_path / "figures").iterdir())
+    assert written == ["fig4_jz_0.csv", "fig4_jz_0p4.csv", "fig4_jz_0p9.csv"]

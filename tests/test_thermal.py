@@ -21,7 +21,6 @@ from xxzent.model import (
 from xxzent.sweep import critical_field
 from xxzent.thermal import (
     InvalidDensityMatrixError,
-    NotXStateError,
     concurrence_values,
     gibbs_closed,
     gibbs_diagnostics,
@@ -29,7 +28,6 @@ from xxzent.thermal import (
     log_sign_values,
     thermal_concurrence,
     wootters_concurrence,
-    xstate_concurrence,
 )
 
 # frozen reference: 2*max(0, sinh(1) - 1) / (2 + 2*cosh(1))
@@ -191,28 +189,11 @@ class TestWootters:
 
 
 class TestXState:
-    def test_maximally_mixed(self):
-        assert xstate_concurrence(np.eye(4, dtype=complex) / 4)[0] == 0.0
-
-    def test_bell_pattern(self):
-        assert xstate_concurrence(bell_projector())[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_reference_gibbs(self):
-        rho = gibbs_closed(*P_REFERENCE, 1.0)
-        assert xstate_concurrence(rho)[0] == pytest.approx(C_REFERENCE, abs=1e-13)
-
-    def test_rejects_corner_entries(self):
-        rho = np.eye(4, dtype=complex) / 4
-        rho[0, 3] = rho[3, 0] = 0.1
-        with pytest.raises(NotXStateError):
-            xstate_concurrence(rho)
-
     def test_agrees_with_wootters(self):
         rng = np.random.default_rng(305)
         _, columns = draw_columns(rng, 2000)
-        rho = gibbs_closed(*columns)
-        x_values, x_roots = xstate_concurrence(rho)
-        w_values, w_roots = wootters_concurrence(rho)
+        x_values, x_roots = thermal_concurrence(*columns)
+        w_values, w_roots = wootters_concurrence(gibbs_closed(*columns))
         assert np.max(np.abs(x_values - w_values)) <= 1e-10
         assert np.max(np.abs(x_roots - w_roots)) <= 1e-8
 
@@ -355,7 +336,6 @@ class TestStackedKernels:
         closed = gibbs_closed(*columns)
         spectral = gibbs_spectral(*columns)
         woot_values, woot_roots = wootters_concurrence(closed)
-        x_values, x_roots = xstate_concurrence(closed)
         thermal_values, thermal_roots = thermal_concurrence(*columns)
         for i, (p, T) in enumerate(draws):
             rho = gibbs_closed(*p, T)
@@ -363,7 +343,6 @@ class TestStackedKernels:
             assert np.array_equal(spectral[i], gibbs_spectral(*p, T))
             for route, values, roots in (
                 (wootters_concurrence(rho), woot_values, woot_roots),
-                (xstate_concurrence(rho), x_values, x_roots),
                 (thermal_concurrence(*p, T), thermal_values, thermal_roots),
             ):
                 assert route[0] == values[i]
@@ -433,7 +412,3 @@ class TestStackedKernels:
             bad[12] = corrupt(bad[12])
             with pytest.raises(InvalidDensityMatrixError):
                 wootters_concurrence(bad)
-        bad = rho.copy()
-        bad[12, 0, 3] = bad[12, 3, 0] = 0.1
-        with pytest.raises(NotXStateError):
-            xstate_concurrence(bad)

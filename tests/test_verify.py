@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from xxzent import verify
+from xxzent import thermal, verify
+from xxzent.cli import main
 from xxzent.model import BoltzmannOverflowError, NonPositiveTemperatureError
 from xxzent.verify import (
     ALL_SUITES,
@@ -49,6 +50,15 @@ def test_gibbs_suite_reports_validity_details():
     (gibbs,) = [r for r in run_suites(100, 3) if r.name == "gibbs-oracle"]
     assert gibbs.details["max_trace_defect"] <= 1e-12
     assert gibbs.details["min_eigenvalue"] >= -1e-12
+
+
+def test_routes_fail_on_a_mutated_shipped_kernel(monkeypatch):
+    # a 1% error in the coherence term that eval and sweep use must fail verify
+    coherence = thermal._coherence
+    monkeypatch.setattr(thermal, "_coherence", lambda *args: coherence(*args) * 1.01)
+    assert not suite_routes(draw_params(600, 9)).passed
+    assert not all(result.passed for result in run_suites(600, 9))
+    assert main(["verify", "--samples", "600"]) == 3
 
 
 def test_results_do_not_depend_on_block_size(monkeypatch):
