@@ -13,7 +13,7 @@ _HOME = {
     for module, names in (
         ("linalg", "EigenSystem NoConvergenceError NonHermitianError NotPSDError SPIN_FLIP "
                    "XxzentError hermitian_eigen hermiticity_defect psd_sqrt"),
-        ("model", "BoltzmannOverflowError ClosedSpectrum GroundStateReport InvalidParameterError "
+        ("model", "ClosedSpectrum GroundStateReport InvalidParameterError "
                   "NonPositiveTemperatureError NotNormalizedError Phase PureState "
                   "ZeroXYCouplingError build_hamiltonian closed_spectrum ground_state "
                   "pure_concurrence"),

@@ -14,8 +14,10 @@ _check_params, lives here too.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .linalg import XxzentError
 
 BOUNDARY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-9
-TEMPERATURE_GUARD = 1e-8
 
 
 class InvalidParameterError(XxzentError, ValueError):
@@ -40,10 +41,6 @@ class NotNormalizedError(XxzentError, ValueError):
 
 class NonPositiveTemperatureError(XxzentError, ValueError):
     """Gibbs construction requires T > 0."""
-
-
-class BoltzmannOverflowError(XxzentError, OverflowError):
-    """Temperature below the overflow guard TEMPERATURE_GUARD."""
 
 
 class Phase(str, Enum):
@@ -63,11 +60,10 @@ def _refuse(error, bad, values, message: str) -> None:
 def _check_params(divides_by_J: str = "", **values) -> None:
     """Refuse values outside the model's domain, by parameter name.
 
-    Every value must be finite, B >= 0, and T > 0 and not below
-    TEMPERATURE_GUARD.  This is the domain of every model operation, of the
-    guarded thermal functions and of sweep axes; each keyword is a float or
-    an array, and an error names its first offender.  divides_by_J names an
-    operation that divides by J, which then refuses J = 0.
+    Every value must be finite, B >= 0 and T > 0.  This is the domain of every
+    model operation, of the guarded thermal functions and of sweep axes; each
+    keyword is a float or an array, and an error names its first offender.
+    divides_by_J names an operation that divides by J, which then refuses J = 0.
     """
     for name, value in values.items():
         _refuse(InvalidParameterError, ~np.isfinite(value), value,
@@ -78,11 +74,19 @@ def _check_params(divides_by_J: str = "", **values) -> None:
     if divides_by_J and np.any(np.equal(values["J"], 0.0)):
         raise ZeroXYCouplingError(divides_by_J + " requires J != 0")
     if "T" in values:
-        T = values["T"]
-        _refuse(NonPositiveTemperatureError, ~np.greater(T, 0.0), T,
+        _refuse(NonPositiveTemperatureError, ~np.greater(values["T"], 0.0), values["T"],
                 "temperature must be > 0, got {!r}")
-        _refuse(BoltzmannOverflowError, np.less(T, TEMPERATURE_GUARD), T,
-                f"temperature {{!r}} below the overflow guard {TEMPERATURE_GUARD:g}")
+
+
+def _rescaled(*params):
+    """The parameters divided, elementwise and exactly, by the power of two that brings
+    their largest magnitude into [1, 2**(max_exp - 3)), and that power; broadcasts."""
+    _, exponent = np.frexp(reduce(np.maximum, map(np.abs, params)))
+    # levels and eta reach about 2.5 times the largest parameter: keep 3 bits of headroom
+    shift = exponent - 1 - np.clip(exponent - 1, 0, sys.float_info.max_exp - 4)
+    if not np.any(shift):  # the usual case: the inputs themselves, not broadcast copies
+        return params, 1.0
+    return tuple(np.ldexp(v, -shift, dtype=float) for v in params), np.ldexp(1.0, shift)
 
 
 @dataclass(frozen=True)
@@ -171,15 +175,6 @@ def _energies(J, Jz, B, b):
     return tuple(energies), eta
 
 
-def energy_values(J, Jz, B, b) -> np.ndarray:
-    """Closed-form energies (E1, E2, E3, E4) along the last axis; broadcasts.
-
-    Same labels as ClosedSpectrum, unsorted.  Accepts J = 0 and any sign of
-    B, since no eigenvector is formed.
-    """
-    return np.stack(_energies(J, Jz, B, b)[0], axis=-1)
-
-
 def closed_spectrum(J, Jz, B, b) -> ClosedSpectrum:
     """Closed-form energies and normalized eigenvectors; requires J != 0."""
     _check_params("closed-form spectrum", J=J, Jz=Jz, B=B, b=b)
@@ -210,24 +205,25 @@ def ground_state(J, Jz, B, b) -> GroundStateReport:
     2|lam|/(1+lam^2), lam = xi/J, cancels in xi = b - eta when |b| >> |J|).
     Within BOUNDARY_TOL times the parameter scale max(|J|, |Jz|, B, |b|) of
     the crossing the ground level is degenerate and the concurrence is
-    reported as NaN.
+    reported as NaN.  Energies and thresholds past the double range are +-inf.
     """
     _check_params("ground state", J=J, Jz=Jz, B=B, b=b)
-    (e1, _, e3, _), eta = _energies(J, Jz, B, b)
-    e1, e3, eta = float(e1), float(e3), float(eta)
+    scaled, unit = _rescaled(J, Jz, B, b)
+    (e1, _, e3, _), eta = _energies(*scaled)
+    J, Jz, B, b, e1, e3, eta, unit = (float(v) for v in (*scaled, e1, e3, eta, unit))
     gap = eta - (B - Jz)
-    threshold_jz = B - eta
-    threshold_b = eta + Jz
+    threshold_jz = (B - eta) * unit
+    threshold_b = (eta + Jz) * unit
     if abs(gap) <= BOUNDARY_TOL * max(abs(J), abs(Jz), B, abs(b)):
         return GroundStateReport(
-            Phase.BOUNDARY, e3, math.nan, threshold_jz, threshold_b
+            Phase.BOUNDARY, e3 * unit, math.nan, threshold_jz, threshold_b
         )
     if gap < 0.0:
         return GroundStateReport(
-            Phase.DISENTANGLED, e1, 0.0, threshold_jz, threshold_b
+            Phase.DISENTANGLED, e1 * unit, 0.0, threshold_jz, threshold_b
         )
     return GroundStateReport(
-        Phase.ENTANGLED, e3, abs(J) / eta, threshold_jz, threshold_b
+        Phase.ENTANGLED, e3 * unit, abs(J) / eta, threshold_jz, threshold_b
     )
 
 

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linalg import XxzentError
-from .model import _check_params, ground_state
+from .model import _check_params, _rescaled, ground_state
 from .thermal import METHOD_XSTATE, ROUTE_TOL, concurrence_values, log_sign_values
 
 PARAM_NAMES = ("J", "Jz", "B", "b", "T")
@@ -162,7 +162,7 @@ def _sign_root(axis, h, scale, decreasing: bool, note="") -> CriticalPoint:
     def below(x: float) -> bool:
         return (h(x) > 0.0) == decreasing
 
-    lo = hi = scale
+    lo = hi = min(scale, sys.float_info.max)
     while below(hi) and hi < sys.float_info.max:
         lo, hi = hi, min(2.0 * hi, sys.float_info.max)
     while lo > 0.0 and not below(lo):
@@ -184,12 +184,13 @@ def critical_temperature(J, Jz, B, b) -> CriticalPoint:
     iff Jz + eta > 0, and it is bracketed from eta.  Independent of B.
     """
     _check_params("critical temperature", J=J, Jz=Jz, B=B, b=b)
-    eta = float(np.hypot(b, J))
-    if not Jz + eta > 0.0:
+    (scaled_J, scaled_Jz, _, scaled_b), unit = _rescaled(J, Jz, B, b)
+    eta = float(np.hypot(scaled_b, scaled_J))  # finite in the scaled units
+    if not scaled_Jz + eta > 0.0:
         note = "Jz + eta <= 0, so g <= 0 at every temperature: no thermal entanglement"
         return CriticalPoint("T", None, None, None, note=note)
     return _sign_root(
-        "T", lambda T: float(log_sign_values(J, Jz, b, T)), eta, decreasing=True
+        "T", lambda T: float(log_sign_values(J, Jz, b, T)), eta * float(unit), decreasing=True
     )
 
 

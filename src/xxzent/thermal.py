@@ -17,10 +17,9 @@ Each route is one function that broadcasts over parameter arrays or
 (..., 4, 4) stacks of density matrices; a single point or state is the 0-d
 case (a concurrence then comes back as a numpy scalar).  The guarded
 functions (gibbs_closed, gibbs_spectral, thermal_concurrence and the scalar
-gibbs_diagnostics) refuse what model._check_params refuses, the temperature
-guard included; concurrence_values and log_sign_values are unguarded.  Every
-route forms only shifted weights exp(-(E_k - E_min)/T) <= 1, so no weight
-can overflow.
+gibbs_diagnostics) refuse what model._check_params refuses;
+concurrence_values and log_sign_values are unguarded.  Every route forms
+only shifted weights exp(-(E_k - E_min)/T) <= 1, so no weight can overflow.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from .linalg import (
 from .model import (
     _check_params,
     _energies,
+    _rescaled,
     build_hamiltonian,
 )
 
@@ -60,15 +60,16 @@ class InvalidDensityMatrixError(XxzentError, ValueError):
 def _weights(J, Jz, B, b, T):
     """Shifted Boltzmann weights exp(-(E_k - E_min)/T) of the closed energies; broadcasts.
 
-    Returns (emin, eta, (w1, w2, w3, w4)) in the closed-form energy labels:
-    (w1, w2) for the outer product states, (w3, w4) for the inner pair with
-    E3 <= E4; a weight whose exponent passes the double range is 0.  Unguarded.
+    Returns ((J, b, T), emin, eta, (w1, w2, w3, w4)) on model._rescaled's scaled
+    parameters, weights in the closed-form labels: (w1, w2) for the outer product
+    states, (w3, w4) for the inner pair, E3 <= E4; past the double range a weight is 0.
     """
+    (J, Jz, B, b, T), _ = _rescaled(J, Jz, B, b, T)
     energies, eta = _energies(J, Jz, B, b)
     e1, e2, e3, _ = energies
     emin = np.minimum(np.minimum(e1, e2), e3)
     with np.errstate(over="ignore"):
-        return emin, eta, tuple(np.exp(-(e - emin) / T) for e in energies)
+        return (J, b, T), emin, eta, tuple(np.exp(-(e - emin) / T) for e in energies)
 
 
 def _coherence(J, eta, w3, w4):
@@ -86,7 +87,7 @@ def concurrence_values(J, Jz, B, b, T) -> np.ndarray:
     route check; it applies no guard (see thermal_concurrence for the
     guarded function).
     """
-    _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
+    (J, _, _), _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
     zs = w1 + w2 + w3 + w4
     corner = np.sqrt(w1 * w2)
     return np.minimum(np.maximum(0.0, 2.0 * (_coherence(J, eta, w3, w4) - corner) / zs), 1.0)
@@ -102,9 +103,9 @@ def thermal_concurrence(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
     sqrt(rho_11 rho_44) twice.  Broadcasts over the parameters.  Guarded.
     """
     _check_params(J=J, Jz=Jz, B=B, b=b, T=T)
-    _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
+    (scaled_J, _, _), _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
     zs = w1 + w2 + w3 + w4
-    coh = _coherence(J, eta, w3, w4)
+    coh = _coherence(scaled_J, eta, w3, w4)
     corner = np.sqrt(w1 * w2)
     inner = np.sqrt(w3 * w4 + coh * coh)
     roots = np.stack(
@@ -126,10 +127,12 @@ def log_sign_values(J, Jz, b, T) -> np.ndarray:
 
     Positive iff thermal concurrence is positive; requires J != 0.  It is
     evaluated as Jz/T + log(|J|/T) + log(sinh(x)/x) for x <= 1 and as
-    (Jz + eta)/T + log(|J|/eta) - log 2 + log1p(-exp(-x)^2) above, so no
-    quantity underflows into the log of zero and no inf - inf arises.  A
-    value past the double range comes back as +-inf, which keeps its sign.
+    (Jz + eta)/T + log(|J|/eta) - log 2 + log1p(-exp(-x)^2) above, on the
+    parameters that model._rescaled scales, so eta is finite, no quantity
+    underflows into the log of zero and no inf - inf arises.  A value past
+    the double range comes back as +-inf, which keeps its sign.
     """
+    (J, Jz, b, T), _ = _rescaled(J, Jz, b, T)
     eta = np.hypot(b, J)
     with np.errstate(over="ignore"):
         x = eta / T
@@ -150,7 +153,7 @@ def gibbs_closed(J, Jz, B, b, T) -> np.ndarray:
     never overflow.  Requires J != 0; guarded.
     """
     _check_params("closed-form Gibbs state", J=J, Jz=Jz, B=B, b=b, T=T)
-    _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
+    (J, b, _), _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
     zs = w1 + w2 + w3 + w4
     half_sum = 0.5 * (w3 + w4)
     half_diff = 0.5 * (w3 - w4)
@@ -173,7 +176,7 @@ def gibbs_diagnostics(J, Jz, B, b, T) -> dict[str, float | None]:
     Guarded like gibbs_closed.
     """
     _check_params(J=J, Jz=Jz, B=B, b=b, T=T)
-    emin, eta, weights = _weights(J, Jz, B, b, T)
+    (J, b, T), emin, eta, weights = _weights(J, Jz, B, b, T)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.exp(-emin / T)  # exp(-E_k/T) = w_k * scale
         Z = float(sum(weights) * scale)

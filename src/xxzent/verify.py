@@ -5,8 +5,8 @@ against an exact symmetry) over the same reproducible parameter draws.  The
 draws come from a Philox counter-based generator so runs are reproducible
 from the 64-bit seed alone; see the README for the exact draw recipe.
 
-The route suites run as whole-array calls over consecutive blocks of
-BLOCK_DRAWS draws and join the per-draw errors, so a suite's maximum error,
+Every suite runs as whole-array calls over consecutive blocks of
+BLOCK_DRAWS draws and joins the per-draw errors, so a suite's maximum error,
 worst point and details do not depend on the block size.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import PSD_TOL, hermitian_eigen, hermiticity_defect
-from .model import build_hamiltonian, energy_values
+from .model import _energies, build_hamiltonian
 from .thermal import (
     DENSITY_TOL,
     ROUTE_TOL,
@@ -95,7 +95,7 @@ def _result(name, draws, errors, tol, details=None) -> SuiteResult:
 
 
 def _spectrum_errors(J, Jz, B, b, T):
-    closed = np.sort(energy_values(J, Jz, B, b), axis=-1)
+    closed = np.sort(np.stack(_energies(J, Jz, B, b)[0], axis=-1), axis=-1)
     numeric = hermitian_eigen(build_hamiltonian(J, Jz, B, b)).values
     return (np.max(np.abs(closed - numeric), axis=-1),)
 
@@ -168,19 +168,17 @@ def suite_j_parity(draws: dict[str, np.ndarray]) -> SuiteResult:
     return _mirror_suite("j-parity", draws, lambda J, Jz, B, b: (-J, Jz, B, b))
 
 
+def _monotonic_errors(J, Jz, B, b, T):
+    """Per draw: the largest rise of the concurrence along B_MONOTONIC_GRID, or 0."""
+    J, Jz, b, T = (value[:, np.newaxis] for value in (J, Jz, b, T))
+    values = concurrence_values(J, Jz, B_MONOTONIC_GRID, b, T)
+    return (np.maximum(np.max(np.diff(values, axis=1), axis=1), 0.0),)
+
+
 def suite_b_monotonic(draws: dict[str, np.ndarray]) -> SuiteResult:
     """Concurrence is nonincreasing in the uniform field B."""
-    grid = B_MONOTONIC_GRID[np.newaxis, :]
-    values = concurrence_values(
-        draws["J"][:, np.newaxis],
-        draws["Jz"][:, np.newaxis],
-        grid,
-        draws["b"][:, np.newaxis],
-        draws["T"][:, np.newaxis],
-    )
-    increase = np.max(np.diff(values, axis=1), axis=1)
-    return _result("b-monotonic-in-uniform-field", draws,
-                   np.maximum(increase, 0.0), SYMMETRY_TOL)
+    (errors,) = _over_blocks(_monotonic_errors, draws)
+    return _result("b-monotonic-in-uniform-field", draws, errors, SYMMETRY_TOL)
 
 
 ALL_SUITES = (

@@ -124,6 +124,13 @@ class TestEval:
         swept = float(csv.splitlines()[1].split(",")[1])
         assert record["results"]["concurrence"] == swept
 
+    def test_top_of_range_matches_unit_scale(self, capsys):
+        # hypot(b, J) overflows unscaled here; every reported number is a ratio
+        top = run_json(capsys, "eval", "--j", "1.5e308", "--b", "1.35e308", "--t", "1e308")
+        unit = run_json(capsys, "eval", "--j", "1.5", "--b", "1.35", "--t", "1")
+        assert top["results"] == unit["results"]
+        assert top["diagnostics"] == unit["diagnostics"]
+
     def test_zero_coupling_runs_no_jacobi_solve(self, capsys, monkeypatch):
         def refuse(matrix):
             raise AssertionError("Jacobi solve at J = 0")
@@ -186,6 +193,18 @@ class TestGround:
         record = run_json(capsys, "ground", "--j", "1e-13")
         assert record["results"]["phase"] == "entangled"
         assert record["results"]["ground_concurrence"] == 1.0
+
+    def test_top_of_range_keeps_the_phase(self, capsys, output_schema):
+        # E3, Jz^f and B^f lie near 2e308 here, past the double range
+        record = run_json(capsys, "ground", "--j", "1.5e308", "--b", "1.35e308")
+        jsonschema.validate(record, output_schema)
+        results = record["results"]
+        assert results["phase"] == "entangled"
+        assert results["ground_concurrence"] == 0.7432941462471663
+        assert results["ground_concurrence"] == run_json(
+            capsys, "ground", "--j", "1.5", "--b", "1.35")["results"]["ground_concurrence"]
+        assert results["ground_energy"] is None
+        assert results["threshold_Jz"] is None and results["threshold_B"] is None
 
 
 class TestSweep:
@@ -378,12 +397,23 @@ def test_help_exits_0(capsys):
         ("critical", "--axis", "b", "--j", "1e300", "--t", "1e-8"),  # eta/T near the top
         ("ground", "--j", "1e308", "--b", "1e308", "--jz", "1e308"),  # E3 overflows
         ("critical", "--axis", "big-b", "--j", "1e308", "--b", "1e308", "--jz", "1e308"),
+        ("eval", "--j", "1.5e308", "--b", "1.35e308", "--t", "1e308"),  # hypot(b, J) overflows
+        ("ground", "--j", "1.5e308", "--b", "1.35e308"),
+        ("eval", "--t", "1e-300"),
+        ("sweep", "--axis", "t:1e-300:1e-290:3"),
+        # temperatures below the 1e-8 that the domain once refused
+        ("eval", "--t", "1e-9"),
+        ("sweep", "--axis", "t:1e-9:1:3"),
+        ("critical", "--axis", "t", "--t", "1e-9"),
     ],
 )
-def test_extreme_scales_are_quiet(capsys, argv):
+def test_extreme_scales_are_quiet(capsys, output_schema, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
-    json.loads(out)
+    if argv[0] == "sweep":
+        assert len(out.splitlines()) == 4  # header and three rows
+    else:
+        jsonschema.validate(json.loads(out), output_schema)
 
 
 def package_modules():
@@ -402,9 +432,9 @@ def package_modules():
         (["sweep", "--axis", "b:0:1:3", "--big-b", "-1"], 1),
         (["sweep", "--axis", "big-b:-1:1:3"], 1),
         (["eval", "--t", "0"], 1),
-        (["eval", "--t", "1e-9"], 1),
+        (["eval", "--t=-1e-300"], 1),
         (["sweep", "--axis", "t:0:1:3"], 1),
-        (["sweep", "--axis", "t:1e-9:1:3"], 1),
+        (["sweep", "--axis", "t:-1e-300:1:3"], 1),
         (["eval", "--j", "nan"], 1),
         (["sweep", "--axis", "b:0:1:3", "--j", "nan"], 1),
         (["eval", "--t", "inf"], 1),
@@ -422,7 +452,7 @@ def package_modules():
         (["critical", "--axis", "t", "--t", "0"], 1),
         (["critical", "--axis", "t", "--t", "nan"], 1),
         (["critical", "--axis", "t", "--t", "inf"], 1),
-        (["critical", "--axis", "t", "--t", "1e-9"], 1),
+        (["critical", "--axis", "t", "--t=-1e-300"], 1),
     ],
 )
 def test_refused_input_fails_cleanly(capsys, argv, code):
@@ -509,7 +539,7 @@ def test_every_error_class_carries_an_exit_code():
             if inspect.isclass(obj) and issubclass(obj, BaseException)
             and obj.__module__ == module.__name__
         ]
-    assert len(errors) >= 13
+    assert len(errors) >= 12
     for error in errors:
         assert issubclass(error, XxzentError), error
     usage = {UsageError, InvalidAxisError, UnknownFigureError}

@@ -12,9 +12,9 @@ from xxzent.model import (
     PureState,
     ZeroXYCouplingError,
     _check_params,
+    _energies,
     build_hamiltonian,
     closed_spectrum,
-    energy_values,
     ground_state,
     pure_concurrence,
 )
@@ -138,8 +138,8 @@ class TestGroundState:
         for _ in range(500):
             J, Jz, B, b = random_params(rng)
             spec = closed_spectrum(J, Jz, B, b)
-            # the threshold field may be negative, which energy_values accepts
-            e1, _, e3, _ = energy_values(J, Jz, spec.eta + Jz, b)
+            # the threshold field may be negative, which _energies accepts
+            (e1, _, e3, _), _ = _energies(J, Jz, spec.eta + Jz, b)
             assert abs(e1 - e3) <= 1e-12
 
     def test_concurrence_even_in_b(self):

@@ -2,35 +2,49 @@
 
 The model is homogeneous of degree one in (J, Jz, B, b, T): scaling all five
 by lambda leaves each concurrence and ground phase unchanged and multiplies
-each critical location by lambda.  lambda is drawn log-uniform over
-[1e-6, 1e6] on the powers of two, so the scaled parameters are exact and a
-deviation can only come from the code, e.g. from an absolute constant that
-decides an answer.  Warnings are errors (pyproject.toml), so a property that
-reaches an overflowing or underflowing intermediate fails too.
+each critical location by lambda.  lambda is drawn over the powers of two
+2**-990 .. 2**990, and every drawn coordinate is 0 or at least 2**-30 in
+magnitude, so every scaled parameter is a normal double, exactly lambda
+times the drawn one, and a deviation can only come from the code, e.g. from
+an absolute constant that decides an answer.  Warnings are errors
+(pyproject.toml), so a property that reaches an overflowing or underflowing
+intermediate fails too.
 """
 
 import contextlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import xxzent
 from xxzent.cli import AXIS_TOKENS, main
 
 FLAGS = {name: f"--{token}" for token, name in AXIS_TOKENS.items()}
+
+
+def coordinate(lo, hi):
+    """Floats in [lo, hi], with magnitudes below 2**-30 drawn as 0."""
+    return st.floats(lo, hi).map(lambda x: x if abs(x) >= 2.0**-30 else 0.0)
+
 
 # The draw domain of `verify` (README): |J| in [0.05, 3] with either sign,
 # Jz in [-3, 3], B in [0, 3], b in [-3, 3], T in [0.05, 5].
 POINTS = st.fixed_dictionaries({
     "J": st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
-    "Jz": st.floats(-3.0, 3.0),
-    "B": st.floats(0.0, 3.0),
-    "b": st.floats(-3.0, 3.0),
+    "Jz": coordinate(-3.0, 3.0),
+    "B": coordinate(0.0, 3.0),
+    "b": coordinate(-3.0, 3.0),
     "T": st.floats(0.05, 5.0),
 })
-SCALES = st.integers(-19, 19).map(lambda k: 2.0**k)  # 1.9e-6 .. 5.2e5
+SCALES = st.integers(-990, 990).map(lambda k: 2.0**k)  # 1.0e-298 .. 9.8e297
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -49,6 +63,8 @@ def scaled(params, lam, *names):
 
 @PROPERTY
 @given(POINTS, SCALES)
+# unscaled, |J| (w3 - w4) is subnormal here and the concurrence moves by one ulp
+@example({"J": 1.0, "Jz": 0.0, "B": 3.0, "b": 0.0, "T": 0.05078125}, 2.0**-966)
 def test_eval_and_ground_are_invariant(params, lam):
     names = ("J", "Jz", "B", "b", "T")
     value = run("eval", **scaled(params, 1.0, *names))["concurrence"]
@@ -87,3 +103,36 @@ def test_sweep_values_are_invariant(params, lam, name):
                    **scaled(params, scale, *fixed))["values"]
 
     assert values(lam) == values(1.0)
+
+
+@pytest.mark.parametrize(
+    "axis, mantissas",
+    [
+        ("t", {"j": "1.5", "b": "1"}),
+        ("t", {"j": "1.5", "b": "1.35"}),  # the root lies past the double range
+        ("b", {"j": "1.5", "jz": "-1", "t": "1"}),
+    ],
+    ids=["t", "t-past-range", "b"],
+)
+def test_critical_at_the_top_of_the_range(axis, mantissas):
+    # A bracket loop that never ends must fail the suite, not stall it, so each
+    # command runs in a child process with a timeout.
+    src = str(Path(xxzent.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def location(exponent):
+        flags = [f"--{name}={value}{exponent}" for name, value in mantissas.items()]
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "xxzent.cli", "critical", "--axis", axis,
+             *flags],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0 and result.stderr == ""
+        return json.loads(result.stdout)["results"]
+
+    expected = 1e308 * location("")["location"]
+    results = location("e308")
+    if math.isinf(expected):
+        assert results["location"] is None and "past the double range" in results["note"]
+    else:
+        assert results["location"] == pytest.approx(expected, rel=1e-12)

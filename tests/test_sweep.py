@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from xxzent.model import (
-    BoltzmannOverflowError,
     InvalidParameterError,
     NonPositiveTemperatureError,
     ZeroXYCouplingError,
@@ -40,7 +39,7 @@ class TestAxis:
             (("T", -1.0, 1, 5), NonPositiveTemperatureError),
             (("B", -1.0, 1, 5), InvalidParameterError),
             (("b", math.inf, 1, 5), InvalidParameterError),
-            (("T", 1e-9, 1, 5), BoltzmannOverflowError),
+            (("T", -1e-300, 1, 5), NonPositiveTemperatureError),
             (("T", 0.1, math.inf, 5), InvalidParameterError),
         ],
     )
@@ -51,6 +50,10 @@ class TestAxis:
 
     def test_single_point(self):
         assert np.array_equal(Axis("T", 0.7, 0.7, 1).values(), [0.7])
+
+    @pytest.mark.parametrize("start", [1e-9, 1e-300])
+    def test_accepts_every_positive_temperature(self, start):
+        assert Axis("T", start, 1.0, 5).values()[0] == start
 
 
 class TestSweep:

@@ -7,14 +7,13 @@ import pytest
 from xxzent.cli import main
 from xxzent.linalg import hermitian_eigen, hermiticity_defect
 from xxzent.model import (
-    BoltzmannOverflowError,
     InvalidParameterError,
     NonPositiveTemperatureError,
     PureState,
     ZeroXYCouplingError,
+    _energies,
     build_hamiltonian,
     closed_spectrum,
-    energy_values,
     ground_state,
     pure_concurrence,
 )
@@ -113,8 +112,15 @@ class TestGibbsClosed:
             gibbs_closed(*P_REFERENCE, 0.0)
         with pytest.raises(NonPositiveTemperatureError):
             gibbs_closed(*P_REFERENCE, -1.0)
-        with pytest.raises(BoltzmannOverflowError):
-            gibbs_closed(*P_REFERENCE, 1e-9)
+
+    def test_accepts_every_positive_temperature(self):
+        # J = T = 1e-9 is the reference point scaled down, so the same state
+        rho = gibbs_closed(*(1e-9 * x for x in P_REFERENCE), 1e-9)
+        assert np.array_equal(rho, gibbs_closed(*P_REFERENCE, 1.0))
+        # and at its own scale, far below the level gap, a valid state
+        rho = gibbs_closed(*P_REFERENCE, 1e-9)
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert hermitian_eigen(rho).values[0] >= -1e-12
 
     def test_exponent_guard(self):
         # |E|/T is about 2900 here: no exponent guard refuses it, and the
@@ -354,7 +360,7 @@ class TestStackedKernels:
         for kernel in GUARDED:
             for bad_T, error in (
                 (0.0, NonPositiveTemperatureError),
-                (1e-9, BoltzmannOverflowError),  # temperature guard
+                (1e-9, None),  # far below every level gap, accepted
                 (1e-5, None),  # |E|/T >= 5000, accepted: no exponent guard
             ):
                 temps = T.copy()
@@ -396,7 +402,7 @@ class TestStackedKernels:
     def test_unguarded_kernels_take_any_field(self):
         h = build_hamiltonian(1.0, 0.4, -0.5, 0.2)
         assert h[0, 0] == pytest.approx(-0.3, abs=1e-15)
-        assert energy_values(1.0, 0.4, -0.5, 0.2)[1] == pytest.approx(-0.3, abs=1e-15)
+        assert _energies(1.0, 0.4, -0.5, 0.2)[0][1] == pytest.approx(-0.3, abs=1e-15)
         assert 0.0 <= concurrence_values(1.0, 0.4, -0.5, 0.2, 1.0) <= 1.0
 
     def test_state_checks_fire_for_one_member(self):
