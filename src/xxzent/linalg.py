@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for 4x4 Hermitian problems.
+"""Dense real or complex linear algebra for 4x4 Hermitian problems.
 
 Everything downstream works in the fixed product basis
 {|1,1>, |1,0>, |0,1>, |0,0>} (index 0..3), so the only solver needed is a
@@ -6,10 +6,11 @@ cyclic Jacobi eigensolver for 4x4 Hermitian matrices.  Keeping the solver
 in-package (rather than calling out to LAPACK) makes the spectral route a
 genuinely independent cross-check of the closed-form spectrum.
 
-Every function takes one 4x4 matrix or a (..., 4, 4) stack of them.  The
-Jacobi rotations run over the whole stack at once, but each matrix keeps its
-own convergence test, so a matrix gets the same result alone as inside any
-stack.  Errors name the index of the first offending matrix in a stack.
+Every function takes one 4x4 matrix or a (..., 4, 4) stack of them, real or
+complex, and computes in that dtype.  The Jacobi rotations run over the whole
+stack at once, but each matrix keeps its own convergence test, so a matrix
+gets the same result alone as inside any stack.  Errors name the index of the
+first offending matrix in a stack.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ SPIN_FLIP = np.array(
         [0, 1, 0, 0],
         [-1, 0, 0, 0],
     ],
-    dtype=complex,
+    dtype=float,
 )
 
 
@@ -75,8 +76,9 @@ _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 
 def _stack(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Complex (N, 4, 4) copy of a 4x4 matrix or (..., 4, 4) stack, and its leading shape."""
-    m = np.array(matrix, dtype=complex)
+    """Real or complex (N, 4, 4) copy of one 4x4 matrix or a stack, and its leading shape."""
+    m = np.asarray(matrix)
+    m = np.array(m, dtype=np.result_type(m, float))
     if m.ndim < 2 or m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {m.shape}")
     return m.reshape(-1, 4, 4), m.shape[:-2]
@@ -95,30 +97,36 @@ def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
 
     A float for one matrix, an array of the leading shape for a stack.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     defect = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
     return float(defect) if m.ndim == 2 else defect
 
 
-def _off_norm(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of the off-diagonal part of each matrix of an (N, 4, 4) stack."""
-    return np.sqrt((np.abs(a[:, _OFF_DIAGONAL]) ** 2).sum(axis=-1))
+def _off_diagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest off-diagonal |entry| and largest |entry| of each matrix of an (N, 4, 4) stack."""
+    mag = np.abs(a)
+    return mag[:, _OFF_DIAGONAL].max(axis=-1), mag.max(axis=(-2, -1))
 
 
-def _rotation(gamma, app, aqq, needed):
-    """Jacobi rotation (c, s, phase) zeroing the coupling gamma of a 2x2 block.
+def _rotation(p, q, gamma, app, aqq, needed) -> np.ndarray:
+    """Unitaries (n, 4, 4) of one round, each zeroing the coupling gamma of its two planes.
 
-    Phase out gamma, then rotate by the classic angle choice
+    Per plane, phase out gamma, then rotate by the classic angle choice
     t = sign(tau)/(|tau| + sqrt(1+tau^2)) for the phased real block with
-    diagonal (app, aqq).  Where `needed` is False the rotation is the exact
-    identity c = 1, s = 0, phase = 1.
+    diagonal (app, aqq): u equals the identity except u[p,p] = c, u[p,q] = s,
+    u[q,p] = -s conj(phase) and u[q,q] = c conj(phase).  Where `needed` is
+    False the plane's rotation is the exact identity c = 1, s = 0, phase = 1.
     """
     r = np.where(needed, np.abs(gamma), 1.0)
     phase = np.where(needed, gamma / r, 1.0)
     tau = (aqq - app) / (2.0 * r)
     t = np.where(needed, np.copysign(1.0 / (np.abs(tau) + np.hypot(1.0, tau)), tau), 0.0)
     c = 1.0 / np.hypot(1.0, t)
-    return c, t * c, phase
+    s = t * c
+    u = np.zeros((len(c), 4, 4), dtype=phase.dtype)
+    u[:, p, p], u[:, p, q] = c, s
+    u[:, q, p], u[:, q, q] = -s * phase.conj(), c * phase.conj()
+    return u
 
 
 def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
@@ -127,8 +135,8 @@ def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
     For one matrix, values has shape (4,) and vectors (4, 4); a stack adds
     its leading shape to both.  Raises ValueError for any other shape,
     NonHermitianError if a matrix fails the Hermiticity check and
-    NoConvergenceError if a matrix's off-diagonal norm has not dropped below
-    OFF_DIAGONAL_TOL within MAX_SWEEPS sweeps.
+    NoConvergenceError if a matrix's largest off-diagonal |entry| is still
+    above OFF_DIAGONAL_TOL times its largest |entry| after MAX_SWEEPS sweeps.
     """
     m, lead = _stack(matrix)
     defect = hermiticity_defect(m)
@@ -139,36 +147,29 @@ def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
             f"{defect[bad[0]]:.3e} > {HERMITICITY_TOL:.0e}"
         )
     # Rows 0-3 of each 8x4 block hold a, rows 4-7 the accumulated
-    # eigenvectors v: a column rotation a <- a u, v <- v u is one update.
+    # eigenvectors v: a column rotation a <- a u, v <- v u is one product.
     av = np.concatenate(
         [(m + m.conj().swapaxes(-1, -2)) / 2.0, np.broadcast_to(np.eye(4), m.shape)], axis=1
     )
     active = np.arange(len(av))  # matrices still above the off-diagonal tolerance
     for _ in range(MAX_SWEEPS):
-        active = active[_off_norm(av[active, :4]) > OFF_DIAGONAL_TOL]
+        off, largest = _off_diagonal(av[active, :4])
+        active = active[off > OFF_DIAGONAL_TOL * largest]  # scale-free, squares nothing
         if not active.size:
             break
         w = av[active]
         for p, q in _ROUNDS:
             gamma = w[:, p, q]
-            c, s, phase = _rotation(gamma, w[:, p, p].real, w[:, q, q].real, gamma != 0.0)
-            # a <- adj(u) a u and v <- v u, for the unitary u equal to the
-            # identity except u[p,p] = c, u[p,q] = s, u[q,p] = -s conj(phase)
-            # and u[q,q] = c conj(phase), per plane.  Columns first, then rows;
-            # the fancy-indexed slices are copies.
-            s_phase, c_phase = s * phase, c * phase
-            col_p, col_q = w[:, :, p], w[:, :, q]
-            w[:, :, p] = c[:, None] * col_p - s_phase.conj()[:, None] * col_q
-            w[:, :, q] = s[:, None] * col_p + c_phase.conj()[:, None] * col_q
-            row_p, row_q = w[:, p, :], w[:, q, :]
-            w[:, p, :] = c[..., None] * row_p - s_phase[..., None] * row_q
-            w[:, q, :] = s[..., None] * row_p + c_phase[..., None] * row_q
+            u = _rotation(p, q, gamma, w[:, p, p].real, w[:, q, q].real, gamma != 0.0)
+            w = w @ u  # a <- a u, v <- v u
+            w[:, :4] = u.conj().swapaxes(-1, -2) @ w[:, :4]  # a <- adj(u) a
         av[active] = w
     else:
+        off, largest = _off_diagonal(av[active[:1], :4])
         raise NoConvergenceError(
             f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps "
-            f"({_which(lead, active[0])}, off-diagonal norm "
-            f"{_off_norm(av[active[:1], :4])[0]:.3e})"
+            f"({_which(lead, active[0])}, largest off-diagonal entry "
+            f"{off[0]:.3e} against largest entry {largest[0]:.3e})"
         )
     diag = np.diagonal(av[:, :4], axis1=-2, axis2=-1).real
     order = np.argsort(diag, axis=-1, kind="stable")
@@ -197,7 +198,7 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """Singular values of 4x4 complex matrices, descending along the last axis.
+    """Singular values of 4x4 real or complex matrices, descending along the last axis.
 
     One-sided Jacobi: rotate column pairs until mutually orthogonal, then the
     singular values are the column norms.  No Gram matrix is ever formed, so
@@ -206,24 +207,20 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     first sweep that rotates none of its column pairs.
     """
     m, lead = _stack(matrix)
-    cols = m.swapaxes(-1, -2).copy()  # cols[:, k] is column k
-    active = np.arange(len(cols))  # matrices whose last sweep rotated
+    active = np.arange(len(m))  # matrices whose last sweep rotated
     for _ in range(MAX_SWEEPS):
-        sub = cols[active]
+        w = m[active]
         rotated = np.zeros(len(active), dtype=bool)
         for p, q in _ROUNDS:
-            x, y = sub[:, p], sub[:, q]  # copies, (n, 2, 4)
-            app = (x.conj() * x).sum(axis=-1).real
-            aqq = (y.conj() * y).sum(axis=-1).real
-            apq = (x.conj() * y).sum(axis=-1)
+            x, y = w[:, :, p], w[:, :, q]  # columns p and q, (n, 4, 2)
+            app = (x.conj() * x).sum(axis=-2).real
+            aqq = (y.conj() * y).sum(axis=-2).real
+            apq = (x.conj() * y).sum(axis=-2)
             scale = np.sqrt(app * aqq)
             needed = (scale != 0.0) & (np.abs(apq) > 1e-15 * scale)
             rotated |= needed.any(axis=-1)
-            c, s, phase = _rotation(apq, app, aqq, needed)
-            c, s, phase = c[..., None], s[..., None], phase[..., None]
-            sub[:, p] = c * x - s * phase.conj() * y
-            sub[:, q] = s * phase * x + c * y
-        cols[active] = sub
+            w = w @ _rotation(p, q, apq, app, aqq, needed)
+        m[active] = w
         active = active[rotated]
         if not active.size:
             break
@@ -232,5 +229,5 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
             f"one-sided Jacobi did not converge in {MAX_SWEEPS} sweeps "
             f"({_which(lead, active[0])})"
         )
-    norms = np.sqrt(np.sum(np.abs(cols) ** 2, axis=-1))
+    norms = np.sqrt(np.sum(np.abs(m) ** 2, axis=-2))
     return np.sort(norms, axis=-1)[:, ::-1].reshape(lead + (4,))

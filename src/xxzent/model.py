@@ -152,7 +152,7 @@ def build_hamiltonian(J, Jz, B, b) -> np.ndarray:
     accepts J = 0 and any sign of B.
     """
     J, Jz, B, b = np.broadcast_arrays(J, Jz, B, b)
-    h = np.zeros(J.shape + (4, 4), dtype=complex)
+    h = np.zeros(J.shape + (4, 4))
     h[..., 0, 0] = (Jz + 2.0 * B) / 2.0
     h[..., 1, 1] = (-Jz + 2.0 * b) / 2.0
     h[..., 2, 2] = (-Jz - 2.0 * b) / 2.0

@@ -73,7 +73,9 @@ class Axis:
             )
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
+        # halve a span past the double range; halving and doubling are exact there
+        scale = 2.0 if abs(self.stop - self.start) == np.inf else 1.0
+        return scale * np.linspace(self.start / scale, self.stop / scale, self.points)
 
 
 @dataclass(frozen=True)

@@ -149,15 +149,15 @@ def log_sign_values(J, Jz, b, T) -> np.ndarray:
 def gibbs_closed(J, Jz, B, b, T) -> np.ndarray:
     """Closed-form Gibbs states exp(-H/T)/Z over broadcast parameters, (..., 4, 4).
 
-    Entries are assembled from shifted Boltzmann weights so the matrices
-    never overflow.  Requires J != 0; guarded.
+    Real symmetric, and assembled from shifted Boltzmann weights so the
+    matrices never overflow.  Requires J != 0; guarded.
     """
     _check_params("closed-form Gibbs state", J=J, Jz=Jz, B=B, b=b, T=T)
     (J, b, _), _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
     zs = w1 + w2 + w3 + w4
     half_sum = 0.5 * (w3 + w4)
     half_diff = 0.5 * (w3 - w4)
-    rho = np.zeros(np.shape(zs) + (4, 4), dtype=complex)
+    rho = np.zeros(np.shape(zs) + (4, 4))
     rho[..., 0, 0] = w2 / zs
     rho[..., 1, 1] = (half_sum - (b / eta) * half_diff) / zs
     rho[..., 2, 2] = (half_sum + (b / eta) * half_diff) / zs
@@ -198,6 +198,7 @@ def gibbs_spectral(J, Jz, B, b, T) -> np.ndarray:
     Independent of the closed form; accepts J = 0.  Guarded.
     """
     _check_params(J=J, Jz=Jz, B=B, b=b, T=T)
+    (J, Jz, B, b, T), _ = _rescaled(J, Jz, B, b, T)  # the state depends only on H/T
     values, vectors = hermitian_eigen(build_hamiltonian(J, Jz, B, b))
     w = np.exp(-(values - values[..., :1]) / np.asarray(T)[..., np.newaxis])
     rho = (vectors * w[..., np.newaxis, :]) @ vectors.conj().swapaxes(-1, -2)
@@ -226,7 +227,6 @@ def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the square root of machine roundoff).  Every state must pass the
     Hermitian, unit-trace and PSD checks.
     """
-    rho = np.asarray(rho, dtype=complex)
     _check_density_matrix(rho)
     try:
         root = psd_sqrt(rho)

@@ -31,9 +31,12 @@ from .thermal import (
 SYMMETRY_TOL = 1e-12
 
 # Draws per whole-array call.  It bounds the memory the (N, 4, 4) stacks
-# take: for 5000 draws, one block peaks at about 70 MB RSS against 41.5 MB
-# with blocks of 512, which also ran fastest among sizes 64 to 5000.
-BLOCK_DRAWS = 512
+# take: `verify --samples 5000` peaks at 40.1 MB RSS with blocks of 1024,
+# 38.0 MB with 512, 40.8 MB with 1280 and 51.9 MB in one block of 5000.
+# 1024 ran fastest of the sizes 256 to 5000 that peak under 40.5 MB (the
+# suites take 0.165 s, against 0.19 s with 512, on a 2-core Xeon VM); 2048
+# and 2500 ran about 5% faster at 43-44 MB.
+BLOCK_DRAWS = 1024
 
 B_MONOTONIC_GRID = np.arange(0.0, 3.0 + 0.125, 0.25)
 

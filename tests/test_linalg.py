@@ -12,7 +12,7 @@ from xxzent.linalg import (
     singular_values,
 )
 from xxzent.model import build_hamiltonian, closed_spectrum
-from xxzent.thermal import gibbs_closed
+from xxzent.thermal import gibbs_closed, wootters_concurrence
 
 
 def random_hermitian(rng):
@@ -101,6 +101,15 @@ class TestHermitianEigen:
         with pytest.raises(NoConvergenceError, match="matrix 1,"):
             hermitian_eigen(m)
 
+    @pytest.mark.parametrize("exponent", [-600, -60, 60, 600])
+    def test_stopping_test_is_scale_free(self, exponent):
+        rng = np.random.default_rng(114)
+        h = build_hamiltonian(*rng.uniform(-3, 3, (4, 50)))
+        values, vectors = hermitian_eigen(h)
+        scaled = hermitian_eigen(np.ldexp(h, exponent))
+        assert np.array_equal(scaled.values, np.ldexp(values, exponent))
+        assert np.array_equal(scaled.vectors, vectors)
+
     def test_matches_closed_spectrum(self):
         # module-boundary oracle contract (full 10^4 version in acceptance)
         rng = np.random.default_rng(102)
@@ -176,6 +185,51 @@ class TestElementaryOps:
         expected[0, 3] = expected[3, 0] = -1
         expected[1, 2] = expected[2, 1] = 1
         assert np.array_equal(SPIN_FLIP.real, expected)
+
+
+class TestDtype:
+    """Real input runs and returns real; complex input stays complex."""
+
+    @staticmethod
+    def real_stacks():
+        rng = np.random.default_rng(115)
+        a = rng.normal(size=(300, 4, 4))
+        psd = a @ a.swapaxes(-1, -2)
+        return {
+            "symmetric": a + a.swapaxes(-1, -2),
+            "psd": psd / np.trace(psd, axis1=-2, axis2=-1)[:, None, None],
+            "general": a,
+            "gibbs": gibbs_closed(*rng.uniform(0.05, 3, (5, 300))),
+        }
+
+    @staticmethod
+    def results(stacks):
+        values, vectors = hermitian_eigen(stacks["symmetric"])
+        concurrence, roots = wootters_concurrence(stacks["gibbs"])
+        return {
+            "values": values, "vectors": vectors, "sqrt": psd_sqrt(stacks["psd"]),
+            "singular": singular_values(stacks["general"]),
+            "concurrence": concurrence, "roots": roots,
+        }
+
+    def test_real_in_real_out(self):
+        for name, result in self.results(self.real_stacks()).items():
+            assert result.dtype == np.float64, name
+
+    def test_complex_stays_complex(self):
+        stacks = {name: m.astype(complex) for name, m in self.real_stacks().items()}
+        result = self.results(stacks)
+        assert result["vectors"].dtype == result["sqrt"].dtype == np.complex128
+
+    def test_real_matches_complex(self):
+        stacks = self.real_stacks()
+        real = self.results(stacks)
+        cast = self.results({name: m.astype(complex) for name, m in stacks.items()})
+        # eigenvectors agree up to a sign or phase per column
+        overlap = np.abs(np.sum(real.pop("vectors") * cast.pop("vectors").conj(), axis=-2))
+        assert np.max(np.abs(overlap - 1.0)) <= 1e-14
+        for name in real:
+            assert np.max(np.abs(real[name] - cast[name])) <= 1e-14, name
 
 
 class TestSingularValues:

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +52,15 @@ class TestAxis:
 
     def test_single_point(self):
         assert np.array_equal(Axis("T", 0.7, 0.7, 1).values(), [0.7])
+
+    @pytest.mark.parametrize("top", [1.7e308, sys.float_info.max])
+    def test_span_past_the_double_range(self, top):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in the span
+            values = Axis("J", -top, top, 5).values()
+        assert values[0] == -top and values[2] == 0.0 and values[-1] == top
+        assert np.all(np.diff(values) > 0)
+        assert np.allclose(values, [-top, -top / 2, 0.0, top / 2, top], rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("start", [1e-9, 1e-300])
     def test_accepts_every_positive_temperature(self, start):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -142,6 +143,16 @@ class TestGibbsSpectral:
         closed = gibbs_closed(*columns)
         spectral = gibbs_spectral(*columns)
         assert np.max(np.abs(closed - spectral)) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-14, 1e-300, 1e-320, 1e300])
+    def test_scale_free(self, scale):
+        # the state depends only on H/T: a coupling far below 1 is still resolved
+        rho = gibbs_spectral(scale, 0.0, 0.0, scale, scale)
+        assert np.max(np.abs(rho - gibbs_spectral(1.0, 0.0, 0.0, 1.0, 1.0))) <= 1e-16
+
+    def test_top_of_the_double_range(self):
+        rho = gibbs_spectral(1.5e308, 0.0, 0.0, 1.35e308, 1e308)
+        assert np.array_equal(rho, gibbs_spectral(1.5, 0.0, 0.0, 1.35, 1.0))
 
     def test_diagonal_hamiltonian(self):
         rho = gibbs_spectral(0.0, 1.0, 0.0, 0.0, 1.0)
@@ -408,11 +419,14 @@ class TestStackedKernels:
     def test_state_checks_fire_for_one_member(self):
         rng = np.random.default_rng(316)
         _, columns = draw_columns(rng, 50)
-        rho = gibbs_closed(*columns)
-        for corrupt in (
-            lambda m: m * 2.0,  # trace 2
-            lambda m: m + np.triu(np.full((4, 4), 1e-3), 1),  # not Hermitian
-            lambda m: np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex),  # not PSD
+        real = gibbs_closed(*columns)
+        for rho, corrupt in itertools.product(
+            (real, real.astype(complex)),
+            (
+                lambda m: m * 2.0,  # trace 2
+                lambda m: m + np.triu(np.full((4, 4), 1e-3), 1),  # not Hermitian
+                lambda m: np.diag([0.6, 0.5, 0.0, -0.1]),  # not PSD
+            ),
         ):
             bad = rho.copy()
             bad[12] = corrupt(bad[12])
