@@ -101,13 +101,14 @@ def _emit(record: dict, out: str | None) -> None:
 
 def _write_csv(grid: SweepGrid, stream) -> None:
     """Write the grid as CSV, each axis value formatted once: a first-axis row is the
-    last axis's line template, with the row's label for NUL, filled by one `%`."""
+    last axis's line template, with the row's label for NUL, filled by one `%`.  The
+    template is bytes, whose `%` is faster than str's; rows are decoded for the stream."""
     stream.write(",".join([axis.name for axis in grid.axes] + ["concurrence"]) + "\n")
-    *outer, inner = (["%.17g" % x for x in axis.values().tolist()] for axis in grid.axes)
-    template = "".join(f"\0{x},%.17g\n" for x in inner)
-    prefixes = [x + "," for x in outer[0]] if outer else [""]
+    *outer, inner = ([b"%.17g" % x for x in axis.values().tolist()] for axis in grid.axes)
+    template = b"".join(b"\0%s,%%.17g\n" % x for x in inner)
+    prefixes = [x + b"," for x in outer[0]] if outer else [b""]
     for prefix, row in zip(prefixes, grid.values.reshape(len(prefixes), -1)):
-        stream.write(template.replace("\0", prefix) % tuple(row.tolist()))
+        stream.write((template.replace(b"\0", prefix) % tuple(row.tolist())).decode("ascii"))
 
 
 def _grid_record(grid: SweepGrid) -> dict:

@@ -10,11 +10,13 @@ Every function takes one 4x4 matrix or a (..., 4, 4) stack of them, real or
 complex, and computes in that dtype.  The Jacobi rotations run over the whole
 stack at once, but each matrix keeps its own convergence test, so a matrix
 gets the same result alone as inside any stack.  Errors name the index of the
-first offending matrix in a stack.
+first offending matrix in a stack.  A matrix far from unit scale is solved
+divided by a power of two, and its results scaled back exactly.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +86,17 @@ def _stack(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return m.reshape(-1, 4, 4), m.shape[:-2]
 
 
+def _normalized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """Each matrix of the (N, 4, 4) stack divided by the power of two that brings its largest
+    |entry| into [2**-250, 2**250), and the powers, (N, 1), or 1.0 where all are 1 (as for zero
+    or non-finite matrices); there singular_values' products of squared column norms are normal."""
+    _, exponent = np.frexp(reduce(np.maximum, np.abs(m).reshape(-1, 16).T))
+    shift = exponent - np.clip(exponent, -249, 250)
+    if not np.any(shift):  # the usual case: the stack itself, untouched
+        return m, 1.0
+    return m * np.ldexp(1.0, -shift)[:, np.newaxis, np.newaxis], np.ldexp(1.0, shift)[:, np.newaxis]
+
+
 def _which(lead: tuple[int, ...], flat: int) -> str:
     """Name matrix number `flat` of a stack with leading shape `lead`."""
     if not lead:
@@ -146,6 +159,7 @@ def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
             f"{_which(lead, bad[0])} is not Hermitian: max asymmetry "
             f"{defect[bad[0]]:.3e} > {HERMITICITY_TOL:.0e}"
         )
+    m, unit = _normalized(m)
     # Rows 0-3 of each 8x4 block hold a, rows 4-7 the accumulated
     # eigenvectors v: a column rotation a <- a u, v <- v u is one product.
     av = np.concatenate(
@@ -173,7 +187,7 @@ def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
         )
     diag = np.diagonal(av[:, :4], axis1=-2, axis2=-1).real
     order = np.argsort(diag, axis=-1, kind="stable")
-    values = np.take_along_axis(diag, order, axis=-1)
+    values = np.take_along_axis(diag, order, axis=-1) * unit
     vectors = np.take_along_axis(av[:, 4:], order[:, np.newaxis, :], axis=-1)
     return EigenSystem(values.reshape(lead + (4,)), vectors.reshape(lead + (4, 4)))
 
@@ -207,6 +221,7 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     first sweep that rotates none of its column pairs.
     """
     m, lead = _stack(matrix)
+    m, unit = _normalized(m)
     active = np.arange(len(m))  # matrices whose last sweep rotated
     for _ in range(MAX_SWEEPS):
         w = m[active]
@@ -229,5 +244,5 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
             f"one-sided Jacobi did not converge in {MAX_SWEEPS} sweeps "
             f"({_which(lead, active[0])})"
         )
-    norms = np.sqrt(np.sum(np.abs(m) ** 2, axis=-2))
+    norms = np.sqrt(np.sum(np.abs(m) ** 2, axis=-2)) * unit
     return np.sort(norms, axis=-1)[:, ::-1].reshape(lead + (4,))

@@ -1,12 +1,14 @@
 """Concurrence sweeps over parameter grids and critical-point finders.
 
-Grids evaluate the vectorized X-state kernel, so full figure regeneration
-takes milliseconds.  Critical points are zeros of the analytic sign function
-g rather than "concurrence < eps" thresholds: g is monotone along every axis
-searched here (decreasing in T where a root can exist, increasing in |b|),
-so its limits decide existence and bisection from a bracket grown from the
-parameters' own scale certifies the location; no absolute constant decides
-an answer.  Regimes where the concurrence only decays asymptotically
+Grids evaluate the vectorized X-state kernel on an open mesh: the first
+axis enters shaped (n, 1) and the second (1, m), as np.ix_ builds them, so a
+quantity that depends on one axis is computed once per value of that axis,
+not once per grid point.  Critical points are zeros of the analytic sign
+function g rather than "concurrence < eps" thresholds: g is monotone along
+every axis searched here (decreasing in T where a root can exist, increasing
+in |b|), so its limits decide existence and bisection from a bracket grown
+from the parameters' own scale certifies the location; no absolute constant
+decides an answer.  Regimes where the concurrence only decays asymptotically
 report no finite root instead of a fabricated one.
 """
 
@@ -118,20 +120,12 @@ def _validate_sweep(axes: Sequence[Axis], fixed: Mapping[str, float]) -> None:
     _check_params(**fixed)
 
 
-def axis_columns(axes: Sequence[Axis]) -> list[np.ndarray]:
-    """Axis-major (first axis slowest) flattened coordinate columns."""
-    if len(axes) == 1:
-        return [axes[0].values()]
-    mesh = np.meshgrid(*[a.values() for a in axes], indexing="ij")
-    return [m.ravel() for m in mesh]
-
-
-def _grid(axes: tuple[Axis, ...], fixed: dict[str, float], flat, **notes) -> SweepGrid:
-    """SweepGrid of axis-major values `flat`, with the metadata every grid carries."""
+def _grid(axes: tuple[Axis, ...], fixed: dict[str, float], values, **notes) -> SweepGrid:
+    """SweepGrid of the values over `axes`, with the metadata every grid carries."""
     return SweepGrid(
         fixed=fixed,
         axes=axes,
-        values=np.asarray(flat, dtype=float).reshape(tuple(a.points for a in axes)),
+        values=np.asarray(values, dtype=float).reshape(tuple(a.points for a in axes)),
         metadata={"method": METHOD_XSTATE, "tolerances": {"route_agreement": ROUTE_TOL}, **notes},
     )
 
@@ -146,12 +140,9 @@ def sweep(axes: Sequence[Axis], fixed: Mapping[str, float]) -> SweepGrid:
     _validate_sweep(axes, fixed)
     fixed = {k: float(v) for k, v in fixed.items()}
     params: dict[str, object] = dict(fixed)
-    for axis, column in zip(axes, axis_columns(axes)):
-        params[axis.name] = column
-    flat = concurrence_values(
-        params["J"], params["Jz"], params["B"], params["b"], params["T"]
-    )
-    return _grid(axes, fixed, flat)
+    for axis, values in zip(axes, np.ix_(*[a.values() for a in axes])):
+        params[axis.name] = values
+    return _grid(axes, fixed, concurrence_values(*(params[name] for name in PARAM_NAMES)))
 
 
 def _sign_root(axis, h, scale, decreasing: bool, note="") -> CriticalPoint:
@@ -270,10 +261,10 @@ def figure_data(figure: int, points: int = 201) -> list[SweepGrid]:
         ]
     if figure == 2:
         axes = (Axis("B", 0.0, 1.0, points), Axis("T", 0.01, 0.6, points))
-        columns = axis_columns(axes)
-        flat = concurrence_values(-2.0, -2.0, 2.0 * columns[0], 0.916, columns[1])
+        B, T = np.ix_(*[a.values() for a in axes])
         grid = _grid(
-            axes, {"J": -1.0, "Jz": -1.0, "b": 0.458}, flat,
+            axes, {"J": -1.0, "Jz": -1.0, "b": 0.458},
+            concurrence_values(-2.0, -2.0, 2.0 * B, 0.916, T),
             note="isotropic Jz=J preset evaluated at doubled parameters "
             "(J,Jz,B,b) -> (2J,2Jz,2B,2b); axes are in the undoubled units",
         )

@@ -1,16 +1,20 @@
 """Reference CSV writer: the per-field form that `xxzent sweep` CSV output must match.
 
-It formats every field of every row with `format(float(x), ".17g")` over the
-meshgrid coordinate columns, and builds the whole table as one string.  The
-CLI's streaming writer must produce exactly these bytes.
+It formats every field of every row with `format(float(x), ".17g")` over
+axis-major (first axis slowest) meshgrid coordinate columns that it builds
+itself, and builds the whole table as one string.  The CLI's streaming writer
+must produce exactly these bytes.
 """
 
-from xxzent.sweep import SweepGrid, axis_columns
+import numpy as np
+
+from xxzent.sweep import SweepGrid
 
 
 def grid_csv(grid: SweepGrid) -> str:
     names = [axis.name for axis in grid.axes]
-    columns = axis_columns(grid.axes) + [grid.values.ravel()]
+    mesh = np.meshgrid(*[axis.values() for axis in grid.axes], indexing="ij")
+    columns = [m.ravel() for m in mesh] + [grid.values.ravel()]
     lines = [",".join(names + ["concurrence"])]
     for row in zip(*columns):
         lines.append(",".join(format(float(x), ".17g") for x in row))

@@ -1,7 +1,7 @@
 """The streaming CSV writer of `xxzent sweep` against the per-field oracle.
 
 The writer formats each axis value once and fills a whole row of
-concurrences through one `%` of a preformatted template; its bytes must equal
+concurrences through one bytes `%` of a preformatted template; its bytes must equal
 those of tests/csv_oracle.py on every grid shape, on the bundled presets and
 on the extreme doubles, on stdout and in a file.
 """
@@ -86,8 +86,8 @@ DOUBLES = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.
 @settings(max_examples=2000, deadline=None, database=None)
 @given(DOUBLES)
 def test_percent_format_is_format_spec(x):
-    # the template's `%.17g` and the oracle's format spec print every double alike
-    assert "%.17g" % x == format(x, ".17g")
+    # the template's bytes `%.17g` and the oracle's format spec print every double alike
+    assert b"%.17g" % x == format(x, ".17g").encode("ascii")
 
 
 def run_cli(*argv):

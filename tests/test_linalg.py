@@ -264,3 +264,46 @@ class TestSingularValues:
         sigma = singular_values(np.outer(u, v))
         assert sigma[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
         assert np.all(sigma[1:] <= 1e-12)
+
+
+class TestScaleCovariance:
+    """Results at 2**k times a matrix are 2**k times its results, over the double range."""
+
+    EXPONENTS = [-1000, -800, -500, -260, -250, -240, -1, 1, 240, 250, 260, 500, 800, 1000]
+
+    @pytest.mark.parametrize("k", EXPONENTS)
+    def test_hermitian_eigen(self, k):
+        rng = np.random.default_rng(116)
+        m = np.stack([random_hermitian(rng) for _ in range(50)])
+        for stack in (m, m.real):
+            values, vectors = hermitian_eigen(stack)
+            scaled = hermitian_eigen(stack * 2.0**k)  # exact: every entry stays normal
+            assert np.array_equal(scaled.values, values * 2.0**k)
+            assert np.array_equal(scaled.vectors, vectors)
+
+    @pytest.mark.parametrize("k", EXPONENTS)
+    def test_singular_values(self, k):
+        rng = np.random.default_rng(117)
+        a = rng.uniform(-2, 2, (50, 4, 4))
+        for stack in (a, a + 1j * rng.uniform(-2, 2, (50, 4, 4))):
+            assert np.array_equal(singular_values(stack * 2.0**k), singular_values(stack) * 2.0**k)
+
+    def test_singular_values_past_the_square_root_of_the_range(self):
+        # squared entries of 1e200 overflow unless the matrix is scaled down first
+        sigma = singular_values(np.diag([1e200, 1e200, 1.0, 1.0]))
+        assert np.array_equal(sigma, [1e200, 1e200, 1.0, 1.0])
+
+    def test_singular_values_of_tiny_entries(self):
+        # squared entries of 1e-200 underflow to zero unless the matrix is scaled up first
+        a = np.random.default_rng(118).normal(size=(4, 4))
+        sigma = singular_values(a * 1e-200)
+        assert np.allclose(sigma, singular_values(a) * 1e-200, rtol=1e-14, atol=0)
+
+    def test_hermitian_eigen_near_the_largest_double(self):
+        # symmetrizing (m + adj(m)) / 2 overflows unless the matrix is scaled down first
+        m = np.zeros((4, 4))
+        m[0, 0], m[1, 1], m[0, 1], m[1, 0] = 1e308, -1e308, 1e307, 1e307
+        values = hermitian_eigen(m).values
+        assert np.array_equal(values, 4.0 * hermitian_eigen(m / 4.0).values)
+        expected = [-1.00498756211e308, 0.0, 0.0, 1.00498756211e308]
+        assert np.allclose(values, expected, rtol=1e-11, atol=0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import warnings
@@ -11,6 +12,7 @@ from xxzent.model import (
     ZeroXYCouplingError,
 )
 from xxzent.sweep import (
+    PARAM_NAMES,
     Axis,
     InvalidAxisError,
     UnknownFigureError,
@@ -19,7 +21,7 @@ from xxzent.sweep import (
     figure_data,
     sweep,
 )
-from xxzent.thermal import log_sign_values, thermal_concurrence
+from xxzent.thermal import concurrence_values, log_sign_values, thermal_concurrence
 
 TC_REFERENCE = 1 / math.log(1 + math.sqrt(2))
 
@@ -131,6 +133,49 @@ class TestSweep:
         error = InvalidParameterError if fixed.get("B", 0) < 0 else InvalidAxisError
         with pytest.raises(error):
             sweep(axes, fixed)
+
+
+def bits(values) -> np.ndarray:
+    """Bit patterns of doubles, so that NaN equals NaN and -0 differs from 0."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def meshgrid_values(axes, evaluate):
+    """evaluate(*columns) over flattened axis-major meshgrid columns, shaped as the grid."""
+    columns = [m.ravel() for m in np.meshgrid(*[a.values() for a in axes], indexing="ij")]
+    return evaluate(*columns).reshape(tuple(a.points for a in axes))
+
+
+class TestOpenMesh:
+    """The open mesh sweep evaluates on gives the meshgrid evaluation's bits."""
+
+    RANGES = {
+        "J": (-2.0, 1.5), "Jz": (-1.5, 2.0), "B": (0.0, 2.5), "b": (-2.5, 1.0), "T": (0.05, 2.0),
+    }
+    FIXED = {"J": 0.8, "Jz": 0.4, "B": 0.3, "b": 0.6, "T": 0.5}
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300, 2.0**-1060])
+    @pytest.mark.parametrize("names", list(itertools.permutations(PARAM_NAMES, 2)))
+    def test_sweep_matches_meshgrid(self, names, scale):
+        axes = [
+            Axis(name, self.RANGES[name][0] * scale, self.RANGES[name][1] * scale, points)
+            for name, points in zip(names, (7, 5))
+        ]
+        fixed = {k: v * scale for k, v in self.FIXED.items() if k not in names}
+
+        def evaluate(first, second):
+            params = {**fixed, names[0]: first, names[1]: second}
+            return concurrence_values(*(params[name] for name in PARAM_NAMES))
+
+        expected = meshgrid_values(axes, evaluate)
+        assert np.array_equal(bits(sweep(axes, fixed).values), bits(expected))
+
+    def test_fig2_matches_meshgrid_at_doubled_parameters(self):
+        (grid,) = figure_data(2)
+        expected = meshgrid_values(
+            grid.axes, lambda B, T: concurrence_values(-2.0, -2.0, 2.0 * B, 0.916, T)
+        )
+        assert np.array_equal(bits(grid.values), bits(expected))
 
 
 class TestCriticalTemperature:
