@@ -86,14 +86,16 @@ def _stack(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return m.reshape(-1, 4, 4), m.shape[:-2]
 
 
-def _normalized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-    """Each matrix of the (N, 4, 4) stack divided by the power of two that brings its largest
-    |entry| into [2**-250, 2**250), and the powers, (N, 1), or 1.0 where all are 1 (as for zero
-    or non-finite matrices); there singular_values' products of squared column norms are normal."""
-    _, exponent = np.frexp(reduce(np.maximum, np.abs(m).reshape(-1, 16).T))
-    shift = exponent - np.clip(exponent, -249, 250)
-    if not np.any(shift):  # the usual case: the stack itself, untouched
-        return m, 1.0
+def _power_of_two_shift(values, lowest: int, highest: int) -> np.ndarray:
+    """The s, per element, that puts max(|value|) / 2**s in [2**lowest, 2**highest)."""
+    _, exponent = np.frexp(reduce(np.maximum, map(np.abs, values)))
+    return exponent - 1 - np.clip(exponent - 1, lowest, highest - 1)
+
+
+def _normalized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stack, each matrix over the power of two that brings its largest |entry| into
+    [2**-250, 2**250) (so singular_values' squared norms stay normal), and the powers, (N, 1)."""
+    shift = _power_of_two_shift(m.reshape(-1, 16).T, -250, 250)
     return m * np.ldexp(1.0, -shift)[:, np.newaxis, np.newaxis], np.ldexp(1.0, shift)[:, np.newaxis]
 
 

@@ -17,11 +17,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
 
 import numpy as np
 
-from .linalg import XxzentError
+from .linalg import XxzentError, _power_of_two_shift
 
 BOUNDARY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-9
@@ -79,11 +78,9 @@ def _check_params(divides_by_J: str = "", **values) -> None:
 
 
 def _rescaled(*params):
-    """The parameters divided, elementwise and exactly, by the power of two that brings
-    their largest magnitude into [1, 2**(max_exp - 3)), and that power; broadcasts."""
-    _, exponent = np.frexp(reduce(np.maximum, map(np.abs, params)))
-    # levels and eta reach about 2.5 times the largest parameter: keep 3 bits of headroom
-    shift = exponent - 1 - np.clip(exponent - 1, 0, sys.float_info.max_exp - 4)
+    """The parameters divided, elementwise and exactly, by a power of two, and that power."""
+    # largest |parameter| into [1, 2**(max_exp - 3)): levels and eta reach about 2.5 times it
+    shift = _power_of_two_shift(params, 0, sys.float_info.max_exp - 3)
     if not np.any(shift):  # the usual case: the inputs themselves, not broadcast copies
         return params, 1.0
     return tuple(np.ldexp(v, -shift, dtype=float) for v in params), np.ldexp(1.0, shift)

@@ -11,10 +11,14 @@ import numpy as np
 from xxzent.sweep import SweepGrid
 
 
+def axis_major_columns(axes) -> list[np.ndarray]:
+    """Flattened meshgrid coordinate columns of the axes, first axis slowest."""
+    return [m.ravel() for m in np.meshgrid(*[axis.values() for axis in axes], indexing="ij")]
+
+
 def grid_csv(grid: SweepGrid) -> str:
     names = [axis.name for axis in grid.axes]
-    mesh = np.meshgrid(*[axis.values() for axis in grid.axes], indexing="ij")
-    columns = [m.ravel() for m in mesh] + [grid.values.ravel()]
+    columns = axis_major_columns(grid.axes) + [grid.values.ravel()]
     lines = [",".join(names + ["concurrence"])]
     for row in zip(*columns):
         lines.append(",".join(format(float(x), ".17g") for x in row))

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from csv_oracle import axis_major_columns
 from xxzent.model import (
     InvalidParameterError,
     NonPositiveTemperatureError,
@@ -142,8 +143,7 @@ def bits(values) -> np.ndarray:
 
 def meshgrid_values(axes, evaluate):
     """evaluate(*columns) over flattened axis-major meshgrid columns, shaped as the grid."""
-    columns = [m.ravel() for m in np.meshgrid(*[a.values() for a in axes], indexing="ij")]
-    return evaluate(*columns).reshape(tuple(a.points for a in axes))
+    return evaluate(*axis_major_columns(axes)).reshape(tuple(a.points for a in axes))
 
 
 class TestOpenMesh:
