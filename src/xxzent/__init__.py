@@ -13,10 +13,8 @@ _HOME = {
     for module, names in (
         ("linalg", "EigenSystem NoConvergenceError NonHermitianError NotPSDError SPIN_FLIP "
                    "XxzentError hermitian_eigen hermiticity_defect psd_sqrt"),
-        ("model", "ClosedSpectrum GroundStateReport InvalidParameterError "
-                  "NonPositiveTemperatureError NotNormalizedError Phase PureState "
-                  "ZeroXYCouplingError build_hamiltonian closed_spectrum ground_state "
-                  "pure_concurrence"),
+        ("model", "GroundStateReport InvalidParameterError NonPositiveTemperatureError "
+                  "Phase ZeroXYCouplingError build_hamiltonian ground_state"),
         ("thermal", "InvalidDensityMatrixError concurrence_values gibbs_closed "
                     "gibbs_diagnostics gibbs_spectral thermal_concurrence wootters_concurrence"),
         ("sweep", "Axis CriticalPoint InvalidAxisError SweepGrid UnknownFigureError "

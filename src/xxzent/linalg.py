@@ -134,7 +134,8 @@ def _rotation(p, q, gamma, app, aqq, needed) -> np.ndarray:
     """
     r = np.where(needed, np.abs(gamma), 1.0)
     phase = np.where(needed, gamma / r, 1.0)
-    tau = (aqq - app) / (2.0 * r)
+    with np.errstate(over="ignore"):  # a coupling tiny beside its gap: tau = +-inf, t = 0
+        tau = (aqq - app) / (2.0 * r)
     t = np.where(needed, np.copysign(1.0 / (np.abs(tau) + np.hypot(1.0, tau)), tau), 0.0)
     c = 1.0 / np.hypot(1.0, t)
     s = t * c

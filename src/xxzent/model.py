@@ -2,9 +2,8 @@
 
 The Hamiltonian couples the xy-plane with strength J and the z-axis with Jz;
 the site fields are B+b and B-b.  In the basis {|1,1>, |1,0>, |0,1>, |0,0>}
-it is real symmetric with a single 2x2 inner block, so the full eigensystem
-has a closed form built from eta = sqrt(b^2 + J^2), xi = b - eta and
-zeta = b + eta.
+it is real symmetric with a single 2x2 inner block, so its energies have a
+closed form built from eta = sqrt(b^2 + J^2).
 
 Every operation takes the parameters as plain numbers in the order
 (J, Jz, B, b[, T]).  The domain check that all of them share,
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,7 +22,6 @@ import numpy as np
 from .linalg import XxzentError, _power_of_two_shift
 
 BOUNDARY_TOL = 1e-12
-NORMALIZATION_TOL = 1e-9
 
 
 class InvalidParameterError(XxzentError, ValueError):
@@ -32,10 +30,6 @@ class InvalidParameterError(XxzentError, ValueError):
 
 class ZeroXYCouplingError(InvalidParameterError):
     """Closed-form paths divide by J and require J != 0."""
-
-
-class NotNormalizedError(XxzentError, ValueError):
-    """Pure-state amplitudes deviate from unit norm beyond tolerance."""
 
 
 class NonPositiveTemperatureError(XxzentError, ValueError):
@@ -87,53 +81,6 @@ def _rescaled(*params):
 
 
 @dataclass(frozen=True)
-class ClosedSpectrum:
-    """Closed-form eigensystem; column k of `states` is the k-th eigenvector.
-
-    Energy/eigenvector pairing: (e1, |0,0>), (e2, |1,1>), (e3, e4, the two
-    normalized inner-block states with amplitude ratios xi/J and zeta/J on
-    |1,0> relative to |0,1>).
-    """
-
-    e1: float
-    e2: float
-    e3: float
-    e4: float
-    eta: float
-    xi: float
-    zeta: float
-    lam: float
-    states: np.ndarray = field(repr=False)
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([self.e1, self.e2, self.e3, self.e4])
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Two-qubit pure state a|0,0> + b|0,1> + c|1,0> + d|1,1>."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def vector(self) -> np.ndarray:
-        """Amplitudes in the standard basis order {|1,1>,|1,0>,|0,1>,|0,0>}."""
-        return np.array([self.d, self.c, self.b, self.a], dtype=complex)
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "PureState":
-        v = np.asarray(v, dtype=complex)
-        return cls(a=v[3], b=v[2], c=v[1], d=v[0])
-
-    def projector(self) -> np.ndarray:
-        v = self.vector()
-        return np.outer(v, v.conj())
-
-
-@dataclass(frozen=True)
 class GroundStateReport:
     phase: Phase
     ground_energy: float
@@ -162,35 +109,14 @@ def _energies(J, Jz, B, b):
     """Closed-form energies ((E1, E2, E3, E4), eta) as broadcast arrays.
 
     The one place the closed-form levels are written: E1 for |0,0>, E2 for
-    |1,1>, E3 <= E4 for the inner pair, with eta = sqrt(b^2 + J^2).
+    |1,1>, E3 <= E4 for the inner pair, with eta = sqrt(b^2 + J^2).  Callers
+    pass parameters scaled by _rescaled, or bounded, so no level overflows.
     """
     eta = np.hypot(b, J)
-    with np.errstate(over="ignore"):  # a level past the double range is +-inf
-        energies = np.broadcast_arrays(
-            0.5 * (Jz - 2.0 * B), 0.5 * (Jz + 2.0 * B), -0.5 * Jz - eta, -0.5 * Jz + eta
-        )
+    energies = np.broadcast_arrays(
+        0.5 * (Jz - 2.0 * B), 0.5 * (Jz + 2.0 * B), -0.5 * Jz - eta, -0.5 * Jz + eta
+    )
     return tuple(energies), eta
-
-
-def closed_spectrum(J, Jz, B, b) -> ClosedSpectrum:
-    """Closed-form energies and normalized eigenvectors; requires J != 0."""
-    _check_params("closed-form spectrum", J=J, Jz=Jz, B=B, b=b)
-    levels, eta = _energies(J, Jz, B, b)
-    e1, e2, e3, e4, eta = (float(v) for v in (*levels, eta))
-    xi = b - eta
-    zeta = b + eta
-    lam = xi / J
-    mu = zeta / J
-    states = np.zeros((4, 4), dtype=complex)
-    states[3, 0] = 1.0  # |0,0>
-    states[0, 1] = 1.0  # |1,1>
-    n3 = math.sqrt(1.0 + lam * lam)
-    states[1, 2] = lam / n3
-    states[2, 2] = 1.0 / n3
-    n4 = math.sqrt(1.0 + mu * mu)
-    states[1, 3] = mu / n4
-    states[2, 3] = 1.0 / n4
-    return ClosedSpectrum(e1, e2, e3, e4, eta, xi, zeta, lam, states)
 
 
 def ground_state(J, Jz, B, b) -> GroundStateReport:
@@ -222,14 +148,3 @@ def ground_state(J, Jz, B, b) -> GroundStateReport:
     return GroundStateReport(
         Phase.ENTANGLED, e3 * unit, abs(J) / eta, threshold_jz, threshold_b
     )
-
-
-def pure_concurrence(state: PureState) -> float:
-    """Concurrence 2|ad - bc| of a normalized pure state."""
-    norm_sq = (
-        abs(state.a) ** 2 + abs(state.b) ** 2 + abs(state.c) ** 2 + abs(state.d) ** 2
-    )
-    if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalizedError(f"state norm^2 deviates from 1 by {norm_sq - 1.0:.3e}")
-    return 2.0 * abs(state.a * state.d - state.b * state.c)
-

@@ -78,6 +78,14 @@ def _coherence(J, eta, w3, w4):
     return np.where(eta > 0.0, np.abs(J) * (w3 - w4) / safe / 2.0, 0.0)
 
 
+def _xstate(J, eta, w1, w2, w3, w4):
+    """(C, |rho_23| Z, sqrt(rho_11 rho_44) Z, Z) of the X-state closed form, Z the shifted sum."""
+    zs = w1 + w2 + w3 + w4
+    coh = _coherence(J, eta, w3, w4)
+    corner = np.sqrt(w1 * w2)
+    return np.minimum(np.maximum(0.0, 2.0 * (coh - corner) / zs), 1.0), coh, corner, zs
+
+
 def concurrence_values(J, Jz, B, b, T) -> np.ndarray:
     """Thermal concurrence via the X-state closed form; broadcasts over arrays.
 
@@ -87,10 +95,8 @@ def concurrence_values(J, Jz, B, b, T) -> np.ndarray:
     route check; it applies no guard (see thermal_concurrence for the
     guarded function).
     """
-    (J, _, _), _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
-    zs = w1 + w2 + w3 + w4
-    corner = np.sqrt(w1 * w2)
-    return np.minimum(np.maximum(0.0, 2.0 * (_coherence(J, eta, w3, w4) - corner) / zs), 1.0)
+    (J, _, _), _, eta, weights = _weights(J, Jz, B, b, T)
+    return _xstate(J, eta, *weights)[0]
 
 
 def thermal_concurrence(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
@@ -103,17 +109,15 @@ def thermal_concurrence(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
     sqrt(rho_11 rho_44) twice.  Broadcasts over the parameters.  Guarded.
     """
     _check_params(J=J, Jz=Jz, B=B, b=b, T=T)
-    (scaled_J, _, _), _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
-    zs = w1 + w2 + w3 + w4
-    coh = _coherence(scaled_J, eta, w3, w4)
-    corner = np.sqrt(w1 * w2)
+    (J, _, _), _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
+    value, coh, corner, zs = _xstate(J, eta, w1, w2, w3, w4)
     inner = np.sqrt(w3 * w4 + coh * coh)
     roots = np.stack(
         np.broadcast_arrays(inner + coh, np.maximum(inner - coh, 0.0), corner, corner),
         axis=-1,
     )
     roots = np.sort(roots, axis=-1)[..., ::-1] / np.asarray(zs)[..., np.newaxis]
-    return concurrence_values(J, Jz, B, b, T), roots
+    return value, roots
 
 
 def _log_ratio(a, c):

