@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 numerical-domain or I/O error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -99,16 +100,129 @@ def _emit(record: dict, out: str | None) -> None:
         sys.stdout.flush()  # a closed pipe raises here and not at interpreter exit
 
 
+# The CSV writer's 17-digit kernel, _format17.
+_FORMAT_BLOCK = 8192  # values per kernel pass, so that its temporaries stay in cache
+_SPLITTER = 2.0**27 + 1  # Dekker's splitter for doubles
+# Literal arrays: computing them at import would page in numpy code every command pays for.
+_POW10 = np.array([1e17, 1e18, 1e19, 1e20])  # 10**k, k = 17 + z for z = 0..3, exact doubles
+_PAD = np.array([1000, 100, 10, 1])  # 10**(3 - z)
+
+
+def _halves(a):
+    """Dekker's split of doubles a into hi + lo, each with at most 26 significant bits."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _decimal_words(width: int, head: bytes = b"", nuls: int = 0) -> np.ndarray:
+    """Words of head + the width-digit decimal of each i < 10**width + nuls NUL bytes,
+    four ASCII bytes to a native uint32: first with every digit, then with the
+    decimal's trailing '0's as NUL."""
+    i = np.arange(10**width)[:, np.newaxis]
+    place = 10 ** np.arange(width - 1, -1, -1)
+    digits = (i // place % 10 + ord("0")).astype(np.uint8)
+    kept = i % (10 * place) != 0  # the digit or a later one is nonzero
+    fields = [
+        np.broadcast_to(np.frombuffer(head, np.uint8), (2 * len(i), len(head))),
+        np.concatenate([digits, digits * kept]),
+        np.zeros((2 * len(i), nuls), np.uint8),
+    ]
+    return np.concatenate(fields, axis=1).view(np.uint32).ravel()
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Words of "0." and two decimals, of four decimals, and of two decimals and two NULs,
+    each table with its stripped half (the last only stripped); built on first use."""
+    return _decimal_words(2, head=b"0."), _decimal_words(4), _decimal_words(2, nuls=2)[100:]
+
+
+def _format17(values: np.ndarray) -> list[bytes]:
+    """The bytes of `b"%.17g" % x` for each x of the float values, in C order."""
+    v = np.ravel(values)
+    cells = []
+    for start in range(0, v.size, _FORMAT_BLOCK):
+        cells += _format17_block(v[start : start + _FORMAT_BLOCK])
+    return cells
+
+
+def _format17_block(v: np.ndarray) -> list[bytes]:
+    """_format17 of one 1-D block of at most _FORMAT_BLOCK values.
+
+    +0.0 gives b"0".  %g writes x in [1e-4, 1) as "0.", z = 0..3 zeros and the
+    17 significant digits N = round(x 10**k), k = 17 + z, which numpy computes
+    here: Dekker's two-product gives x 10**k exactly as p + err, and as
+    p >= 2**53 is an even integer, p + rint(err) rounds half to even, as `%`
+    does.  z comes from comparisons with the doubles 0.1, 0.01 and 0.001, each
+    above its power of ten, so N always has 17 digits.  The 20 decimals
+    N 10**(3 - z) after "0." fill six table words at fixed places (2, 4, 4, 4,
+    4 and 2 decimals), with trailing '0's as NUL, which .tolist() of the "S24"
+    view drops.  Every other value (negative, -0.0, below 1e-4, from 1 up,
+    non-finite) goes through `%`.
+    """
+    head, quad, tail = _digit_words()
+    words = np.zeros((v.size, 6), np.uint32)
+    words.view(np.uint8)[:, 0] = ord("0")  # "0", for +0.0
+    inside = (v >= 1e-4) & (v < 1.0)
+    x = v[inside]
+    z = (x < 0.1).astype(np.intp) + (x < 0.01) + (x < 0.001)
+    p = x * _POW10[z]
+    xh, xl = _halves(x)
+    th, tl = _POW10_HI[z], _POW10_LO[z]
+    err = ((xh * th - p) + xh * tl + xl * th) + xl * tl
+    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    # the decimals N 10**(3 - z) < 10**20: the first ten in hi, the last ten in lo
+    hi = n // 10**10
+    lo = (n - hi * 10**10) * _PAD[z]
+    carry = lo // 10**10
+    lo -= carry * 10**10
+    hi = hi * _PAD[z] + carry
+    top = hi // 10**8
+    mid = hi - top * 10**8
+    g1 = mid // 10**4
+    g2 = mid - g1 * 10**4
+    g3 = lo // 10**6
+    end = lo - g3 * 10**6
+    g4 = end // 100
+    last = end - g4 * 100
+    # a word takes its table's stripped half where every later decimal is 0
+    rest = lo == 0
+    found = np.empty((x.size, 6), np.uint32)
+    found[:, 0] = head[top + 100 * (rest & (mid == 0))]
+    found[:, 1] = quad[g1 + 10**4 * (rest & (g2 == 0))]
+    found[:, 2] = quad[g2 + 10**4 * rest]
+    found[:, 3] = quad[g3 + 10**4 * (end == 0)]
+    found[:, 4] = quad[g4 + 10**4 * (last == 0)]
+    found[:, 5] = tail[last]
+    words[inside] = found
+    cells = words.view("S24").ravel().tolist()
+    for i in np.flatnonzero(~inside & ((v != 0.0) | np.signbit(v))).tolist():
+        cells[i] = b"%.17g" % v[i]
+    return cells
+
+
 def _write_csv(grid: SweepGrid, stream) -> None:
-    """Write the grid as CSV, each axis value formatted once: a first-axis row is the
-    last axis's line template, with the row's label for NUL, filled by one `%`.  The
-    template is bytes, whose `%` is faster than str's; rows are decoded for the stream."""
+    """Write the grid as CSV, every number as _format17 prints it: each axis value
+    once, and the concurrences a block of first-axis rows at a time.  A row is the
+    last axis's line template, with the row's label for NUL, filled by one `%`;
+    the template is bytes, whose `%` is faster than str's, and rows are decoded
+    for the stream."""
     stream.write(",".join([axis.name for axis in grid.axes] + ["concurrence"]) + "\n")
-    *outer, inner = ([b"%.17g" % x for x in axis.values().tolist()] for axis in grid.axes)
-    template = b"".join(b"\0%s,%%.17g\n" % x for x in inner)
+    *outer, inner = (_format17(axis.values()) for axis in grid.axes)
+    template = b"".join(b"\0%s,%%s\n" % x for x in inner)
     prefixes = [x + b"," for x in outer[0]] if outer else [b""]
-    for prefix, row in zip(prefixes, grid.values.reshape(len(prefixes), -1)):
-        stream.write((template.replace(b"\0", prefix) % tuple(row.tolist())).decode("ascii"))
+    rows = grid.values.reshape(len(prefixes), -1)
+    width = rows.shape[1]
+    step = max(1, _FORMAT_BLOCK // width)
+    for first in range(0, len(rows), step):
+        cells = _format17(rows[first : first + step])
+        for i, prefix in enumerate(prefixes[first : first + step]):
+            line = template.replace(b"\0", prefix) % tuple(cells[i * width : (i + 1) * width])
+            stream.write(line.decode("ascii"))
 
 
 def _grid_record(grid: SweepGrid) -> dict:

@@ -49,7 +49,7 @@ class XxzentError(Exception):
 
 
 class NonHermitianError(XxzentError, ValueError):
-    """Input matrix is not Hermitian within HERMITICITY_TOL."""
+    """Input matrix is not Hermitian within HERMITICITY_TOL times its largest |entry|."""
 
 
 class NoConvergenceError(XxzentError, RuntimeError):
@@ -150,17 +150,20 @@ def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
 
     For one matrix, values has shape (4,) and vectors (4, 4); a stack adds
     its leading shape to both.  Raises ValueError for any other shape,
-    NonHermitianError if a matrix fails the Hermiticity check and
-    NoConvergenceError if a matrix's largest off-diagonal |entry| is still
-    above OFF_DIAGONAL_TOL times its largest |entry| after MAX_SWEEPS sweeps.
+    NonHermitianError if a matrix's Hermiticity defect exceeds HERMITICITY_TOL
+    times its largest |entry|, and NoConvergenceError if a matrix's largest
+    off-diagonal |entry| is still above OFF_DIAGONAL_TOL times its largest
+    |entry| after MAX_SWEEPS sweeps; both tests are scale-free.
     """
     m, lead = _stack(matrix)
     defect = hermiticity_defect(m)
-    bad = np.flatnonzero(defect > HERMITICITY_TOL)
+    largest = np.abs(m).max(axis=(-2, -1))
+    bad = np.flatnonzero(defect > HERMITICITY_TOL * largest)
     if bad.size:
         raise NonHermitianError(
             f"{_which(lead, bad[0])} is not Hermitian: max asymmetry "
-            f"{defect[bad[0]]:.3e} > {HERMITICITY_TOL:.0e}"
+            f"{defect[bad[0]]:.3e} > {HERMITICITY_TOL:.0e} times its largest "
+            f"|entry| {largest[bad[0]]:.3e}"
         )
     m, unit = _normalized(m)
     # Rows 0-3 of each 8x4 block hold a, rows 4-7 the accumulated

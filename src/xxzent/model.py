@@ -72,9 +72,19 @@ def _check_params(divides_by_J: str = "", **values) -> None:
 
 
 def _rescaled(*params):
-    """The parameters divided, elementwise and exactly, by a power of two, and that power."""
-    # largest |parameter| into [1, 2**(max_exp - 3)): levels and eta reach about 2.5 times it
-    shift = _power_of_two_shift(params, 0, sys.float_info.max_exp - 3)
+    """The parameters divided, elementwise and exactly, by a power of two, and that power.
+
+    The power brings each point's largest |parameter| into [2**-64, 2**(max_exp - 3)):
+    levels and eta reach about 2.5 times it.  The window reaches below 1 so that a
+    grid of parameters below 1 keeps its open mesh (see sweep).  The closed forms
+    multiply a parameter only by constants and by dimensionless weights and ratios,
+    never by another parameter, so an intermediate goes subnormal only where such a
+    product lies more than 2**958 below the point's largest |parameter|; only there,
+    for concurrences near the underflow range, can a result differ from the same
+    point at another scale.  Each binade the window reaches below 1 takes one from
+    that margin, so it stops at 64.
+    """
+    shift = _power_of_two_shift(params, -64, sys.float_info.max_exp - 3)
     if not np.any(shift):  # the usual case: the inputs themselves, not broadcast copies
         return params, 1.0
     return tuple(np.ldexp(v, -shift, dtype=float) for v in params), np.ldexp(1.0, shift)

@@ -1,10 +1,11 @@
 """Concurrence sweeps over parameter grids and critical-point finders.
 
 Grids evaluate the vectorized X-state kernel on an open mesh: the first axis
-enters shaped (n, 1) and the second (1, m), as np.ix_ builds them, so where
-model._rescaled leaves the parameters as they are (every grid point's largest
-|parameter| in [1, 2**(max_exp - 3))) a quantity of one axis is computed once
-per value of that axis, not once per grid point.  Critical points are zeros
+enters shaped (n, 1) and the second (1, m), as np.ix_ builds them, so a
+quantity of one axis is computed once per value of that axis, not once per
+grid point, wherever model._rescaled leaves the parameters as they are: every
+grid point's largest |parameter| in [2**-64, 2**(max_exp - 3)), as on any grid
+of parameters near unit scale.  Critical points are zeros
 of the analytic sign function g rather than "concurrence < eps" thresholds: g
 is monotone along every axis searched here (decreasing in T where a root can
 exist, increasing in |b|), so its limits decide existence and bisection from

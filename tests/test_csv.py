@@ -1,9 +1,12 @@
 """The streaming CSV writer of `xxzent sweep` against the per-field oracle.
 
-The writer formats each axis value once and fills a whole row of
-concurrences through one bytes `%` of a preformatted template; its bytes must equal
-those of tests/csv_oracle.py on every grid shape, on the bundled presets and
-on the extreme doubles, on stdout and in a file.
+The writer prints every number through a numpy kernel that gives the bytes of
+`%.17g` (falling back to `%` itself outside [1e-4, 1)) and fills a whole row
+of concurrences through one bytes `%` of a preformatted template; its bytes
+must equal those of tests/csv_oracle.py on every grid shape, on the bundled
+presets and on the extreme doubles, on stdout and in a file.  The kernel is
+also checked against `format(x, ".17g")` on random bit patterns, exact
+rounding ties and the edges of its range.
 """
 
 import contextlib
@@ -16,12 +19,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import xxzent
 from csv_oracle import grid_csv
-from xxzent.cli import _write_grid, main
+from xxzent.cli import _format17, _write_grid, main
 from xxzent.sweep import Axis, SweepGrid, figure_data, sweep
 
 MAX = 1.7976931348623157e308
@@ -80,14 +81,38 @@ def test_extremes_print_in_17_digits(tmp_path):
     ]
 
 
-DOUBLES = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+def bits_of(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
 
 
-@settings(max_examples=2000, deadline=None, database=None)
-@given(DOUBLES)
-def test_percent_format_is_format_spec(x):
-    # the template's bytes `%.17g` and the oracle's format spec print every double alike
-    assert b"%.17g" % x == format(x, ".17g").encode("ascii")
+def kernel_cases() -> np.ndarray:
+    """Doubles for the 17-digit kernel: random 64-bit patterns, random doubles in its
+    range [1e-4, 1), exact ties of its rounding, and the edges of its range."""
+    rng = np.random.default_rng(17)
+    random_bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    inside = rng.integers(bits_of(1e-4), bits_of(1.0), 20_000).view(np.float64)
+    # in [10**-d, 10**(1 - d)), j 2**-(17 + d) with j odd lies halfway between two
+    # 17-digit decimals
+    ties = []
+    for d in range(1, 5):
+        low, high = (int(10.0**e * 2 ** (17 + d)) // 2 for e in (-d, 1 - d))
+        x = np.ldexp(2.0 * rng.integers(low, high, 10_000) + 1, -(17 + d))
+        ties.append(x[(x >= 10.0**-d) & (x < 10.0 ** (1 - d))])
+    powers = np.array([1.0, 1e-1, 1e-2, 1e-3, 1e-4])
+    edges = np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, 1.0),
+        np.ldexp(1.0, -np.arange(1, 15)),  # short decimals: trailing zeros to strip
+        [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+         np.inf, -np.inf, np.nan],
+    ])
+    return np.concatenate([random_bits, inside, *ties, edges, -edges])
+
+
+def test_percent_format_is_format_spec():
+    # the writer's %.17g kernel and the oracle's format spec print every double alike
+    values = kernel_cases()
+    assert _format17(values) == [format(x, ".17g").encode("ascii") for x in values.tolist()]
+    assert _format17(np.array([0.100002288818359375])) == [b"0.10000228881835938"]
 
 
 def run_cli(*argv):

@@ -54,6 +54,21 @@ class TestHermitianEigen:
         with pytest.raises(NonHermitianError):
             hermitian_eigen(m)
 
+    # The Hermiticity defect counts against each matrix's largest |entry|, not against 1.
+    def test_refuses_relative_defect_at_tiny_scale(self):
+        m = random_hermitian(np.random.default_rng(115)).real * 1e-200
+        m[0, 1] *= 1 + 1e-5
+        with pytest.raises(NonHermitianError, match="times its largest"):
+            hermitian_eigen(m)
+
+    def test_accepts_one_ulp_defect_at_huge_scale(self):
+        m = random_hermitian(np.random.default_rng(115)).real
+        huge = np.ldexp(m, 700)
+        huge[0, 1] = np.nextafter(huge[0, 1], np.inf)
+        assert hermiticity_defect(huge) > 1e-12
+        values = hermitian_eigen(huge).values
+        assert np.allclose(np.ldexp(values, -700), np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             hermitian_eigen(np.eye(3))

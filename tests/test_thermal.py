@@ -18,6 +18,7 @@ from xxzent.model import (
 )
 from xxzent.sweep import critical_field
 from xxzent.thermal import (
+    ROUTE_TOL,
     InvalidDensityMatrixError,
     concurrence_values,
     gibbs_closed,
@@ -236,13 +237,13 @@ class TestThermalConcurrence:
             signs.add(value > 0.0)
         assert len(signs) == 1
 
-    def test_matches_vectorized_kernel(self):
-        rng = np.random.default_rng(308)
-        for _ in range(500):
-            p, T = random_draw(rng)
-            scalar = concurrence(p, T)
-            kernel = float(concurrence_values(*p, T))
-            assert scalar == kernel
+    def test_matches_spectral_route(self):
+        # the shipped closed form against the Jacobi Gibbs state and the generic
+        # Wootters formula, which share none of its formulas
+        _, columns = draw_columns(np.random.default_rng(308), 500)
+        closed, _ = thermal_concurrence(*columns)
+        spectral, _ = wootters_concurrence(gibbs_spectral(*columns))
+        assert np.max(np.abs(closed - spectral)) <= ROUTE_TOL
 
     def test_accepts_zero_coupling(self):
         assert concurrence((0.0, 1.0, 0.5, 0.3), 1.0) == 0.0
