@@ -42,7 +42,6 @@ from .thermal import (
     METHOD_XSTATE,
     ROUTE_TOL,
     gibbs_diagnostics,
-    log_sign_values,
     thermal_concurrence,
 )
 from .verify import run_suites
@@ -275,10 +274,6 @@ def _parse_axis(spec: str) -> Axis:
 def cmd_eval(args) -> int:
     params = _params(args)
     value, roots = thermal_concurrence(**params)
-    J, Jz, _, b, T = params.values()
-    # the sign function, -1 in the diagonal J = 0 limit; null past the double range
-    with np.errstate(over="ignore"):
-        g = float(np.expm1(log_sign_values(J, Jz, b, T))) if J != 0.0 else -1.0
     record = _record(
         "eval",
         params,
@@ -289,7 +284,6 @@ def cmd_eval(args) -> int:
         },
         {
             **gibbs_diagnostics(**params),
-            "g": g,
             "method": METHOD_XSTATE,
             "tolerances": TOLERANCES,
         },
@@ -345,6 +339,8 @@ def cmd_critical(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     suites = run_suites(args.samples, args.seed)
     all_passed = all(suite.passed for suite in suites)
     record = _record(

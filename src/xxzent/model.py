@@ -76,13 +76,13 @@ def _rescaled(*params):
 
     The power brings each point's largest |parameter| into [2**-64, 2**(max_exp - 3)):
     levels and eta reach about 2.5 times it.  The window reaches below 1 so that a
-    grid of parameters below 1 keeps its open mesh (see sweep).  The closed forms
-    multiply a parameter only by constants and by dimensionless weights and ratios,
-    never by another parameter, so an intermediate goes subnormal only where such a
-    product lies more than 2**958 below the point's largest |parameter|; only there,
-    for concurrences near the underflow range, can a result differ from the same
-    point at another scale.  Each binade the window reaches below 1 takes one from
-    that margin, so it stops at 64.
+    grid of parameters below 1 keeps its open mesh (see sweep).  Only parameters,
+    levels, eta and their differences carry the scale; the closed forms turn them
+    into ratios (gaps over T, J and b over eta) and build weights and the coherence
+    from ratios alone.  So an intermediate goes subnormal at one scale and not at
+    another only where a quantity that carries the scale lies more than 2**958 below
+    the point's largest |parameter|, and only there can a result differ from the same
+    point at another scale.  Each binade below 1 takes one from that margin: 64 here.
     """
     shift = _power_of_two_shift(params, -64, sys.float_info.max_exp - 3)
     if not np.any(shift):  # the usual case: the inputs themselves, not broadcast copies

@@ -7,7 +7,7 @@ eval, sweep and the figures ship) cross-validate each other.  A scalar sign
 function g decides concurrence positivity analytically and drives the root
 finders:
 
-    |rho_23| * Z = exp(Jz/2T) * |J| * sinh(eta/T) / eta
+    |rho_23| * Z = exp(Jz/2T) * (|J|/eta) * sinh(eta/T)
     sqrt(rho_11 rho_44) * Z = exp(-Jz/2T)        (since E1 + E2 = Jz)
 
 so concurrence > 0  iff  g = exp(Jz/T) * (|J|/eta) * sinh(eta/T) - 1 > 0,
@@ -19,7 +19,8 @@ case (a concurrence then comes back as a numpy scalar).  The guarded
 functions (gibbs_closed, gibbs_spectral, thermal_concurrence and the scalar
 gibbs_diagnostics) refuse what model._check_params refuses;
 concurrence_values and log_sign_values are unguarded.  Every route forms
-only shifted weights exp(-(E_k - E_min)/T) <= 1, so no weight can overflow.
+only shifted weights exp(-(E_k - E_min)/T) <= 1, so no weight can overflow,
+and scales them only by weights and the ratios J/eta and b/eta, never by a parameter.
 """
 
 from __future__ import annotations
@@ -60,28 +61,26 @@ class InvalidDensityMatrixError(XxzentError, ValueError):
 def _weights(J, Jz, B, b, T):
     """Shifted Boltzmann weights exp(-(E_k - E_min)/T) of the closed energies; broadcasts.
 
-    Returns ((J, b, T), emin, eta, (w1, w2, w3, w4)) on model._rescaled's scaled
+    Returns ((b, T), emin, eta, (w1, w2, w3, w4), coh) on model._rescaled's scaled
     parameters, weights in the closed-form labels: (w1, w2) for the outer product
     states, (w3, w4) for the inner pair, E3 <= E4; past the double range a weight is 0.
+    coh = (J/eta) (w3 - w4)/2, 0 at eta = 0 (J = b = 0), is -rho_23 times the shifted
+    sum: the coherence, written once, as a ratio times a weight difference.
     """
     (J, Jz, B, b, T), _ = _rescaled(J, Jz, B, b, T)
     energies, eta = _energies(J, Jz, B, b)
     e1, e2, e3, _ = energies
     emin = np.minimum(np.minimum(e1, e2), e3)
     with np.errstate(over="ignore"):
-        return (J, b, T), emin, eta, tuple(np.exp(-(e - emin) / T) for e in energies)
+        w1, w2, w3, w4 = (np.exp(-(e - emin) / T) for e in energies)
+    coh = J / np.where(eta > 0.0, eta, 1.0) * (0.5 * (w3 - w4))  # J = 0 where eta = 0
+    return (b, T), emin, eta, (w1, w2, w3, w4), coh
 
 
-def _coherence(J, eta, w3, w4):
-    """|rho_23| times the shifted partition sum; zero at eta = 0 (J = b = 0)."""
-    safe = np.where(eta > 0.0, eta, 1.0)
-    return np.where(eta > 0.0, np.abs(J) * (w3 - w4) / safe / 2.0, 0.0)
-
-
-def _xstate(J, eta, w1, w2, w3, w4):
+def _xstate(w1, w2, w3, w4, coh):
     """(C, |rho_23| Z, sqrt(rho_11 rho_44) Z, Z) of the X-state closed form, Z the shifted sum."""
     zs = w1 + w2 + w3 + w4
-    coh = _coherence(J, eta, w3, w4)
+    coh = np.abs(coh)
     corner = np.sqrt(w1 * w2)
     return np.minimum(np.maximum(0.0, 2.0 * (coh - corner) / zs), 1.0), coh, corner, zs
 
@@ -95,8 +94,8 @@ def concurrence_values(J, Jz, B, b, T) -> np.ndarray:
     route check; it applies no guard (see thermal_concurrence for the
     guarded function).
     """
-    (J, _, _), _, eta, weights = _weights(J, Jz, B, b, T)
-    return _xstate(J, eta, *weights)[0]
+    _, _, _, weights, coh = _weights(J, Jz, B, b, T)
+    return _xstate(*weights, coh)[0]
 
 
 def thermal_concurrence(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
@@ -109,8 +108,8 @@ def thermal_concurrence(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
     sqrt(rho_11 rho_44) twice.  Broadcasts over the parameters.  Guarded.
     """
     _check_params(J=J, Jz=Jz, B=B, b=b, T=T)
-    (J, _, _), _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
-    value, coh, corner, zs = _xstate(J, eta, w1, w2, w3, w4)
+    _, _, _, (w1, w2, w3, w4), coh = _weights(J, Jz, B, b, T)
+    value, coh, corner, zs = _xstate(w1, w2, w3, w4, coh)
     inner = np.sqrt(w3 * w4 + coh * coh)
     roots = np.stack(
         np.broadcast_arrays(inner + coh, np.maximum(inner - coh, 0.0), corner, corner),
@@ -157,7 +156,7 @@ def gibbs_closed(J, Jz, B, b, T) -> np.ndarray:
     matrices never overflow.  Requires J != 0; guarded.
     """
     _check_params("closed-form Gibbs state", J=J, Jz=Jz, B=B, b=b, T=T)
-    (J, b, _), _, eta, (w1, w2, w3, w4) = _weights(J, Jz, B, b, T)
+    (b, _), _, eta, (w1, w2, w3, w4), coh = _weights(J, Jz, B, b, T)
     zs = w1 + w2 + w3 + w4
     half_sum = 0.5 * (w3 + w4)
     half_diff = 0.5 * (w3 - w4)
@@ -166,33 +165,33 @@ def gibbs_closed(J, Jz, B, b, T) -> np.ndarray:
     rho[..., 1, 1] = (half_sum - (b / eta) * half_diff) / zs
     rho[..., 2, 2] = (half_sum + (b / eta) * half_diff) / zs
     rho[..., 3, 3] = w1 / zs
-    rho[..., 1, 2] = rho[..., 2, 1] = -(J / eta) * half_diff / zs
+    rho[..., 1, 2] = rho[..., 2, 1] = -coh / zs
     return rho
 
 
 def gibbs_diagnostics(J, Jz, B, b, T) -> dict[str, float | None]:
-    """Partition function and closed-form entry blocks at one point, by name.
+    """Partition function, closed-form entry blocks and sign function at one point, by name.
 
     Z is always the energy trace sum(exp(-E_k/T)), which is what unit trace
-    requires; m = cosh(eta/T), n = b sinh(eta/T)/eta and
-    s = exp(Jz/2T) J sinh(eta/T)/eta are None at J = 0.  A value past the
-    double range comes back as inf or nan, which a record writes as null.
-    Guarded like gibbs_closed.
+    requires; m = cosh(eta/T), n = b sinh(eta/T)/eta and s = exp(Jz/2T) J sinh(eta/T)/eta
+    are None at J = 0, and the sign function g = expm1(log_sign_values(...)) is -1 there.
+    A value past the double range comes back as inf or nan, which a record
+    writes as null.  Guarded like gibbs_closed.
     """
     _check_params(J=J, Jz=Jz, B=B, b=b, T=T)
-    (J, b, T), emin, eta, weights = _weights(J, Jz, B, b, T)
+    (scaled_b, scaled_T), emin, eta, weights, coh = _weights(J, Jz, B, b, T)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.exp(-emin / T)  # exp(-E_k/T) = w_k * scale
+        scale = np.exp(-emin / scaled_T)  # exp(-E_k/T) = w_k * scale
         Z = float(sum(weights) * scale)
         if J == 0.0:
-            return {"Z": Z, "m": None, "n": None, "s": None}
-        _, _, w3, w4 = weights
-        x = eta / T
+            return {"Z": Z, "m": None, "n": None, "s": None, "g": -1.0}
+        x = eta / scaled_T
         return {
             "Z": Z,
             "m": float(np.cosh(x)),
-            "n": float(b * np.sinh(x) / eta),
-            "s": float(J * (w3 - w4) * scale / (2.0 * eta)),
+            "n": float(scaled_b * np.sinh(x) / eta),
+            "s": float(coh * scale),
+            "g": float(np.expm1(log_sign_values(J, Jz, b, T))),
         }
 
 

@@ -198,5 +198,7 @@ def run_suites(samples: int, seed: int) -> list[SuiteResult]:
     """Run every suite over one shared set of seeded draws."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     draws = draw_params(samples, seed)
     return [suite(draws) for suite in ALL_SUITES]

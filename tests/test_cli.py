@@ -449,6 +449,8 @@ def package_modules():
         (["critical", "--axis", "t", "--t", "nan"], 1),
         (["critical", "--axis", "t", "--t", "inf"], 1),
         (["critical", "--axis", "t", "--t=-1e-300"], 1),
+        # the seed of verify's Philox draws is a non-negative integer
+        (["verify", "--seed", "-1"], 2),
     ],
 )
 def test_refused_input_fails_cleanly(capsys, argv, code):

@@ -21,11 +21,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import xxzent
 from xxzent.cli import AXIS_TOKENS, main
+from xxzent.thermal import concurrence_values
 
 FLAGS = {name: f"--{token}" for token, name in AXIS_TOKENS.items()}
 
@@ -49,12 +50,12 @@ SCALES = st.integers(-990, 990).map(lambda k: 2.0**k)  # 1.0e-298 .. 9.8e297
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
 
-def run(*argv, **params):
+def run(*argv, part="results", **params):
     out = io.StringIO()
     flags = [f"{FLAGS[name]}={value!r}" for name, value in params.items()]
     with contextlib.redirect_stdout(out):
         assert main([*argv, *flags]) == 0
-    return json.loads(out.getvalue())["results"]
+    return json.loads(out.getvalue())[part]
 
 
 def scaled(params, lam, *names):
@@ -63,7 +64,7 @@ def scaled(params, lam, *names):
 
 @PROPERTY
 @given(POINTS, SCALES)
-# unscaled, |J| (w3 - w4) is subnormal here and the concurrence moves by one ulp
+# unscaled, J (w3 - w4) would be subnormal here: a product the closed forms never form
 @example({"J": 1.0, "Jz": 0.0, "B": 3.0, "b": 0.0, "T": 0.05078125}, 2.0**-966)
 def test_eval_and_ground_are_invariant(params, lam):
     names = ("J", "Jz", "B", "b", "T")
@@ -74,6 +75,43 @@ def test_eval_and_ground_are_invariant(params, lam):
     again = run("ground", **scaled(params, lam, *names))
     assert again["phase"] == ground["phase"]
     assert again["ground_concurrence"] == ground["ground_concurrence"]
+
+
+@st.composite
+def faint_points(draw):
+    """Points whose concurrence lies in [1e-305, 1e-290], at the bottom of the normal
+    doubles: the product level |0,0> lies lowest, the inner level E3 a gap above it,
+    and T puts C, about (|J|/eta) exp(-gap/T), at exp(level)."""
+    J = draw(st.floats(0.05, 3.0) | st.floats(-3.0, -0.05))
+    Jz = draw(coordinate(-3.0, 3.0))
+    b = draw(coordinate(-3.0, 3.0))
+    gap = draw(st.floats(0.05, 3.0))
+    level = draw(st.floats(-702.0, -668.0))
+    eta = math.hypot(b, J)
+    B = Jz + eta + gap  # E3 - E1 = B - Jz - eta
+    assume(B >= 2.0**-30)
+    point = {"J": J, "Jz": Jz, "B": B, "b": b, "T": gap / (math.log(abs(J) / eta) - level)}
+    assume(1e-305 <= concurrence_values(**point) <= 1e-290)
+    return point
+
+
+@PROPERTY
+@given(faint_points(), SCALES)
+def test_eval_is_invariant_near_underflow(params, lam):
+    # the concurrence, the Wootters roots and s read one dimensionless coherence
+    names = ("J", "Jz", "B", "b", "T")
+    results = run("eval", **scaled(params, 1.0, *names))
+    assert run("eval", **scaled(params, lam, *names)) == results
+    s = run("eval", part="diagnostics", **scaled(params, 1.0, *names))["s"]
+    assert run("eval", part="diagnostics", **scaled(params, lam, *names))["s"] == s
+
+
+def test_found_point_agrees_at_three_scales():
+    # J (w3 - w4) would be subnormal here at scale 2**-100 and normal at 1 and 2**100
+    point = {"J": 1.0, "Jz": 0.0, "B": 2.0, "b": 0.0, "T": 0.001443}
+    for lam in (1.0, 2.0**100, 2.0**-100):
+        value = run("eval", **scaled(point, lam, *point))["concurrence"]
+        assert value == 1.0804957790889725e-301
 
 
 @PROPERTY

@@ -53,12 +53,35 @@ def test_gibbs_suite_reports_validity_details():
 
 
 def test_routes_fail_on_a_mutated_shipped_kernel(monkeypatch):
-    # a 1% error in the coherence term that eval and sweep use must fail verify
-    coherence = thermal._coherence
-    monkeypatch.setattr(thermal, "_coherence", lambda *args: coherence(*args) * 1.01)
+    # a 1% error in the coherence as the X-state kernel behind eval and sweep
+    # reads it must fail verify
+    xstate = thermal._xstate
+    monkeypatch.setattr(thermal, "_xstate", lambda *args: xstate(*args[:4], args[4] * 1.01))
     assert not suite_routes(draw_params(600, 9)).passed
     assert not all(result.passed for result in run_suites(600, 9))
     assert main(["verify", "--samples", "600"]) == 3
+
+
+def test_gibbs_fails_on_a_mutated_shared_coherence(monkeypatch):
+    # gibbs_closed reads the same coherence, so the concurrence routes agree on
+    # a wrong one; the spectral Gibbs route catches it (a 1% cut keeps the state PSD)
+    weights = thermal._weights
+
+    def mutated(*params):
+        *rest, coh = weights(*params)
+        return (*rest, coh * 0.99)
+
+    monkeypatch.setattr(thermal, "_weights", mutated)
+    assert not suite_gibbs(draw_params(600, 9)).passed
+    assert main(["verify", "--samples", "600"]) == 3
+
+
+@pytest.mark.parametrize(
+    "samples, seed, message", [(0, 1, "samples must be >= 1"), (10, -1, "seed must be >= 0")]
+)
+def test_run_suites_refuses_bad_arguments(samples, seed, message):
+    with pytest.raises(ValueError, match=message):
+        run_suites(samples, seed)
 
 
 def test_results_do_not_depend_on_block_size(monkeypatch):
