@@ -5,18 +5,22 @@ enters shaped (n, 1) and the second (1, m), as np.ix_ builds them, so a
 quantity of one axis is computed once per value of that axis, not once per
 grid point, wherever model._rescaled leaves the parameters as they are: every
 grid point's largest |parameter| in [2**-64, 2**(max_exp - 3)), as on any grid
-of parameters near unit scale.  Critical points are zeros
-of the analytic sign function g rather than "concurrence < eps" thresholds: g
-is monotone along every axis searched here (decreasing in T where a root can
-exist, increasing in |b|), so its limits decide existence and bisection from
-a bracket grown from the parameters' own scale certifies the location; no
-absolute constant decides an answer.  Regimes where the concurrence only
-decays asymptotically report no finite root instead of a fabricated one.
+of parameters near unit scale.  Every grid, the figure presets included,
+goes through sweep and its cap of MAX_GRID_POINTS points in all; figure 2's
+doubled (J, Jz, B, b) is evaluated as T/2, which homogeneity makes the same
+bits.  Critical points are zeros of the analytic sign function g rather than
+"concurrence < eps" thresholds: g is monotone along every axis searched here
+(decreasing in T where a root can exist, increasing in |b|), so its limits
+decide existence and bisection from a bracket grown from the parameters' own
+scale certifies the location; no absolute constant decides an answer.
+Regimes where the concurrence only decays asymptotically report no finite
+root instead of a fabricated one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -29,7 +33,8 @@ from .thermal import METHOD_XSTATE, ROUTE_TOL, concurrence_values, log_sign_valu
 
 PARAM_NAMES = ("J", "Jz", "B", "b", "T")
 
-MAX_GRID_POINTS_2D = 1001
+# The most points a grid may have, over all its axes: 1001 x 1001 in two.
+MAX_GRID_POINTS = 1001**2
 
 
 class InvalidAxisError(XxzentError, ValueError):
@@ -110,26 +115,14 @@ def _validate_sweep(axes: Sequence[Axis], fixed: Mapping[str, float]) -> None:
     names = [a.name for a in axes]
     if len(set(names)) != len(names):
         raise InvalidAxisError(f"swept axes must be distinct, got {names}")
-    if len(axes) == 2 and any(a.points > MAX_GRID_POINTS_2D for a in axes):
-        raise InvalidAxisError(
-            f"2-axis grids are capped at {MAX_GRID_POINTS_2D} points per axis"
-        )
+    if (total := math.prod(a.points for a in axes)) > MAX_GRID_POINTS:
+        raise InvalidAxisError(f"grids are capped at {MAX_GRID_POINTS} points, got {total}")
     expected = set(PARAM_NAMES) - set(names)
     if set(fixed) != expected:
         raise InvalidAxisError(
             f"fixed parameters must be exactly {sorted(expected)}, got {sorted(fixed)}"
         )
     _check_params(**fixed)
-
-
-def _grid(axes: tuple[Axis, ...], fixed: dict[str, float], values, **notes) -> SweepGrid:
-    """SweepGrid of the values over `axes`, with the metadata every grid carries."""
-    return SweepGrid(
-        fixed=fixed,
-        axes=axes,
-        values=np.asarray(values, dtype=float).reshape(tuple(a.points for a in axes)),
-        metadata={"method": METHOD_XSTATE, "tolerances": {"route_agreement": ROUTE_TOL}, **notes},
-    )
 
 
 def sweep(axes: Sequence[Axis], fixed: Mapping[str, float]) -> SweepGrid:
@@ -144,7 +137,13 @@ def sweep(axes: Sequence[Axis], fixed: Mapping[str, float]) -> SweepGrid:
     params: dict[str, object] = dict(fixed)
     for axis, values in zip(axes, np.ix_(*[a.values() for a in axes])):
         params[axis.name] = values
-    return _grid(axes, fixed, concurrence_values(*(params[name] for name in PARAM_NAMES)))
+    values = concurrence_values(*(params[name] for name in PARAM_NAMES))
+    return SweepGrid(
+        fixed=fixed,
+        axes=axes,
+        values=values.reshape(tuple(a.points for a in axes)),
+        metadata={"method": METHOD_XSTATE, "tolerances": {"route_agreement": ROUTE_TOL}},
+    )
 
 
 def _sign_root(axis, h, scale, decreasing: bool, note="") -> CriticalPoint:
@@ -236,79 +235,46 @@ def critical_field(J, Jz, B, b, T, axis: str) -> CriticalPoint:
     )
 
 
-def _labeled(grid: SweepGrid, label: str, description: str) -> SweepGrid:
-    metadata = dict(grid.metadata)
-    metadata["label"] = label
-    metadata["description"] = description
-    return dataclasses.replace(grid, metadata=metadata)
+# Preset grids by figure, as (label, description, axes, fixed) rows; an axis
+# with points None takes figure_data's `points`.
+_FIGURES = {
+    1: [("fig1_inhomogeneous", "concurrence vs b at J=1, Jz=0, B=0 for T in {0.4, 1.0}",
+         (("b", -6.0, 6.0, None), ("T", 0.4, 1.0, 2)), {"J": 1.0, "Jz": 0.0, "B": 0.0}),
+        ("fig1_uniform", "concurrence vs B at J=1, Jz=0, b=0 for T in {0.4, 1.0}",
+         (("B", 0.0, 6.0, None), ("T", 0.4, 1.0, 2)), {"J": 1.0, "Jz": 0.0, "b": 0.0})],
+    2: [("fig2", "concurrence vs (B, T) at Jz=J=-1, b=0.458",
+         (("B", 0.0, 1.0, None), ("T", 0.01, 0.6, None)), {"J": -1.0, "Jz": -1.0, "b": 0.458})],
+    3: [(f"fig3_jz_{slug}", f"concurrence vs (b, T) at J=1, B=0, Jz={jz}",
+         (("b", -6.0, 6.0, None), ("T", 0.1, 2.1, None)), {"J": 1.0, "Jz": jz, "B": 0.0})
+        for jz, slug in ((0.0, "0"), (0.9, "0p9"))],
+    4: [(f"fig4_jz_{slug}", f"concurrence vs b at J=1, B=0.8, T=0.6, Jz={jz}",
+         (("b", -3.0, 3.0, None),), {"J": 1.0, "Jz": jz, "B": 0.8, "T": 0.6})
+        for jz, slug in ((0.0, "0"), (0.4, "0p4"), (0.9, "0p9"))],
+    5: [(f"fig5_b_{slug}", f"concurrence vs (T, B) at J=1, Jz=0.4, b={b}",
+         (("T", 0.01, 2.0, None), ("B", 0.0, 3.0, None)), {"J": 1.0, "Jz": 0.4, "b": b})
+        for b, slug in ((0.0, "0"), (0.8, "0p8"))],
+}
 
 
 def figure_data(figure: int, points: int = 201) -> list[SweepGrid]:
-    """Preset sweep grids fig1..fig5 (see README for the parameter sets)."""
-    if figure == 1:
-        temps = Axis("T", 0.4, 1.0, 2)
-        return [
-            _labeled(
-                sweep([Axis("b", -6.0, 6.0, points), temps],
-                      {"J": 1.0, "Jz": 0.0, "B": 0.0}),
-                "fig1_inhomogeneous",
-                "concurrence vs b at J=1, Jz=0, B=0 for T in {0.4, 1.0}",
-            ),
-            _labeled(
-                sweep([Axis("B", 0.0, 6.0, points), temps],
-                      {"J": 1.0, "Jz": 0.0, "b": 0.0}),
-                "fig1_uniform",
-                "concurrence vs B at J=1, Jz=0, b=0 for T in {0.4, 1.0}",
-            ),
-        ]
-    if figure == 2:
-        axes = (Axis("B", 0.0, 1.0, points), Axis("T", 0.01, 0.6, points))
-        B, T = np.ix_(*[a.values() for a in axes])
-        grid = _grid(
-            axes, {"J": -1.0, "Jz": -1.0, "b": 0.458},
-            concurrence_values(-2.0, -2.0, 2.0 * B, 0.916, T),
-            note="isotropic Jz=J preset evaluated at doubled parameters "
-            "(J,Jz,B,b) -> (2J,2Jz,2B,2b); axes are in the undoubled units",
-        )
-        return [
-            _labeled(grid, "fig2", "concurrence vs (B, T) at Jz=J=-1, b=0.458")
-        ]
-    if figure == 3:
-        return [
-            _labeled(
-                sweep(
-                    [Axis("b", -6.0, 6.0, points), Axis("T", 0.1, 2.1, points)],
-                    {"J": 1.0, "Jz": jz, "B": 0.0},
-                ),
-                f"fig3_jz_{_slug(jz)}",
-                f"concurrence vs (b, T) at J=1, B=0, Jz={jz}",
-            )
-            for jz in (0.0, 0.9)
-        ]
-    if figure == 4:
-        return [
-            _labeled(
-                sweep([Axis("b", -3.0, 3.0, points)],
-                      {"J": 1.0, "Jz": jz, "B": 0.8, "T": 0.6}),
-                f"fig4_jz_{_slug(jz)}",
-                f"concurrence vs b at J=1, B=0.8, T=0.6, Jz={jz}",
-            )
-            for jz in (0.0, 0.4, 0.9)
-        ]
-    if figure == 5:
-        return [
-            _labeled(
-                sweep(
-                    [Axis("T", 0.01, 2.0, points), Axis("B", 0.0, 3.0, points)],
-                    {"J": 1.0, "Jz": 0.4, "b": b},
-                ),
-                f"fig5_b_{_slug(b)}",
-                f"concurrence vs (T, B) at J=1, Jz=0.4, b={b}",
-            )
-            for b in (0.0, 0.8)
-        ]
-    raise UnknownFigureError(f"figure id must be 1..5, got {figure!r}")
+    """Preset sweep grids fig1..fig5 (see README for the parameter sets), each through sweep.
 
-
-def _slug(x: float) -> str:
-    return f"{x:g}".replace(".", "p").replace("-", "m")
+    fig2 is its row at doubled (J, Jz, B, b).  The model is homogeneous of
+    degree one, so sweep evaluates the row at T/2 instead, which halving
+    makes bit-identical; the grid keeps the row's axes and fixed values.
+    """
+    if figure not in _FIGURES:
+        raise UnknownFigureError(f"figure id must be 1..5, got {figure!r}")
+    grids = []
+    for label, description, specs, fixed in _FIGURES[figure]:
+        axes = tuple(Axis(name, start, stop, count or points) for name, start, stop, count in specs)
+        labels = {"label": label, "description": description}
+        evaluated = axes
+        if label == "fig2":
+            labels = {"note": "isotropic Jz=J preset evaluated at doubled parameters (J,Jz,B,b) "
+                      "-> (2J,2Jz,2B,2b); axes are in the undoubled units", **labels}
+            B, T = axes
+            evaluated = (B, Axis("T", T.start / 2, T.stop / 2, T.points))
+        grid = sweep(evaluated, fixed)
+        grids.append(dataclasses.replace(grid, axes=axes, metadata={**grid.metadata, **labels}))
+    return grids

@@ -21,6 +21,7 @@ from .model import _energies, build_hamiltonian
 from .thermal import (
     DENSITY_TOL,
     ROUTE_TOL,
+    InvalidDensityMatrixError,
     concurrence_values,
     gibbs_closed,
     gibbs_spectral,
@@ -109,18 +110,26 @@ def suite_spectrum(draws: dict[str, np.ndarray]) -> SuiteResult:
     return _result("spectrum-oracle", draws, errors, ROUTE_TOL)
 
 
+def _density_defects(states):
+    """Per state: trace defect, Hermiticity defect and lowest eigenvalue."""
+    return (
+        np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0),
+        hermiticity_defect(states),
+        hermitian_eigen(states).values[..., 0],
+    )
+
+
 def _gibbs_errors(J, Jz, B, b, T):
     """Per draw: route disagreement, then the worse of the two states' trace
     defect, Hermiticity defect and lowest eigenvalue."""
     closed = gibbs_closed(J, Jz, B, b, T)
     spectral = gibbs_spectral(J, Jz, B, b, T)
-    both = np.stack([closed, spectral])
-    trace = np.abs(np.trace(both, axis1=-2, axis2=-1) - 1.0)
+    trace, herm, lowest = _density_defects(np.stack([closed, spectral]))
     return (
         np.max(np.abs(closed - spectral), axis=(-2, -1)),
         np.max(trace, axis=0),
-        np.max(hermiticity_defect(both), axis=0),
-        np.min(hermitian_eigen(both).values[..., 0], axis=0),
+        np.max(herm, axis=0),
+        np.min(lowest, axis=0),
     )
 
 
@@ -140,14 +149,27 @@ def suite_gibbs(draws: dict[str, np.ndarray]) -> SuiteResult:
 
 
 def _route_errors(J, Jz, B, b, T):
-    generic = wootters_concurrence(gibbs_closed(J, Jz, B, b, T))[0]
-    return (np.abs(generic - thermal_concurrence(J, Jz, B, b, T)[0]),)
+    """Per draw: the two routes' disagreement, and whether the generic route refused
+    the closed-form state as no density matrix; a refused draw counts as 1, the
+    widest gap two concurrences can have."""
+    closed = gibbs_closed(J, Jz, B, b, T)
+    shipped = thermal_concurrence(J, Jz, B, b, T)[0]
+    refused = np.zeros(shipped.shape, dtype=bool)
+    try:
+        generic = wootters_concurrence(closed)[0]
+    except InvalidDensityMatrixError:  # only a refused block pays for the per-state checks
+        trace, herm, lowest = _density_defects(closed)
+        refused = (trace > DENSITY_TOL) | (herm > DENSITY_TOL) | (lowest < -PSD_TOL)
+        # the maximally mixed state stands in for each refused one
+        generic = wootters_concurrence(np.where(refused[:, None, None], np.eye(4) / 4, closed))[0]
+    return np.where(refused, 1.0, np.abs(generic - shipped)), refused
 
 
 def suite_routes(draws: dict[str, np.ndarray]) -> SuiteResult:
     """Generic Wootters on the closed-form Gibbs state vs the shipped X-state kernel."""
-    (errors,) = _over_blocks(_route_errors, draws)
-    return _result("concurrence-routes", draws, errors, ROUTE_TOL)
+    errors, refused = _over_blocks(_route_errors, draws)
+    details = {"refused_states": int(np.sum(refused))} if refused.any() else None
+    return _result("concurrence-routes", draws, errors, ROUTE_TOL, details)
 
 
 def _mirror_suite(name, draws, mirror) -> SuiteResult:

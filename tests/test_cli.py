@@ -451,6 +451,8 @@ def package_modules():
         (["critical", "--axis", "t", "--t=-1e-300"], 1),
         # the seed of verify's Philox draws is a non-negative integer
         (["verify", "--seed", "-1"], 2),
+        # one point past the cap of 1001**2 points per grid, refused before any is computed
+        (["sweep", "--axis", "t:0.1:1:1002002"], 2),
     ],
 )
 def test_refused_input_fails_cleanly(capsys, argv, code):

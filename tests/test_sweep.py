@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from csv_oracle import axis_major_columns
+from xxzent import sweep as sweep_module
 from xxzent.model import (
     InvalidParameterError,
     NonPositiveTemperatureError,
@@ -125,7 +126,7 @@ class TestSweep:
             ([Axis("b", 0, 1, 3)], {"J": 1, "Jz": 0, "B": 0, "T": 1, "b": 0}),
             ([Axis("b", 0, 1, 3)], {"J": 1, "Jz": 0, "B": 0}),
             ([Axis("b", 0, 1, 3)], {"J": 1, "Jz": 0, "B": -1, "T": 1}),
-            ([Axis("b", 0, 1, 1200), Axis("T", 0.1, 1, 3)],
+            ([Axis("b", 0, 1, 1002), Axis("T", 0.1, 1, 1001)],
              {"J": 1, "Jz": 0, "B": 0}),
         ],
     )
@@ -134,6 +135,37 @@ class TestSweep:
         error = InvalidParameterError if fixed.get("B", 0) < 0 else InvalidAxisError
         with pytest.raises(error):
             sweep(axes, fixed)
+
+
+class TestPointCap:
+    """One cap of 1001**2 points over all of a grid's axes, for every grid."""
+
+    FIXED = {"J": 1.0, "Jz": 0.0, "B": 0.0}
+
+    @pytest.fixture
+    def nothing_evaluated(self, monkeypatch):
+        def evaluated(*args):
+            pytest.fail("a grid over the cap was evaluated")
+
+        monkeypatch.setattr(Axis, "values", evaluated)
+        monkeypatch.setattr(sweep_module, "concurrence_values", evaluated)
+
+    def test_refuses_a_1d_axis_over_the_cap(self, nothing_evaluated):
+        axis = Axis("T", 0.1, 1.0, 1001**2 + 1)
+        with pytest.raises(InvalidAxisError, match="capped"):
+            sweep([axis], {**self.FIXED, "b": 0.0})
+
+    @pytest.mark.parametrize("figure", [2, 3, 5])
+    def test_refuses_every_2d_preset_over_the_cap(self, figure, nothing_evaluated):
+        with pytest.raises(InvalidAxisError, match="capped"):
+            figure_data(figure, points=1002)
+
+    def test_accepts_any_shape_up_to_the_cap(self):
+        assert sweep_module.MAX_GRID_POINTS == 1001**2
+        grid = sweep([Axis("b", 0, 1, 1200), Axis("T", 0.1, 1, 3)], self.FIXED)
+        assert grid.values.shape == (1200, 3)
+        # exactly at the cap, checked without evaluating a million points
+        sweep_module._validate_sweep([Axis("T", 0.1, 1.0, 1001**2)], {**self.FIXED, "b": 0.0})
 
 
 def bits(values) -> np.ndarray:

@@ -1,8 +1,12 @@
+import json
+
+import jsonschema
 import numpy as np
 import pytest
 
 from xxzent import thermal, verify
 from xxzent.cli import main
+from xxzent.linalg import PSD_TOL, hermitian_eigen
 from xxzent.model import NonPositiveTemperatureError
 from xxzent.verify import (
     ALL_SUITES,
@@ -74,6 +78,28 @@ def test_gibbs_fails_on_a_mutated_shared_coherence(monkeypatch):
     monkeypatch.setattr(thermal, "_weights", mutated)
     assert not suite_gibbs(draw_params(600, 9)).passed
     assert main(["verify", "--samples", "600"]) == 3
+
+
+def test_routes_fail_on_a_closed_state_that_is_not_psd(monkeypatch, capsys, output_schema):
+    # a 1% rise in the shared coherence pushes some closed-form states below
+    # zero; the generic route refuses those, and verify reports it as a failure
+    weights = thermal._weights
+
+    def mutated(*params):
+        *rest, coh = weights(*params)
+        return (*rest, coh * 1.01)
+
+    monkeypatch.setattr(thermal, "_weights", mutated)
+    routes = suite_routes(draw_params(600, 9))
+    assert not routes.passed
+    assert routes.max_error == 1.0 and routes.details["refused_states"] >= 1
+    lowest = hermitian_eigen(thermal.gibbs_closed(**routes.worst_params)).values[0]
+    assert lowest < -PSD_TOL
+    assert main(["verify", "--samples", "600", "--seed", "9"]) == 3
+    record = json.loads(capsys.readouterr().out)
+    jsonschema.validate(record, output_schema)
+    (reported,) = [s for s in record["results"]["suites"] if s["name"] == "concurrence-routes"]
+    assert reported["worst_params"] == routes.worst_params
 
 
 @pytest.mark.parametrize(
