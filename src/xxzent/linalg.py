@@ -1,17 +1,18 @@
 """Dense real or complex linear algebra for 4x4 Hermitian problems.
 
 Everything downstream works in the fixed product basis
-{|1,1>, |1,0>, |0,1>, |0,0>} (index 0..3), so the only solver needed is a
-cyclic Jacobi eigensolver for 4x4 Hermitian matrices.  Keeping the solver
-in-package (rather than calling out to LAPACK) makes the spectral route a
-genuinely independent cross-check of the closed-form spectrum.
+{|1,1>, |1,0>, |0,1>, |0,0>} (index 0..3).  The spectral route's in-package
+cyclic Jacobi eigensolver, not LAPACK, makes it an independent cross-check of
+the closed-form spectrum.  The Wootters route's SVD is LAPACK's: that route
+never reads the closed-form weights, so it stays independent of the X-state kernel.
 
 Every function takes one 4x4 matrix or a (..., 4, 4) stack of them, real or
-complex, and computes in that dtype.  The Jacobi rotations run over the whole
-stack at once, but each matrix keeps its own convergence test, so a matrix
-gets the same result alone as inside any stack.  Errors name the index of the
-first offending matrix in a stack.  A matrix far from unit scale is solved
-divided by a power of two, and its results scaled back exactly.
+complex, and computes in that dtype; a non-finite entry is refused.  The
+Jacobi rotations run over the whole stack at once, but each matrix keeps its
+own convergence test, so a matrix gets the same result alone as inside any
+stack.  Errors name the index of the first offending matrix in a stack.  A
+matrix far from unit scale is solved divided by a power of two, and its
+results scaled back exactly.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ def _stack(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     m = np.array(m, dtype=np.result_type(m, float))
     if m.ndim < 2 or m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {m.shape}")
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=(-2, -1)))
+    if bad.size:
+        raise ValueError(f"{_which(m.shape[:-2], bad[0])} has a non-finite entry")
     return m.reshape(-1, 4, 4), m.shape[:-2]
 
 
@@ -94,7 +98,7 @@ def _power_of_two_shift(values, lowest: int, highest: int) -> np.ndarray:
 
 def _normalized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stack, each matrix over the power of two that brings its largest |entry| into
-    [2**-250, 2**250) (so singular_values' squared norms stay normal), and the powers, (N, 1)."""
+    [2**-250, 2**250), and the powers, (N, 1): a matrix times 2**k gives a solver the same bits."""
     shift = _power_of_two_shift(m.reshape(-1, 16).T, -250, 250)
     return m * np.ldexp(1.0, -shift)[:, np.newaxis, np.newaxis], np.ldexp(1.0, shift)[:, np.newaxis]
 
@@ -113,7 +117,8 @@ def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
     A float for one matrix, an array of the leading shape for a stack.
     """
     m = np.asarray(m)
-    defect = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite entry gives a nan defect
+        defect = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
     return float(defect) if m.ndim == 2 else defect
 
 
@@ -123,15 +128,16 @@ def _off_diagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mag[:, _OFF_DIAGONAL].max(axis=-1), mag.max(axis=(-2, -1))
 
 
-def _rotation(p, q, gamma, app, aqq, needed) -> np.ndarray:
+def _rotation(p, q, gamma, app, aqq) -> np.ndarray:
     """Unitaries (n, 4, 4) of one round, each zeroing the coupling gamma of its two planes.
 
     Per plane, phase out gamma, then rotate by the classic angle choice
     t = sign(tau)/(|tau| + sqrt(1+tau^2)) for the phased real block with
     diagonal (app, aqq): u equals the identity except u[p,p] = c, u[p,q] = s,
-    u[q,p] = -s conj(phase) and u[q,q] = c conj(phase).  Where `needed` is
-    False the plane's rotation is the exact identity c = 1, s = 0, phase = 1.
+    u[q,p] = -s conj(phase) and u[q,q] = c conj(phase).  Where gamma is 0
+    the plane's rotation is the exact identity c = 1, s = 0, phase = 1.
     """
+    needed = gamma != 0.0
     r = np.where(needed, np.abs(gamma), 1.0)
     phase = np.where(needed, gamma / r, 1.0)
     with np.errstate(over="ignore"):  # a coupling tiny beside its gap: tau = +-inf, t = 0
@@ -180,7 +186,7 @@ def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
         w = av[active]
         for p, q in _ROUNDS:
             gamma = w[:, p, q]
-            u = _rotation(p, q, gamma, w[:, p, p].real, w[:, q, q].real, gamma != 0.0)
+            u = _rotation(p, q, gamma, w[:, p, p].real, w[:, q, q].real)
             w = w @ u  # a <- a u, v <- v u
             w[:, :4] = u.conj().swapaxes(-1, -2) @ w[:, :4]  # a <- adj(u) a
         av[active] = w
@@ -220,35 +226,9 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 def singular_values(matrix: np.ndarray) -> np.ndarray:
     """Singular values of 4x4 real or complex matrices, descending along the last axis.
 
-    One-sided Jacobi: rotate column pairs until mutually orthogonal, then the
-    singular values are the column norms.  No Gram matrix is ever formed, so
-    tiny singular values keep full absolute accuracy instead of the sqrt-of-
-    roundoff floor that squaring would impose.  A matrix is done after the
-    first sweep that rotates none of its column pairs.
+    LAPACK's SVD of each matrix over a power of two.  It forms no Gram matrix, so
+    tiny singular values keep full absolute accuracy (squaring would floor them).
     """
     m, lead = _stack(matrix)
     m, unit = _normalized(m)
-    active = np.arange(len(m))  # matrices whose last sweep rotated
-    for _ in range(MAX_SWEEPS):
-        w = m[active]
-        rotated = np.zeros(len(active), dtype=bool)
-        for p, q in _ROUNDS:
-            x, y = w[:, :, p], w[:, :, q]  # columns p and q, (n, 4, 2)
-            app = (x.conj() * x).sum(axis=-2).real
-            aqq = (y.conj() * y).sum(axis=-2).real
-            apq = (x.conj() * y).sum(axis=-2)
-            scale = np.sqrt(app * aqq)
-            needed = (scale != 0.0) & (np.abs(apq) > 1e-15 * scale)
-            rotated |= needed.any(axis=-1)
-            w = w @ _rotation(p, q, apq, app, aqq, needed)
-        m[active] = w
-        active = active[rotated]
-        if not active.size:
-            break
-    else:
-        raise NoConvergenceError(
-            f"one-sided Jacobi did not converge in {MAX_SWEEPS} sweeps "
-            f"({_which(lead, active[0])})"
-        )
-    norms = np.sqrt(np.sum(np.abs(m) ** 2, axis=-2)) * unit
-    return np.sort(norms, axis=-1)[:, ::-1].reshape(lead + (4,))
+    return (np.linalg.svd(m, compute_uv=False) * unit).reshape(lead + (4,))

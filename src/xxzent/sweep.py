@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -69,7 +70,10 @@ class Axis:
             )
         object.__setattr__(self, "start", float(self.start))
         object.__setattr__(self, "stop", float(self.stop))
-        object.__setattr__(self, "points", int(self.points))
+        try:
+            object.__setattr__(self, "points", operator.index(self.points))
+        except TypeError:
+            raise InvalidAxisError(f"axis points must be an integer, got {self.points!r}") from None
         _check_params(**{self.name: np.array([self.start, self.stop])})
         if self.points < 1:
             raise InvalidAxisError(f"axis needs at least 1 point, got {self.points}")
@@ -259,12 +263,15 @@ _FIGURES = {
 def figure_data(figure: int, points: int = 201) -> list[SweepGrid]:
     """Preset sweep grids fig1..fig5 (see README for the parameter sets), each through sweep.
 
-    fig2 is its row at doubled (J, Jz, B, b).  The model is homogeneous of
-    degree one, so sweep evaluates the row at T/2 instead, which halving
+    `points`, an integer of at least 2, counts every axis without a preset
+    count.  fig2 is its row at doubled (J, Jz, B, b).  The model is homogeneous
+    of degree one, so sweep evaluates the row at T/2 instead, which halving
     makes bit-identical; the grid keeps the row's axes and fixed values.
     """
     if figure not in _FIGURES:
         raise UnknownFigureError(f"figure id must be 1..5, got {figure!r}")
+    if points < 2:
+        raise InvalidAxisError(f"figure points must be at least 2, got {points}")
     grids = []
     for label, description, specs, fixed in _FIGURES[figure]:
         axes = tuple(Axis(name, start, stop, count or points) for name, start, stop, count in specs)

@@ -211,10 +211,10 @@ def gibbs_spectral(J, Jz, B, b, T) -> np.ndarray:
 
 def _check_density_matrix(rho: np.ndarray) -> None:
     defect = np.max(hermiticity_defect(rho))
-    if defect > DENSITY_TOL:
-        raise InvalidDensityMatrixError(f"not Hermitian: max asymmetry {defect:.3e}")
+    if not defect <= DENSITY_TOL:  # a nan defect (a non-finite entry) fails too
+        raise InvalidDensityMatrixError(f"not Hermitian or not finite: max asymmetry {defect:.3e}")
     trace_defect = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
-    if trace_defect > DENSITY_TOL:
+    if not trace_defect <= DENSITY_TOL:
         raise InvalidDensityMatrixError(f"trace deviates from 1 by {trace_defect:.3e}")
 
 
@@ -223,12 +223,12 @@ def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The roots l_i are the square roots of the eigenvalues of rho @ rho_tilde
     with rho_tilde = S conj(rho) S, descending along the last axis.  They
-    are computed as the singular values of the factor
-    A = sqrt(rho) S conj(sqrt(rho)), which satisfies
-    A adj(A) = sqrt(rho) rho_tilde sqrt(rho): never forming that product
-    keeps tiny roots at full absolute accuracy (squaring would floor them at
-    the square root of machine roundoff).  Every state must pass the
-    Hermitian, unit-trace and PSD checks.
+    are LAPACK's singular values of the factor A = sqrt(rho) S conj(sqrt(rho)),
+    with sqrt(rho) from the Jacobi eigensolver.  A adj(A) is
+    sqrt(rho) rho_tilde sqrt(rho), and never forming that product keeps tiny
+    roots at full absolute accuracy (squaring would floor them at the square
+    root of machine roundoff).  Every state must have finite entries and pass
+    the Hermitian, unit-trace and PSD checks.
     """
     _check_density_matrix(rho)
     try:

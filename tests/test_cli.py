@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -474,6 +475,22 @@ def test_no_scalar_twin_of_a_broadcast_function():
         }
         twins = sorted(name for name in public if f"{name}_values" in public)
         assert not twins, f"{module.__name__}: {twins}"
+
+
+def test_no_unnamed_tolerance_in_a_function_body():
+    # A tolerance is written once, as a named module constant; a tiny float
+    # literal inside a function is an unnamed second copy of one.
+    found = set()
+    for module in package_modules():
+        for function in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(function, (ast.FunctionDef, ast.Lambda)):
+                found.update(
+                    f"{module.__name__}.{getattr(function, 'name', 'lambda')}: {node.value!r}"
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Constant) and type(node.value) is float
+                    and 0.0 < abs(node.value) < 1e-6
+                )
+    assert not found, sorted(found)
 
 
 def test_model_parameters_keep_one_order():

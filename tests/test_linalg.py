@@ -118,6 +118,18 @@ class TestHermitianEigen:
         with pytest.raises(ValueError):
             singular_values(np.zeros((5, 3, 3)))
 
+    @pytest.mark.parametrize("function", [hermitian_eigen, psd_sqrt, singular_values])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_names_non_finite_matrix_in_stack(self, function, entry):
+        m = np.stack([np.eye(4) / 4] * 100)
+        m[37, 1, 2] = m[37, 2, 1] = entry
+        with pytest.raises(ValueError, match="^matrix 37 has a non-finite entry"):
+            function(m)
+        with pytest.raises(ValueError, match=r"^matrix \(3, 7\) has a non-finite entry"):
+            function(m.reshape(10, 10, 4, 4))
+        with pytest.raises(ValueError, match="^matrix has a non-finite entry"):
+            function(m[37].astype(complex))
+
     def test_no_convergence_names_matrix(self, monkeypatch):
         import xxzent.linalg as linalg
 

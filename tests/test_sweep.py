@@ -57,6 +57,15 @@ class TestAxis:
     def test_single_point(self):
         assert np.array_equal(Axis("T", 0.7, 0.7, 1).values(), [0.7])
 
+    @pytest.mark.parametrize("points", [2.5, 3.0, "3", None])
+    def test_refuses_points_that_are_not_integers(self, points):
+        with pytest.raises(InvalidAxisError, match="axis points must be an integer"):
+            Axis("T", 0.1, 1.0, points)
+
+    def test_accepts_numpy_integer_points(self):
+        axis = Axis("T", 0.1, 1.0, np.int64(3))
+        assert type(axis.points) is int and axis.values().shape == (3,)
+
     @pytest.mark.parametrize("top", [1.7e308, sys.float_info.max])
     def test_span_past_the_double_range(self, top):
         with warnings.catch_warnings():
@@ -301,6 +310,15 @@ class TestFigureData:
     def test_unknown_figure(self):
         with pytest.raises(UnknownFigureError):
             figure_data(6)
+
+    @pytest.mark.parametrize("points", [1, 0, -3])
+    def test_refuses_fewer_than_two_points(self, points):
+        with pytest.raises(InvalidAxisError, match=f"points must be at least 2, got {points}"):
+            figure_data(1, points=points)
+
+    def test_refuses_fractional_points(self):
+        with pytest.raises(InvalidAxisError, match="axis points must be an integer, got 2.5"):
+            figure_data(1, points=2.5)
 
     def test_labels_unique(self):
         labels = [g.metadata["label"] for f in range(1, 6) for g in figure_data(f, points=3)]

@@ -200,6 +200,15 @@ class TestWootters:
         with pytest.raises(InvalidDensityMatrixError):
             wootters_concurrence(rho)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(1, 2), (0, 0)])
+    def test_rejects_non_finite_entry(self, entry, where):
+        # one state of a stack; a nan defect or trace must fail the checks, not pass them
+        rho = np.stack([np.eye(4) / 4] * 3)
+        rho[(1, *where)] = rho[(1, *where[::-1])] = entry
+        with pytest.raises(InvalidDensityMatrixError):
+            wootters_concurrence(rho)
+
 
 class TestXState:
     def test_agrees_with_wootters(self):
