@@ -129,6 +129,16 @@ def _energies(J, Jz, B, b):
     return tuple(energies), eta
 
 
+def _jz_plus_eta(J, Jz, b, eta):
+    """Jz + eta, the T -> 0 boundary B^f, on scaled parameters; broadcasts.  Where
+    -Jz >= eta/2 the sum cancels, so it is formed there as (eta^2 - Jz^2)/(eta - Jz)
+    = b (b/(eta - Jz)) + (|J| - |Jz|) ((|J| + |Jz|)/(eta - Jz)): each product is a
+    parameter times a ratio of at most 1, which cannot overflow."""
+    j, jz = np.abs(J), np.abs(Jz)
+    across = eta + jz  # eta - Jz where the sum cancels; 0 only at J = b = Jz = 0
+    return np.where(-Jz >= 0.5 * eta, b * (b / across) + (j - jz) * ((j + jz) / across), Jz + eta)
+
+
 def ground_state(J, Jz, B, b) -> GroundStateReport:
     """Ground-state phase, energy and concurrence; requires J != 0.
 
@@ -145,16 +155,11 @@ def ground_state(J, Jz, B, b) -> GroundStateReport:
     (e1, _, e3, _), eta = _energies(*scaled)
     J, Jz, B, b, e1, e3, eta, unit = (float(v) for v in (*scaled, e1, e3, eta, unit))
     gap = eta - (B - Jz)
-    threshold_jz = (B - eta) * unit
-    threshold_b = (eta + Jz) * unit
     if abs(gap) <= BOUNDARY_TOL * max(abs(J), abs(Jz), B, abs(b)):
-        return GroundStateReport(
-            Phase.BOUNDARY, e3 * unit, math.nan, threshold_jz, threshold_b
-        )
-    if gap < 0.0:
-        return GroundStateReport(
-            Phase.DISENTANGLED, e1 * unit, 0.0, threshold_jz, threshold_b
-        )
-    return GroundStateReport(
-        Phase.ENTANGLED, e3 * unit, abs(J) / eta, threshold_jz, threshold_b
-    )
+        phase, energy, concurrence = Phase.BOUNDARY, e3, math.nan
+    elif gap < 0.0:
+        phase, energy, concurrence = Phase.DISENTANGLED, e1, 0.0
+    else:
+        phase, energy, concurrence = Phase.ENTANGLED, e3, abs(J) / eta
+    threshold_b = float(_jz_plus_eta(J, Jz, b, eta)) * unit
+    return GroundStateReport(phase, energy * unit, concurrence, (B - eta) * unit, threshold_b)

@@ -10,11 +10,11 @@ goes through sweep and its cap of MAX_GRID_POINTS points in all; figure 2's
 doubled (J, Jz, B, b) is evaluated as T/2, which homogeneity makes the same
 bits.  Critical points are zeros of the analytic sign function g rather than
 "concurrence < eps" thresholds: g is monotone along every axis searched here
-(decreasing in T where a root can exist, increasing in |b|), so its limits
-decide existence and bisection from a bracket grown from the parameters' own
-scale certifies the location; no absolute constant decides an answer.
-Regimes where the concurrence only decays asymptotically report no finite
-root instead of a fabricated one.
+(decreasing in T where a root can exist, increasing in |b|), so its signs at
+the ends of the double range decide existence and bisection over exponents,
+then values, certifies the location; only signs of g decide, never a scale or
+an absolute constant.  Regimes where the concurrence only decays
+asymptotically report no finite root instead of a fabricated one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linalg import XxzentError
-from .model import _check_params, _rescaled, ground_state
+from .model import _check_params, ground_state
 from .thermal import METHOD_XSTATE, ROUTE_TOL, concurrence_values, log_sign_values
 
 PARAM_NAMES = ("J", "Jz", "B", "b", "T")
@@ -150,45 +150,51 @@ def sweep(axes: Sequence[Axis], fixed: Mapping[str, float]) -> SweepGrid:
     )
 
 
-def _sign_root(axis, h, scale, decreasing: bool, note="") -> CriticalPoint:
-    """Root of h on (0, inf), where h > 0 only below it if decreasing, only above if not.
-
-    The bracket grows from scale by doubling or halving until h changes sign
-    across it; bisection then narrows it to two adjacent doubles.
+def _sign_root(axis, h, lowest, decreasing: bool, absent: str, note="") -> CriticalPoint:
+    """Root of h between lowest and the largest double; h > 0 only below it if decreasing,
+    only above it if not.  A sign change below lowest gives the note absent, one above
+    the largest double a past-the-range note.  Bisection over binary exponents finds the
+    binade [2**e, 2**(e+1)] (the top one ends at the largest double) that holds the sign
+    change, and bisection over values narrows it to two adjacent doubles.  So h is
+    evaluated at most 66 times (2 ends, 12 powers of two, 52 midpoints), and only its
+    signs decide: the root scales exactly with the parameters' powers of two.
     """
+    values = {}
 
     def below(x: float) -> bool:
-        return (h(x) > 0.0) == decreasing
+        values[x] = h(x)
+        return (values[x] > 0.0) == decreasing
 
-    lo = hi = min(scale, sys.float_info.max)
-    while below(hi) and hi < sys.float_info.max:
-        lo, hi = hi, min(2.0 * hi, sys.float_info.max)
-    while lo > 0.0 and not below(lo):
-        lo, hi = 0.5 * lo, lo
-    if lo == 0.0 or below(hi):
+    if not below(lowest):
+        return CriticalPoint(axis, None, None, None, note=absent)
+    if below(top := sys.float_info.max):
         note = "sign function g changes sign past the double range: no double holds the root"
         return CriticalPoint(axis, None, None, None, note=note)
+    # at the ends lo and hi stand in for 2**low and 2**high: lowest <= 2**-1074, top < 2**1024
+    (lo, low), (hi, high) = (lowest, -1075), (top, sys.float_info.max_exp)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if below(x := math.ldexp(1.0, middle)):
+            lo, low = x, middle
+        else:
+            hi, high = x, middle
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
         lo, hi = (mid, hi) if below(mid) else (lo, mid)
-    root = min(lo, hi, key=lambda x: abs(h(x)))
-    return CriticalPoint(axis, root, (lo, hi), float(np.expm1(h(root))), note=note)
+    root = min(lo, hi, key=lambda x: abs(values[x]))
+    return CriticalPoint(axis, root, (lo, hi), float(np.expm1(values[root])), note=note)
 
 
 def critical_temperature(J, Jz, B, b) -> CriticalPoint:
     """Temperature above which the thermal concurrence vanishes.
 
-    g -> +inf as T -> 0 iff Jz + eta > 0, g -> -1 as T -> inf, and g is
-    strictly decreasing in T wherever it can be positive; so a root exists
-    iff Jz + eta > 0, and it is bracketed from eta.  Independent of B.
+    g is strictly decreasing in T wherever it can be positive, so a root exists
+    iff g > 0 at the smallest positive double (the T -> 0 limit is +inf iff
+    Jz + eta > 0) and g <= 0 at the largest.  Independent of B.
     """
     _check_params("critical temperature", J=J, Jz=Jz, B=B, b=b)
-    (scaled_J, scaled_Jz, _, scaled_b), unit = _rescaled(J, Jz, B, b)
-    eta = float(np.hypot(scaled_b, scaled_J))  # finite in the scaled units
-    if not scaled_Jz + eta > 0.0:
-        note = "Jz + eta <= 0, so g <= 0 at every temperature: no thermal entanglement"
-        return CriticalPoint("T", None, None, None, note=note)
     return _sign_root(
-        "T", lambda T: float(log_sign_values(J, Jz, b, T)), eta * float(unit), decreasing=True
+        "T", lambda T: float(log_sign_values(J, Jz, b, T)), math.ulp(0.0), decreasing=True,
+        absent="Jz + eta <= 0, so g <= 0 at every temperature: no thermal entanglement",
     )
 
 
@@ -196,7 +202,7 @@ def critical_field(J, Jz, B, b, T, axis: str) -> CriticalPoint:
     """Critical inhomogeneous field (axis="b") or uniform field (axis="B").
 
     For axis="b" the sign function grows without bound in b >= 0, so a root
-    exists iff g <= 0 at b = 0; it is bracketed from max(|J|, T) (b-symmetry
+    exists iff g <= 0 at b = 0 and g > 0 at the largest double (b-symmetry
     gives the mirror root at -location).
 
     For axis="B" the sign of the concurrence does not depend on B at all, so
@@ -206,35 +212,19 @@ def critical_field(J, Jz, B, b, T, axis: str) -> CriticalPoint:
     _check_params("critical field", J=J, Jz=Jz, B=B, b=b, T=T)
     if axis == "B":
         if log_sign_values(J, Jz, b, T) > 0.0:
-            note = (
-                "sign of the concurrence is independent of B, so it stays "
-                "positive for every B >= 0 at this temperature; the T -> 0 "
-                "entanglement boundary is B^f = eta + Jz"
-            )
+            note = ("sign of the concurrence is independent of B, so it stays positive for "
+                    "every B >= 0 at this temperature")
         else:
-            note = (
-                "concurrence vanishes identically at this temperature for "
-                "every B; the T -> 0 entanglement boundary is B^f = eta + Jz"
-            )
-        return CriticalPoint(
-            "B", None, None, None, note=note,
-            zero_temperature_boundary=ground_state(J, Jz, B, b).threshold_B,
-        )
+            note = "concurrence vanishes identically at this temperature for every B"
+        note += "; the T -> 0 entanglement boundary is B^f = eta + Jz"
+        boundary = ground_state(J, Jz, B, b).threshold_B
+        return CriticalPoint("B", None, None, None, note, zero_temperature_boundary=boundary)
     if axis != "b":
         raise InvalidAxisError(f"critical field axis must be 'b' or 'B', got {axis!r}")
-
-    def h(inhomogeneity: float) -> float:
-        return float(log_sign_values(J, Jz, inhomogeneity, T))
-
-    if h(0.0) > 0.0:
-        note = (
-            "sign function g > 0 at b = 0 and grows with |b|: the concurrence "
-            "decays only asymptotically with |b| and has no finite critical "
-            "inhomogeneous field here"
-        )
-        return CriticalPoint("b", None, None, None, note=note)
     return _sign_root(
-        "b", h, max(abs(J), T), decreasing=False,
+        "b", lambda x: float(log_sign_values(J, Jz, x, T)), 0.0, decreasing=False,
+        absent="sign function g > 0 at b = 0 and grows with |b|: the concurrence decays only "
+        "asymptotically with |b| and has no finite critical inhomogeneous field here",
         note="b-symmetric mirror root at the negated location",
     )
 

@@ -41,6 +41,7 @@ from .linalg import (
 from .model import (
     _check_params,
     _energies,
+    _jz_plus_eta,
     _rescaled,
     build_hamiltonian,
 )
@@ -129,22 +130,25 @@ def log_sign_values(J, Jz, b, T) -> np.ndarray:
     """log of (g+1) = Jz/T + log(|J|/eta) + log(sinh(x)), x = eta/T; broadcasts.
 
     Positive iff thermal concurrence is positive; requires J != 0.  It is
-    evaluated as Jz/T + log(|J|/T) + log(sinh(x)/x) for x <= 1 and as
-    (Jz + eta)/T + log(|J|/eta) - log 2 + log1p(-exp(-x)^2) above, on the
-    parameters that model._rescaled scales, so eta is finite, no quantity
-    underflows into the log of zero and no inf - inf arises.  A value past
-    the double range comes back as +-inf, which keeps its sign.
+    evaluated as Jz/t + log(|J|/t) + log(sinh(x)/x) for x <= 1, at t = max(T, eta),
+    which is T there, and as (Jz + eta)/T + log(|J|/eta) - log 2 + log1p(-exp(-x)^2)
+    above, on the parameters that model._rescaled scales (a |J| or T that it rounds
+    to 0 counts as the smallest double), so eta is finite, no quantity underflows
+    into the log of zero and no inf - inf arises.  A value past the double range
+    comes back as +-inf, which keeps its sign.
     """
     (J, Jz, b, T), _ = _rescaled(J, Jz, b, T)
+    J, T = (np.maximum(np.abs(v), math.ulp(0.0)) for v in (J, T))
     eta = np.hypot(b, J)
     with np.errstate(over="ignore"):
         x = eta / T
-        near = np.clip(x, _TINY, 1.0)  # sinh(x)/x is 1.0 long before x underflows
+        t = np.maximum(T, eta)
+        near = np.maximum(eta / t, _TINY)  # sinh(x)/x is 1.0 long before x underflows
         far = np.maximum(x, 1.0)
         return np.where(
             x <= 1.0,
-            Jz / T + _log_ratio(np.abs(J), T) + np.log(np.sinh(near) / near),
-            (Jz + eta) / T + _log_ratio(np.abs(J), eta) - math.log(2.0)
+            Jz / t + _log_ratio(J, t) + np.log(np.sinh(near) / near),
+            _jz_plus_eta(J, Jz, b, eta) / T + _log_ratio(J, eta) - math.log(2.0)
             + np.log1p(-np.exp(-far) ** 2),
         )
 

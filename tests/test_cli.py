@@ -402,6 +402,9 @@ def test_help_exits_0(capsys):
         ("eval", "--t", "1e-9"),
         ("sweep", "--axis", "t:1e-9:1:3"),
         ("critical", "--axis", "t", "--t", "1e-9"),
+        # a subnormal J that the scaling rounds to 0 beside b near the top of the range
+        ("critical", "--axis", "b", "--j", "5e-324", "--t", "1"),
+        ("critical", "--axis", "t", "--j", "5e-324", "--b", "1e308"),
     ],
 )
 def test_extreme_scales_are_quiet(capsys, output_schema, argv):

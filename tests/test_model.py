@@ -125,6 +125,11 @@ class TestGroundState:
         assert report.threshold_B == pytest.approx(1.4, abs=1e-15)
         assert report.threshold_Jz == pytest.approx(-1.0, abs=1e-15)
 
+    def test_uniform_threshold_does_not_cancel(self):
+        # eta rounds to 1.0 = -Jz here; B^f = Jz + eta = b^2 / (eta - Jz) is 5e-17
+        report = ground_state(1.0, -1.0, 0.0, 1e-8)
+        assert report.threshold_B == pytest.approx(5e-17, rel=1e-15, abs=0.0)
+
     def test_boundary_reported_indeterminate(self):
         report = ground_state(1.0, 0.4, 1.4, 0.0)  # B exactly at eta + Jz
         assert report.phase is Phase.BOUNDARY

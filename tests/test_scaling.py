@@ -25,6 +25,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import xxzent
+from xxzent import sweep, thermal
 from xxzent.cli import AXIS_TOKENS, main
 from xxzent.thermal import concurrence_values
 
@@ -117,13 +118,59 @@ def test_found_point_agrees_at_three_scales():
 @PROPERTY
 @given(POINTS, SCALES, st.sampled_from(["t", "b"]))
 def test_critical_locations_scale(params, lam, axis):
+    # the finder reads only signs of g, so a power-of-two scale moves every bit
     names = ("J", "Jz", "B", "b", "T")
-    location = run("critical", "--axis", axis, **scaled(params, 1.0, *names))["location"]
-    again = run("critical", "--axis", axis, **scaled(params, lam, *names))["location"]
-    if location is None:
-        assert again is None
+    results = run("critical", "--axis", axis, **scaled(params, 1.0, *names))
+    again = run("critical", "--axis", axis, **scaled(params, lam, *names))
+    if results["location"] is None:
+        assert again["location"] is None and again["bracket"] is None
     else:
-        assert again == pytest.approx(lam * location, rel=1e-12)
+        assert again["location"] == lam * results["location"]
+        assert again["bracket"] == [lam * end for end in results["bracket"]]
+
+
+def counted_critical(monkeypatch, operation, *args):
+    """The CriticalPoint of operation(*args) and the number of g evaluations it made."""
+    calls = []
+
+    def log_sign_values(*params):
+        calls.append(params)
+        return thermal.log_sign_values(*params)
+
+    monkeypatch.setattr(sweep, "log_sign_values", log_sign_values)
+    return operation(*args), len(calls)
+
+
+# 2 ends, 12 powers of two between 2**-1075 and 2**1024, 52 midpoints in a binade
+MAX_SIGN_EVALUATIONS = 66
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("J, Jz, b, T", [
+    (1.0, 0.0, 0.0, 2.0),  # a root on both axes
+    (1.0, 0.9, 0.4, 0.6),  # T root; g > 0 at b = 0
+    (1.0, -3.0, 0.0, 0.1),  # no T root; a b root
+    (1.0, -1.0 + 2.0**-40, 0.0, 1.0),  # Jz + eta = 2**-40: a T root 2**40 below the scale
+])
+def test_critical_search_is_bounded(monkeypatch, lam, J, Jz, b, T):
+    J, Jz, b, T = (lam * v for v in (J, Jz, b, T))
+    _, count = counted_critical(monkeypatch, sweep.critical_temperature, J, Jz, 0.0, b)
+    assert count <= MAX_SIGN_EVALUATIONS
+    _, count = counted_critical(monkeypatch, sweep.critical_field, J, Jz, 0.0, b, T, "b")
+    assert count <= MAX_SIGN_EVALUATIONS
+
+
+# test_critical_at_the_top_of_the_range's argvs at 1e308, and a b root past the range
+@pytest.mark.parametrize("operation, args, past", [
+    (sweep.critical_temperature, (1.5e308, 0.0, 0.0, 1e308), False),
+    (sweep.critical_temperature, (1.5e308, 0.0, 0.0, 1.35e308), True),
+    (sweep.critical_field, (1.5e308, -1e308, 0.0, 0.0, 1e308, "b"), False),
+    (sweep.critical_field, (1e300, 0.0, 0.0, 0.0, 1e308, "b"), True),
+], ids=["t", "t-past-range", "b", "b-past-range"])
+def test_search_at_the_top_of_the_range_is_bounded(monkeypatch, operation, args, past):
+    point, count = counted_critical(monkeypatch, operation, *args)
+    assert (point.location is None) == past
+    assert count <= MAX_SIGN_EVALUATIONS
 
 
 @PROPERTY
@@ -153,20 +200,9 @@ def test_sweep_values_are_invariant(params, lam, name):
     ids=["t", "t-past-range", "b"],
 )
 def test_critical_at_the_top_of_the_range(axis, mantissas):
-    # A bracket loop that never ends must fail the suite, not stall it, so each
-    # command runs in a child process with a timeout.
-    src = str(Path(xxzent.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-
     def location(exponent):
         flags = [f"--{name}={value}{exponent}" for name, value in mantissas.items()]
-        result = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "xxzent.cli", "critical", "--axis", axis,
-             *flags],
-            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
-        )
-        assert result.returncode == 0 and result.stderr == ""
-        return json.loads(result.stdout)["results"]
+        return critical_in_child(axis, flags)
 
     expected = 1e308 * location("")["location"]
     results = location("e308")
@@ -174,3 +210,25 @@ def test_critical_at_the_top_of_the_range(axis, mantissas):
         assert results["location"] is None and "past the double range" in results["note"]
     else:
         assert results["location"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_critical_field_at_a_tiny_temperature():
+    # eta rounds to 1.0 = -Jz near the root; Jz + eta = b^2/2 there, so the root is
+    # sqrt(2 T ln 2), and the finder's probe at b = 0 forms inf - inf unless guarded
+    results = critical_in_child("b", ["--j=1", "--jz=-1", "--t=1e-310"])
+    assert abs(results["residual"]) <= 1e-9
+    assert results["location"] == pytest.approx(math.sqrt(2e-310 * math.log(2.0)), rel=1e-12)
+
+
+def critical_in_child(axis, flags):
+    """The results of `critical --axis axis *flags` in a child process that fails on a
+    warning.  A bracket loop that never ends must fail the suite, not stall it, so
+    the child runs under a timeout."""
+    src = str(Path(xxzent.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "xxzent.cli", "critical", "--axis", axis, *flags],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0 and result.stderr == ""
+    return json.loads(result.stdout)["results"]
