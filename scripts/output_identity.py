@@ -43,29 +43,13 @@ SESSION_SEEDS = (11, 29)
 POOL_SEED = 11  # of the grid and verify pools
 VERIFY_SEEDS = (42, 7, 1234567)
 
-# Inputs at the ends of the double range, as test_cli.py and test_scaling.py run them.
-EXTREME = [
-    ["eval", "--j", "1e-300", "--t", "1e300"],
-    ["critical", "--axis", "b", "--j", "1e-300", "--t", "1e300"],
-    ["critical", "--axis", "big-b", "--j", "1e-300", "--t", "1e300"],
-    ["critical", "--axis", "b", "--j", "1e300", "--t", "1e-8"],
-    ["critical", "--axis", "b", "--j", "1e300", "--t", "1e308"],
-    ["ground", "--j", "1e308", "--b", "1e308", "--jz", "1e308"],
-    ["critical", "--axis", "big-b", "--j", "1e308", "--b", "1e308", "--jz", "1e308"],
-    ["eval", "--j", "1.5e308", "--b", "1.35e308", "--t", "1e308"],
-    ["ground", "--j", "1.5e308", "--b", "1.35e308"],
-    ["critical", "--axis", "t", "--j=1.5e308", "--b=1e308"],
-    ["critical", "--axis", "t", "--j=1.5e308", "--b=1.35e308"],
-    ["critical", "--axis", "b", "--j=1.5e308", "--jz=-1e308", "--t=1e308"],
-    ["critical", "--axis", "b", "--j=1", "--jz=-1", "--t=1e-310"],
-]
-
-
 def runs() -> list[tuple[str, list[str]]]:
     """The fixed (name, argv) list: figures, the benchmark's pools and extreme inputs."""
-    if str(ROOT / "bench") not in sys.path:
-        sys.path.insert(0, str(ROOT / "bench"))
+    for folder in ("bench", "tests"):
+        if str(ROOT / folder) not in sys.path:
+            sys.path.insert(0, str(ROOT / folder))
     import workloads
+    from extreme_inputs import EXTREME_ARGVS
 
     listed = [
         (f"figure{n}-{fmt}{'-out' if out else ''}",
@@ -79,7 +63,7 @@ def runs() -> list[tuple[str, list[str]]]:
         listed += [(f"{workload}{seed}-{i:02d}-{op.kind}", op.argv) for i, op in enumerate(ops)]
     listed += [(f"verify-seed{seed}", ["verify", "--samples", "5000", "--seed", str(seed)])
                for seed in VERIFY_SEEDS]
-    listed += [(f"extreme-{i:02d}", argv) for i, argv in enumerate(EXTREME)]
+    listed += [(f"extreme-{i:02d}", argv) for i, argv in enumerate(EXTREME_ARGVS)]
     listed += [(f"refused-{i}", argv) for i, (argv, _) in enumerate(workloads.BAD_INPUTS)]
     return listed
 

@@ -205,23 +205,25 @@ def _format17_block(v: np.ndarray) -> list[bytes]:
 
 
 def _write_csv(grid: SweepGrid, stream) -> None:
-    """Write the grid as CSV, every number as _format17 prints it: each axis value
-    once, and the concurrences a block of first-axis rows at a time.  A row is the
-    last axis's line template, with the row's label for NUL, filled by one `%`;
-    the template is bytes, whose `%` is faster than str's, and rows are decoded
-    for the stream."""
+    """Write the grid as CSV, every number as _format17 prints it: the concurrences a
+    block of first-axis rows at a time, or a row wider than _FORMAT_BLOCK a chunk at a
+    time.  A row (chunk) is its labels' line template, with the row's prefix for NUL,
+    filled by one `%`; bytes' `%` is faster than str's, and rows are decoded for the stream."""
     stream.write(",".join([axis.name for axis in grid.axes] + ["concurrence"]) + "\n")
-    *outer, inner = (_format17(axis.values()) for axis in grid.axes)
-    template = b"".join(b"\0%s,%%s\n" % x for x in inner)
-    prefixes = [x + b"," for x in outer[0]] if outer else [b""]
+    *outer, inner = (axis.values() for axis in grid.axes)
+    prefixes = [x + b"," for x in _format17(outer[0])] if outer else [b""]
     rows = grid.values.reshape(len(prefixes), -1)
-    width = rows.shape[1]
-    step = max(1, _FORMAT_BLOCK // width)
+    chunks = [slice(c, c + _FORMAT_BLOCK) for c in range(0, rows.shape[1], _FORMAT_BLOCK)]
+    step = max(1, _FORMAT_BLOCK // rows.shape[1])
     for first in range(0, len(rows), step):
-        cells = _format17(rows[first : first + step])
-        for i, prefix in enumerate(prefixes[first : first + step]):
-            line = template.replace(b"\0", prefix) % tuple(cells[i * width : (i + 1) * width])
-            stream.write(line.decode("ascii"))
+        for chunk in chunks:
+            if first == 0 or len(chunks) > 1:  # each chunk of a wide row formats its labels
+                labels = _format17(inner[chunk])
+                template = b"".join(b"\0%s,%%s\n" % x for x in labels)
+            cells, width = _format17(rows[first : first + step, chunk]), len(labels)
+            for i, prefix in enumerate(prefixes[first : first + step]):
+                line = template.replace(b"\0", prefix) % tuple(cells[i * width : (i + 1) * width])
+                stream.write(line.decode("ascii"))
 
 
 def _grid_record(grid: SweepGrid) -> dict:
@@ -303,8 +305,6 @@ def cmd_ground(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.figure is not None:
-        if args.axis:
-            raise UsageError("--figure and --axis are mutually exclusive")
         grids = figure_data(args.figure)
         outdir = Path(args.out) if args.out else Path(".")
         outdir.mkdir(parents=True, exist_ok=True)
@@ -315,8 +315,6 @@ def cmd_sweep(args) -> int:
         print(*paths, sep="\n")
         sys.stdout.flush()
         return 0
-    if not args.axis:
-        raise UsageError("provide at least one --axis or --figure")
     axes = [_parse_axis(spec) for spec in args.axis]
     swept = {axis.name for axis in axes}
     fixed = {name: value for name, value in _params(args).items() if name not in swept}
@@ -389,12 +387,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="concurrence grid over 1 or 2 axes")
     _add_param_flags(p_sweep)
-    p_sweep.add_argument("--axis", action="append", default=[],
-                         metavar="NAME:START:STOP:POINTS",
-                         help="swept axis (1 or 2 of: t, b, big-b, jz, j); "
-                         "the matching fixed flag is ignored")
-    p_sweep.add_argument("--figure", type=int, choices=range(1, 6),
-                         help="emit a bundled preset grid instead of --axis")
+    grid = p_sweep.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--axis", action="append", metavar="NAME:START:STOP:POINTS",
+                      help="swept axis (1 or 2 of: t, b, big-b, jz, j); "
+                      "the matching fixed flag is ignored")
+    grid.add_argument("--figure", type=int, choices=range(1, 6),
+                      help="emit a bundled preset grid instead of --axis")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", help="output file (or directory for --figure)")
     p_sweep.set_defaults(handler=cmd_sweep)

@@ -122,6 +122,14 @@ def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
     return float(defect) if m.ndim == 2 else defect
 
 
+def _asymmetric(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermiticity defect of each matrix of a stack, and whether hermitian_eigen refuses it:
+    a non-finite entry, or a defect above HERMITICITY_TOL times the largest |entry|."""
+    largest = np.abs(m).max(axis=(-2, -1))
+    defect = hermiticity_defect(m)
+    return defect, ~(defect <= HERMITICITY_TOL * largest) | np.isinf(largest)
+
+
 def _off_diagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest off-diagonal |entry| and largest |entry| of each matrix of an (N, 4, 4) stack."""
     mag = np.abs(a)
@@ -162,14 +170,13 @@ def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
     |entry| after MAX_SWEEPS sweeps; both tests are scale-free.
     """
     m, lead = _stack(matrix)
-    defect = hermiticity_defect(m)
-    largest = np.abs(m).max(axis=(-2, -1))
-    bad = np.flatnonzero(defect > HERMITICITY_TOL * largest)
+    defect, refused = _asymmetric(m)
+    bad = np.flatnonzero(refused)
     if bad.size:
         raise NonHermitianError(
             f"{_which(lead, bad[0])} is not Hermitian: max asymmetry "
             f"{defect[bad[0]]:.3e} > {HERMITICITY_TOL:.0e} times its largest "
-            f"|entry| {largest[bad[0]]:.3e}"
+            f"|entry| {np.abs(m[bad[0]]).max():.3e}"
         )
     m, unit = _normalized(m)
     # Rows 0-3 of each 8x4 block hold a, rows 4-7 the accumulated

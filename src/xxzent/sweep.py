@@ -230,7 +230,8 @@ def critical_field(J, Jz, B, b, T, axis: str) -> CriticalPoint:
 
 
 # Preset grids by figure, as (label, description, axes, fixed) rows; an axis
-# with points None takes figure_data's `points`.
+# with points None takes _FIGURE_POINTS.
+_FIGURE_POINTS = 201
 _FIGURES = {
     1: [("fig1_inhomogeneous", "concurrence vs b at J=1, Jz=0, B=0 for T in {0.4, 1.0}",
          (("b", -6.0, 6.0, None), ("T", 0.4, 1.0, 2)), {"J": 1.0, "Jz": 0.0, "B": 0.0}),
@@ -250,21 +251,18 @@ _FIGURES = {
 }
 
 
-def figure_data(figure: int, points: int = 201) -> list[SweepGrid]:
+def figure_data(figure: int) -> list[SweepGrid]:
     """Preset sweep grids fig1..fig5 (see README for the parameter sets), each through sweep.
 
-    `points`, an integer of at least 2, counts every axis without a preset
-    count.  fig2 is its row at doubled (J, Jz, B, b).  The model is homogeneous
-    of degree one, so sweep evaluates the row at T/2 instead, which halving
-    makes bit-identical; the grid keeps the row's axes and fixed values.
+    fig2 is its row at doubled (J, Jz, B, b).  The model is homogeneous of
+    degree one, so sweep evaluates the row at T/2 instead, which halving makes
+    bit-identical; the grid keeps the row's axes and fixed values.
     """
     if figure not in _FIGURES:
         raise UnknownFigureError(f"figure id must be 1..5, got {figure!r}")
-    if points < 2:
-        raise InvalidAxisError(f"figure points must be at least 2, got {points}")
     grids = []
     for label, description, specs, fixed in _FIGURES[figure]:
-        axes = tuple(Axis(name, start, stop, count or points) for name, start, stop, count in specs)
+        axes = tuple(Axis(name, start, stop, n or _FIGURE_POINTS) for name, start, stop, n in specs)
         labels = {"label": label, "description": description}
         evaluated = axes
         if label == "fig2":

@@ -30,11 +30,11 @@ import math
 import numpy as np
 
 from .linalg import (
+    PSD_TOL,
     SPIN_FLIP,
-    NotPSDError,
     XxzentError,
+    _asymmetric,
     hermitian_eigen,
-    hermiticity_defect,
     psd_sqrt,
     singular_values,
 )
@@ -49,14 +49,14 @@ from .model import (
 # Largest disagreement accepted between two routes to the same quantity
 # (spectrum, Gibbs state, concurrence).
 ROUTE_TOL = 1e-10
-DENSITY_TOL = 1e-12
+DENSITY_TOL = 1e-12  # largest |trace - 1| of a density matrix; linalg judges the rest
 _TINY = np.finfo(float).tiny
 
 METHOD_XSTATE = "xstate-shortcut"
 
 
 class InvalidDensityMatrixError(XxzentError, ValueError):
-    """Input fails the Hermitian / unit-trace / PSD density-matrix checks."""
+    """Input is no density matrix: linalg refuses it, or |trace - 1| exceeds DENSITY_TOL."""
 
 
 def _weights(J, Jz, B, b, T):
@@ -213,13 +213,20 @@ def gibbs_spectral(J, Jz, B, b, T) -> np.ndarray:
     return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _check_density_matrix(rho: np.ndarray) -> None:
-    defect = np.max(hermiticity_defect(rho))
-    if not defect <= DENSITY_TOL:  # a nan defect (a non-finite entry) fails too
-        raise InvalidDensityMatrixError(f"not Hermitian or not finite: max asymmetry {defect:.3e}")
-    trace_defect = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
-    if not trace_defect <= DENSITY_TOL:
-        raise InvalidDensityMatrixError(f"trace deviates from 1 by {trace_defect:.3e}")
+def _trace_defect(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|trace - 1| of each state, and whether it exceeds DENSITY_TOL (a nan one does)."""
+    defect = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    return defect, ~(defect <= DENSITY_TOL)
+
+
+def _state_defects(states: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per state of a stack: trace defect, Hermiticity defect, lowest eigenvalue and whether
+    wootters_concurrence refuses it.  The one hermitian_eigen call never raises: the
+    maximally mixed state stands in for each state that linalg refuses before the solve."""
+    herm, skew = _asymmetric(states)
+    lowest = hermitian_eigen(np.where(skew[..., None, None], np.eye(4) / 4, states)).values[..., 0]
+    trace, off = _trace_defect(states)
+    return trace, herm, lowest, skew | off | (lowest < -PSD_TOL)
 
 
 def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,13 +238,16 @@ def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with sqrt(rho) from the Jacobi eigensolver.  A adj(A) is
     sqrt(rho) rho_tilde sqrt(rho), and never forming that product keeps tiny
     roots at full absolute accuracy (squaring would floor them at the square
-    root of machine roundoff).  Every state must have finite entries and pass
-    the Hermitian, unit-trace and PSD checks.
+    root of machine roundoff).  A state that linalg refuses (a non-finite entry, a
+    relative Hermiticity defect, an eigenvalue below -PSD_TOL) or whose trace is more
+    than DENSITY_TOL from 1 raises InvalidDensityMatrixError, whichever check fired.
     """
-    _check_density_matrix(rho)
+    trace, off = _trace_defect(rho)
+    if np.any(off):
+        raise InvalidDensityMatrixError(f"trace deviates from 1 by {np.max(trace):.3e}")
     try:
         root = psd_sqrt(rho)
-    except NotPSDError as exc:
+    except ValueError as exc:  # NonHermitianError, NotPSDError or a non-finite entry
         raise InvalidDensityMatrixError(str(exc)) from exc
     roots = singular_values(root @ SPIN_FLIP @ root.conj())
     value = np.minimum(np.maximum(0.0, 2.0 * roots[..., 0] - roots.sum(axis=-1)), 1.0)

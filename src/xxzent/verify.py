@@ -12,16 +12,16 @@ worst point and details do not depend on the block size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PSD_TOL, hermitian_eigen, hermiticity_defect
+from .linalg import hermitian_eigen
 from .model import _energies, build_hamiltonian
 from .thermal import (
-    DENSITY_TOL,
     ROUTE_TOL,
     InvalidDensityMatrixError,
+    _state_defects,
     concurrence_values,
     gibbs_closed,
     gibbs_spectral,
@@ -67,10 +67,6 @@ def draw_params(samples: int, seed: int) -> dict[str, np.ndarray]:
     }
 
 
-def _point(draws: dict[str, np.ndarray], i: int) -> dict[str, float]:
-    return {name: float(draws[name][i]) for name in draws}
-
-
 def _over_blocks(per_draw, draws: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
     """Call per_draw(**block) on consecutive blocks of BLOCK_DRAWS draws.
 
@@ -83,7 +79,7 @@ def _over_blocks(per_draw, draws: dict[str, np.ndarray]) -> tuple[np.ndarray, ..
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _result(name, draws, errors, tol, details=None) -> SuiteResult:
+def _result(name, draws, errors, tol, details=None, valid=True) -> SuiteResult:
     errors = np.asarray(errors, dtype=float)
     worst_index = int(np.argmax(errors))
     max_error = float(errors[worst_index])
@@ -92,8 +88,8 @@ def _result(name, draws, errors, tol, details=None) -> SuiteResult:
         samples=len(errors),
         max_error=max_error,
         tolerance=tol,
-        passed=bool(max_error <= tol),
-        worst_params=_point(draws, worst_index),
+        passed=bool(max_error <= tol) and valid,
+        worst_params={name: float(column[worst_index]) for name, column in draws.items()},
         details=details or {},
     )
 
@@ -110,56 +106,44 @@ def suite_spectrum(draws: dict[str, np.ndarray]) -> SuiteResult:
     return _result("spectrum-oracle", draws, errors, ROUTE_TOL)
 
 
-def _density_defects(states):
-    """Per state: trace defect, Hermiticity defect and lowest eigenvalue."""
-    return (
-        np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0),
-        hermiticity_defect(states),
-        hermitian_eigen(states).values[..., 0],
-    )
-
-
 def _gibbs_errors(J, Jz, B, b, T):
-    """Per draw: route disagreement, then the worse of the two states' trace
-    defect, Hermiticity defect and lowest eigenvalue."""
+    """Per draw: route disagreement, then over the two states the worse trace defect,
+    Hermiticity defect and lowest eigenvalue, and whether either is refused."""
     closed = gibbs_closed(J, Jz, B, b, T)
     spectral = gibbs_spectral(J, Jz, B, b, T)
-    trace, herm, lowest = _density_defects(np.stack([closed, spectral]))
+    trace, herm, lowest, refused = _state_defects(np.stack([closed, spectral]))
     return (
         np.max(np.abs(closed - spectral), axis=(-2, -1)),
         np.max(trace, axis=0),
         np.max(herm, axis=0),
         np.min(lowest, axis=0),
+        np.any(refused, axis=0),
     )
 
 
 def suite_gibbs(draws: dict[str, np.ndarray]) -> SuiteResult:
-    """Closed-form vs spectral Gibbs states, plus density-matrix validity."""
-    errors, trace, herm, lowest = _over_blocks(_gibbs_errors, draws)
-    worst_trace = float(np.max(trace))
-    min_eig = float(np.min(lowest))
+    """Closed-form vs spectral Gibbs states; it fails, without raising, where
+    wootters_concurrence would refuse either state as no density matrix."""
+    errors, trace, herm, lowest, refused = _over_blocks(_gibbs_errors, draws)
     details = {
-        "max_trace_defect": worst_trace,
+        "max_trace_defect": float(np.max(trace)),
         "max_hermiticity_defect": float(np.max(herm)),
-        "min_eigenvalue": min_eig,
+        "min_eigenvalue": float(np.min(lowest)),
     }
-    result = _result("gibbs-oracle", draws, errors, ROUTE_TOL, details)
-    valid = worst_trace <= DENSITY_TOL and min_eig >= -PSD_TOL
-    return replace(result, passed=result.passed and valid)
+    return _result("gibbs-oracle", draws, errors, ROUTE_TOL, details, valid=not refused.any())
 
 
 def _route_errors(J, Jz, B, b, T):
     """Per draw: the two routes' disagreement, and whether the generic route refused
-    the closed-form state as no density matrix; a refused draw counts as 1, the
-    widest gap two concurrences can have."""
+    the closed-form state as no density matrix (the rule of wootters_concurrence); a
+    refused draw counts as 1, the widest gap two concurrences can have."""
     closed = gibbs_closed(J, Jz, B, b, T)
     shipped = thermal_concurrence(J, Jz, B, b, T)[0]
     refused = np.zeros(shipped.shape, dtype=bool)
     try:
         generic = wootters_concurrence(closed)[0]
     except InvalidDensityMatrixError:  # only a refused block pays for the per-state checks
-        trace, herm, lowest = _density_defects(closed)
-        refused = (trace > DENSITY_TOL) | (herm > DENSITY_TOL) | (lowest < -PSD_TOL)
+        refused = _state_defects(closed)[-1]
         # the maximally mixed state stands in for each refused one
         generic = wootters_concurrence(np.where(refused[:, None, None], np.eye(4) / 4, closed))[0]
     return np.where(refused, 1.0, np.abs(generic - shipped)), refused

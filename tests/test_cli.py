@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import xxzent
+from extreme_inputs import EXTREME_ARGVS
 from spectrum_oracle import closed_spectrum
 from xxzent.cli import UsageError, main
 from xxzent.linalg import XxzentError
@@ -385,28 +386,7 @@ def test_help_exits_0(capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("eval", "--j", "1e-300", "--t", "1e300"),  # eta/T underflows
-        ("critical", "--axis", "b", "--j", "1e-300", "--t", "1e300"),
-        ("critical", "--axis", "big-b", "--j", "1e-300", "--t", "1e300"),
-        ("critical", "--axis", "b", "--j", "1e300", "--t", "1e-8"),  # eta/T near the top
-        ("ground", "--j", "1e308", "--b", "1e308", "--jz", "1e308"),  # E3 overflows
-        ("critical", "--axis", "big-b", "--j", "1e308", "--b", "1e308", "--jz", "1e308"),
-        ("eval", "--j", "1.5e308", "--b", "1.35e308", "--t", "1e308"),  # hypot(b, J) overflows
-        ("ground", "--j", "1.5e308", "--b", "1.35e308"),
-        ("eval", "--t", "1e-300"),
-        ("sweep", "--axis", "t:1e-300:1e-290:3"),
-        # temperatures below the 1e-8 that the domain once refused
-        ("eval", "--t", "1e-9"),
-        ("sweep", "--axis", "t:1e-9:1:3"),
-        ("critical", "--axis", "t", "--t", "1e-9"),
-        # a subnormal J that the scaling rounds to 0 beside b near the top of the range
-        ("critical", "--axis", "b", "--j", "5e-324", "--t", "1"),
-        ("critical", "--axis", "t", "--j", "5e-324", "--b", "1e308"),
-    ],
-)
+@pytest.mark.parametrize("argv", EXTREME_ARGVS)
 def test_extreme_scales_are_quiet(capsys, output_schema, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""

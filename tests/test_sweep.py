@@ -165,9 +165,11 @@ class TestPointCap:
             sweep([axis], {**self.FIXED, "b": 0.0})
 
     @pytest.mark.parametrize("figure", [2, 3, 5])
-    def test_refuses_every_2d_preset_over_the_cap(self, figure, nothing_evaluated):
+    def test_refuses_every_2d_preset_over_the_cap(self, figure, nothing_evaluated, monkeypatch):
+        # every preset goes through sweep's cap: 1002 x 1002 points are too many
+        monkeypatch.setattr(sweep_module, "_FIGURE_POINTS", 1002)
         with pytest.raises(InvalidAxisError, match="capped"):
-            figure_data(figure, points=1002)
+            figure_data(figure)
 
     def test_accepts_any_shape_up_to_the_cap(self):
         assert sweep_module.MAX_GRID_POINTS == 1001**2
@@ -311,36 +313,27 @@ class TestFigureData:
         with pytest.raises(UnknownFigureError):
             figure_data(6)
 
-    @pytest.mark.parametrize("points", [1, 0, -3])
-    def test_refuses_fewer_than_two_points(self, points):
-        with pytest.raises(InvalidAxisError, match=f"points must be at least 2, got {points}"):
-            figure_data(1, points=points)
-
-    def test_refuses_fractional_points(self):
-        with pytest.raises(InvalidAxisError, match="axis points must be an integer, got 2.5"):
-            figure_data(1, points=2.5)
-
     def test_labels_unique(self):
-        labels = [g.metadata["label"] for f in range(1, 6) for g in figure_data(f, points=3)]
+        labels = [g.metadata["label"] for f in range(1, 6) for g in figure_data(f)]
         assert len(labels) == len(set(labels))
 
     def test_fig1_shapes_and_symmetry(self):
-        inhomogeneous, uniform = figure_data(1, points=41)
-        assert inhomogeneous.values.shape == (41, 2)
+        inhomogeneous, uniform = figure_data(1)
+        assert inhomogeneous.values.shape == (201, 2)
         assert [a.name for a in inhomogeneous.axes] == ["b", "T"]
         assert np.max(np.abs(inhomogeneous.values - inhomogeneous.values[::-1, :])) <= 1e-12
         assert [a.name for a in uniform.axes] == ["B", "T"]
         assert np.array_equal(uniform.axes[1].values(), [0.4, 1.0])
 
     def test_fig2_low_temperature_anchor(self):
-        grid = figure_data(2, points=11)[0]
+        grid = figure_data(2)[0]
         target = 1 / math.sqrt(1 + 0.458**2)
         corner = grid.values[0, 0]  # B = 0, T = 0.01
         assert corner < target
         assert target - corner <= 1e-3
 
     def test_fig3_reference_value(self):
-        jz0 = figure_data(3, points=21)[0]
+        jz0 = figure_data(3)[0]
         b_axis, t_axis = jz0.axes
         b_index = int(np.argmin(np.abs(b_axis.values())))
         t_index = int(np.argmin(np.abs(t_axis.values() - 1.0)))
@@ -349,10 +342,10 @@ class TestFigureData:
         assert jz0.values[b_index, t_index] == pytest.approx(reference, abs=1e-6)
 
     def test_fig4_ordered_by_z_coupling(self):
-        low, mid, high = figure_data(4, points=61)
+        low, mid, high = figure_data(4)
         assert np.all(high.values >= mid.values - 1e-12)
         assert np.all(mid.values >= low.values - 1e-12)
 
     def test_fig5_peak_drops_with_inhomogeneity(self):
-        homogeneous, inhomogeneous = figure_data(5, points=41)
+        homogeneous, inhomogeneous = figure_data(5)
         assert inhomogeneous.values.max() < homogeneous.values.max()

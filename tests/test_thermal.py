@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from spectrum_oracle import closed_spectrum, pure_concurrence
+from xxzent import thermal
 from xxzent.cli import main
-from xxzent.linalg import hermitian_eigen, hermiticity_defect
+from xxzent.linalg import HERMITICITY_TOL, NonHermitianError, hermitian_eigen, hermiticity_defect
 from xxzent.model import (
     InvalidParameterError,
     NonPositiveTemperatureError,
@@ -166,6 +167,24 @@ class TestGibbsSpectral:
         assert np.max(np.abs(rho - ground)) <= 1e-8
 
 
+def half_mixed(asymmetry):
+    """diag(1/2, 1/2, 0, 0) with `asymmetry` at [0, 1] alone."""
+    rho = np.diag([0.5, 0.5, 0.0, 0.0])
+    rho[0, 1] = asymmetry
+    return rho
+
+
+# States that wootters_concurrence refuses, each for one reason.
+REFUSED = {
+    "asym8e-13": half_mixed(8e-13),  # over 1e-12 of the largest entry 0.5, under 1e-12 absolute
+    "asym2e-12": half_mixed(2e-12),
+    "one-sided-inf": half_mixed(np.inf),
+    "trace": np.diag([0.5, 0.5, 0.0, 1e-9]),
+    "nan": np.diag([0.5, 0.5, 0.0, np.nan]),
+    "negative": np.diag([0.6, 0.5, 0.0, -0.1]),
+}
+
+
 class TestWootters:
     def test_maximally_mixed(self):
         value, roots = wootters_concurrence(np.eye(4, dtype=complex) / 4)
@@ -208,6 +227,30 @@ class TestWootters:
         rho[(1, *where)] = rho[(1, *where[::-1])] = entry
         with pytest.raises(InvalidDensityMatrixError):
             wootters_concurrence(rho)
+
+    # One rule, whichever part of it fires: linalg judges the matrix, thermal the trace.
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_every_refusal_is_invalid_density_matrix(self, name):
+        with pytest.raises(InvalidDensityMatrixError):
+            wootters_concurrence(REFUSED[name])
+
+    def test_state_defects_refuse_the_same_states_without_raising(self):
+        states = np.stack([np.eye(4) / 4, *REFUSED.values()])
+        trace, herm, lowest, refused = thermal._state_defects(states)
+        assert refused.tolist() == [False] + [True] * len(REFUSED)
+        assert trace[0] == herm[0] == 0.0 and lowest[0] == 0.25
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-40], ids=["scale-1", "scale-2**-40"])
+    def test_hermiticity_is_judged_relative_to_the_largest_entry(self, scale):
+        # just over and just under HERMITICITY_TOL times the largest |entry| 0.5, at any scale
+        over, under = (half_mixed(0.5 * f * HERMITICITY_TOL) * scale for f in (1.01, 0.99))
+        with pytest.raises(NonHermitianError):
+            hermitian_eigen(over)
+        hermitian_eigen(under)
+        with pytest.raises(InvalidDensityMatrixError):
+            wootters_concurrence(over)
+        if scale == 1.0:
+            assert wootters_concurrence(under)[0] == 0.0
 
 
 class TestXState:

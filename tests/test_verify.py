@@ -102,6 +102,25 @@ def test_routes_fail_on_a_closed_state_that_is_not_psd(monkeypatch, capsys, outp
     assert reported["worst_params"] == routes.worst_params
 
 
+def test_a_non_hermitian_closed_state_fails_both_suites(monkeypatch, capsys):
+    # an asymmetry of 5e-11, below ROUTE_TOL but far above linalg's Hermiticity rule:
+    # the suites that read the closed state refuse every draw instead of raising
+    closed = verify.gibbs_closed
+
+    def skewed(*params):
+        rho = closed(*params)
+        rho[..., 1, 2] += 5e-11
+        return rho
+
+    monkeypatch.setattr(verify, "gibbs_closed", skewed)
+    draws = draw_params(600, 9)
+    gibbs, routes = suite_gibbs(draws), suite_routes(draws)
+    assert not gibbs.passed and gibbs.max_error <= gibbs.tolerance
+    assert not routes.passed and routes.details == {"refused_states": 600}
+    assert main(["verify", "--samples", "600", "--seed", "9"]) == 3
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "samples, seed, message", [(0, 1, "samples must be >= 1"), (10, -1, "seed must be >= 0")]
 )
