@@ -29,21 +29,8 @@ import numpy as np
 from . import __version__
 from .linalg import XxzentError
 from .model import BOUNDARY_TOL, _check_params, ground_state
-from .sweep import (
-    Axis,
-    SweepGrid,
-    critical_field,
-    critical_temperature,
-    figure_data,
-    sweep,
-)
-from .thermal import (
-    DENSITY_TOL,
-    METHOD_XSTATE,
-    ROUTE_TOL,
-    gibbs_diagnostics,
-    thermal_concurrence,
-)
+from .sweep import Axis, SweepGrid, critical_field, critical_temperature, figure_data, sweep
+from .thermal import DENSITY_TOL, METHOD_XSTATE, ROUTE_TOL, gibbs_diagnostics, thermal_concurrence
 from .verify import run_suites
 
 SCHEMA_VERSION = "1"
@@ -142,15 +129,20 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _format17(values: np.ndarray) -> list[bytes]:
     """The bytes of `b"%.17g" % x` for each x of the float values, in C order."""
+    return _format17_words(values).tolist()
+
+
+def _format17_words(values: np.ndarray) -> np.ndarray:
+    """_format17 as an "S24" array, which holds any %.17g (24 bytes at most) in 24 bytes."""
     v = np.ravel(values)
-    cells = []
+    words = np.empty(v.size, "S24")
     for start in range(0, v.size, _FORMAT_BLOCK):
-        cells += _format17_block(v[start : start + _FORMAT_BLOCK])
-    return cells
+        words[start : start + _FORMAT_BLOCK] = _format17_block(v[start : start + _FORMAT_BLOCK])
+    return words
 
 
-def _format17_block(v: np.ndarray) -> list[bytes]:
-    """_format17 of one 1-D block of at most _FORMAT_BLOCK values.
+def _format17_block(v: np.ndarray) -> np.ndarray:
+    """_format17_words of one 1-D block of at most _FORMAT_BLOCK values.
 
     +0.0 gives b"0".  %g writes x in [1e-4, 1) as "0.", z = 0..3 zeros and the
     17 significant digits N = round(x 10**k), k = 17 + z, which numpy computes
@@ -198,7 +190,7 @@ def _format17_block(v: np.ndarray) -> list[bytes]:
     found[:, 4] = quad[g4 + 10**4 * (last == 0)]
     found[:, 5] = tail[last]
     words[inside] = found
-    cells = words.view("S24").ravel().tolist()
+    cells = words.view("S24").ravel()
     for i in np.flatnonzero(~inside & ((v != 0.0) | np.signbit(v))).tolist():
         cells[i] = b"%.17g" % v[i]
     return cells
@@ -208,19 +200,22 @@ def _write_csv(grid: SweepGrid, stream) -> None:
     """Write the grid as CSV, every number as _format17 prints it: the concurrences a
     block of first-axis rows at a time, or a row wider than _FORMAT_BLOCK a chunk at a
     time.  A row (chunk) is its labels' line template, with the row's prefix for NUL,
-    filled by one `%`; bytes' `%` is faster than str's, and rows are decoded for the stream."""
+    filled by one `%`; bytes' `%` is faster than str's, and rows are decoded for the stream.
+    The last axis's labels are formatted once, into 24 bytes each."""
     stream.write(",".join([axis.name for axis in grid.axes] + ["concurrence"]) + "\n")
     *outer, inner = (axis.values() for axis in grid.axes)
     prefixes = [x + b"," for x in _format17(outer[0])] if outer else [b""]
     rows = grid.values.reshape(len(prefixes), -1)
+    labels = _format17_words(inner)
     chunks = [slice(c, c + _FORMAT_BLOCK) for c in range(0, rows.shape[1], _FORMAT_BLOCK)]
     step = max(1, _FORMAT_BLOCK // rows.shape[1])
     for first in range(0, len(rows), step):
         for chunk in chunks:
-            if first == 0 or len(chunks) > 1:  # each chunk of a wide row formats its labels
-                labels = _format17(inner[chunk])
-                template = b"".join(b"\0%s,%%s\n" % x for x in labels)
-            cells, width = _format17(rows[first : first + step, chunk]), len(labels)
+            if first == 0 or len(chunks) > 1:  # each chunk of a wide row builds its template
+                chunk_labels = labels[chunk].tolist()
+                width = len(chunk_labels)
+                template = (b"\0%s,%%s\n" * width) % tuple(chunk_labels)
+            cells = _format17(rows[first : first + step, chunk])
             for i, prefix in enumerate(prefixes[first : first + step]):
                 line = template.replace(b"\0", prefix) % tuple(cells[i * width : (i + 1) * width])
                 stream.write(line.decode("ascii"))

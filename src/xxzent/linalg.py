@@ -8,11 +8,13 @@ never reads the closed-form weights, so it stays independent of the X-state kern
 
 Every function takes one 4x4 matrix or a (..., 4, 4) stack of them, real or
 complex, and computes in that dtype; a non-finite entry is refused.  The
-Jacobi rotations run over the whole stack at once, but each matrix keeps its
-own convergence test, so a matrix gets the same result alone as inside any
-stack.  Errors name the index of the first offending matrix in a stack.  A
-matrix far from unit scale is solved divided by a power of two, and its
-results scaled back exactly.
+Jacobi solver holds the stack as per-entry vectors (entry (i, j) of every
+matrix in one row) and turns the two affected rows and columns of each plane
+elementwise.  Each matrix keeps its own convergence test, and a plane whose
+coupling is 0 leaves its matrix untouched, so a matrix gets the same bits
+alone as inside any stack.  Errors name the index of the first offending
+matrix in a stack.  A matrix far from unit scale is solved divided by a power
+of two, and its results scaled back exactly.
 """
 
 from __future__ import annotations
@@ -28,15 +30,7 @@ OFF_DIAGONAL_TOL = 1e-13
 MAX_SWEEPS = 100
 
 # sigma_y (x) sigma_y: real, symmetric, involutory spin-flip operator.
-SPIN_FLIP = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=float,
-)
+SPIN_FLIP = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float)
 
 
 class XxzentError(Exception):
@@ -68,39 +62,51 @@ class EigenSystem(NamedTuple):
     vectors: np.ndarray
 
 
-# One sweep visits the six rotation planes (p, q) in three rounds of two
-# disjoint planes, given as index arrays (p1, p2), (q1, q2).  Rotations in
-# disjoint planes commute and neither changes the entries the other is
-# computed from, so a round applies both at once.
-_ROUNDS = tuple(
-    (np.array(p), np.array(q)) for p, q in (((0, 2), (1, 3)), ((0, 1), (2, 3)), ((0, 1), (3, 2)))
-)
-_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
+# The six rotation planes (p, q) of a cyclic sweep, and a sorting network for four values.
+_PLANES = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+_SORT = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))
+# Rows of a (32, n) view of the (4, 8, n) stack that hold a's entries above and on the diagonal.
+_UPPER = np.array([8, 16, 17, 24, 25, 26])
+_DIAGONAL = slice(0, 28, 9)
 
 
-def _stack(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Real or complex (N, 4, 4) copy of one 4x4 matrix or a stack, and its leading shape."""
+def _entries(m: np.ndarray) -> np.ndarray:
+    """Per-entry vectors (4, 4, ...) of an (..., 4, 4) stack: a reduction over a matrix's
+    16 entries then runs along the stack, three times faster than over 16 trailing ones."""
+    return np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
+
+
+def _largest(m: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each matrix of an (..., 4, 4) stack; nan where an entry is nan."""
+    return np.abs(_entries(m)).reshape((16,) + m.shape[:-2]).max(axis=0)
+
+
+def _stack(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """Per-entry vectors (4, 4, N) of one 4x4 matrix or a stack, real or complex, its
+    leading shape, and each matrix's largest |entry|, (N,); a non-finite entry is refused."""
     m = np.asarray(matrix)
-    m = np.array(m, dtype=np.result_type(m, float))
+    m = m.astype(np.result_type(m, float), copy=False)
     if m.ndim < 2 or m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {m.shape}")
-    bad = np.flatnonzero(~np.isfinite(m).all(axis=(-2, -1)))
+    e = _entries(m.reshape(-1, 4, 4))
+    largest = np.abs(e).reshape(16, -1).max(axis=0)
+    bad = np.flatnonzero(~np.isfinite(largest))
     if bad.size:
         raise ValueError(f"{_which(m.shape[:-2], bad[0])} has a non-finite entry")
-    return m.reshape(-1, 4, 4), m.shape[:-2]
+    return e, m.shape[:-2], largest
 
 
 def _power_of_two_shift(values, lowest: int, highest: int) -> np.ndarray:
     """The s, per element, that puts max(|value|) / 2**s in [2**lowest, 2**highest)."""
     _, exponent = np.frexp(reduce(np.maximum, map(np.abs, values)))
-    return exponent - 1 - np.clip(exponent - 1, lowest, highest - 1)
+    return exponent - 1 - np.minimum(np.maximum(exponent - 1, lowest), highest - 1)
 
 
-def _normalized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stack, each matrix over the power of two that brings its largest |entry| into
-    [2**-250, 2**250), and the powers, (N, 1): a matrix times 2**k gives a solver the same bits."""
-    shift = _power_of_two_shift(m.reshape(-1, 16).T, -250, 250)
-    return m * np.ldexp(1.0, -shift)[:, np.newaxis, np.newaxis], np.ldexp(1.0, shift)[:, np.newaxis]
+def _normalized(largest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix, the power of two 2**-s that brings its largest |entry| into
+    [2**-250, 2**250), and 2**s: a matrix times 2**k gives a solver the same bits."""
+    shift = _power_of_two_shift([largest], -250, 250)
+    return np.ldexp(1.0, -shift), np.ldexp(1.0, shift)
 
 
 def _which(lead: tuple[int, ...], flat: int) -> str:
@@ -117,46 +123,47 @@ def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
     A float for one matrix, an array of the leading shape for a stack.
     """
     m = np.asarray(m)
+    e = _entries(m)
     with np.errstate(invalid="ignore"):  # inf - inf: a non-finite entry gives a nan defect
-        defect = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        defect = np.abs(e - e.swapaxes(0, 1).conj()).reshape((16,) + m.shape[:-2]).max(axis=0)
     return float(defect) if m.ndim == 2 else defect
 
 
-def _asymmetric(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _asymmetric(m: np.ndarray, largest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermiticity defect of each matrix of a stack, and whether hermitian_eigen refuses it:
     a non-finite entry, or a defect above HERMITICITY_TOL times the largest |entry|."""
-    largest = np.abs(m).max(axis=(-2, -1))
     defect = hermiticity_defect(m)
     return defect, ~(defect <= HERMITICITY_TOL * largest) | np.isinf(largest)
 
 
-def _off_diagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest off-diagonal |entry| and largest |entry| of each matrix of an (N, 4, 4) stack."""
-    mag = np.abs(a)
-    return mag[:, _OFF_DIAGONAL].max(axis=-1), mag.max(axis=(-2, -1))
+def _rotate(w: np.ndarray, p: int, q: int) -> None:
+    """Zero the coupling a[p, q] of every matrix of w by one plane rotation, in place.
 
-
-def _rotation(p, q, gamma, app, aqq) -> np.ndarray:
-    """Unitaries (n, 4, 4) of one round, each zeroing the coupling gamma of its two planes.
-
-    Per plane, phase out gamma, then rotate by the classic angle choice
-    t = sign(tau)/(|tau| + sqrt(1+tau^2)) for the phased real block with
-    diagonal (app, aqq): u equals the identity except u[p,p] = c, u[p,q] = s,
-    u[q,p] = -s conj(phase) and u[q,q] = c conj(phase).  Where gamma is 0
-    the plane's rotation is the exact identity c = 1, s = 0, phase = 1.
+    w[j, i] is entry (i, j) of a for i < 4 and of its eigenvectors v below; a zero
+    coupling gives nan.  With the phase of gamma = a[p, q] out, the classic angle
+    t = sign(tau)/(|tau| + sqrt(1 + tau^2)), tau = (aqq - app)/2|gamma|, diagonalizes the
+    block (Golub & Van Loan, section 8.5).  Columns p and q of a and v turn, a's rows p
+    and q become the conjugates of its columns, and the block takes its exact values.
     """
-    needed = gamma != 0.0
-    r = np.where(needed, np.abs(gamma), 1.0)
-    phase = np.where(needed, gamma / r, 1.0)
-    with np.errstate(over="ignore"):  # a coupling tiny beside its gap: tau = +-inf, t = 0
-        tau = (aqq - app) / (2.0 * r)
-    t = np.where(needed, np.copysign(1.0 / (np.abs(tau) + np.hypot(1.0, tau)), tau), 0.0)
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    u = np.zeros((len(c), 4, 4), dtype=phase.dtype)
-    u[:, p, p], u[:, p, q] = c, s
-    u[:, q, p], u[:, q, q] = -s * phase.conj(), c * phase.conj()
-    return u
+    gamma = w[q, p]
+    r = np.abs(gamma)
+    # a coupling tiny beside its gap gives tau or tau^2 = inf and t = 0; a zero one, nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phase = (gamma / r).conj()
+        tau = (w[q, q].real - w[p, p].real) / (2.0 * r)
+        t = np.copysign(1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), tau)
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c
+        app, aqq = w[p, p] - t * r, w[q, q] + t * r
+        x, y = w[p], w[q]
+        turned = x * s
+        x *= c
+        x -= y * (s * phase)
+        y *= c * phase
+        y += turned
+    w[:, p], w[:, q] = x[:4].conj(), y[:4].conj()
+    w[p, p], w[q, q] = app, aqq
+    w[p, q] = w[q, p] = 0.0
 
 
 def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
@@ -169,45 +176,50 @@ def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
     off-diagonal |entry| is still above OFF_DIAGONAL_TOL times its largest
     |entry| after MAX_SWEEPS sweeps; both tests are scale-free.
     """
-    m, lead = _stack(matrix)
-    defect, refused = _asymmetric(m)
+    e, lead, largest = _stack(matrix)
+    defect, refused = _asymmetric(e.transpose(2, 0, 1), largest)
     bad = np.flatnonzero(refused)
     if bad.size:
         raise NonHermitianError(
             f"{_which(lead, bad[0])} is not Hermitian: max asymmetry "
             f"{defect[bad[0]]:.3e} > {HERMITICITY_TOL:.0e} times its largest "
-            f"|entry| {np.abs(m[bad[0]]).max():.3e}"
+            f"|entry| {largest[bad[0]]:.3e}"
         )
-    m, unit = _normalized(m)
-    # Rows 0-3 of each 8x4 block hold a, rows 4-7 the accumulated
-    # eigenvectors v: a column rotation a <- a u, v <- v u is one product.
-    av = np.concatenate(
-        [(m + m.conj().swapaxes(-1, -2)) / 2.0, np.broadcast_to(np.eye(4), m.shape)], axis=1
-    )
-    active = np.arange(len(av))  # matrices still above the off-diagonal tolerance
-    for _ in range(MAX_SWEEPS):
-        off, largest = _off_diagonal(av[active, :4])
-        active = active[off > OFF_DIAGONAL_TOL * largest]  # scale-free, squares nothing
-        if not active.size:
+    n = len(largest)
+    down, up = _normalized(largest)
+    w = np.empty((4, 8, n), dtype=e.dtype)  # w[j, i]: entry (i, j) of a, then of v
+    np.multiply(e.swapaxes(0, 1), 0.5 * down, out=w[:, 4:])  # scaled before the sum
+    np.add(w[:, 4:], w[:, 4:].swapaxes(0, 1).conj(), out=w[:, :4])
+    w[:, 4:] = np.eye(4)[:, :, np.newaxis]
+    del e  # fewer fresh pages for the rotations' temporaries
+    entries = w.reshape(32, n)  # a is exactly Hermitian: its upper triangle and diagonal
+    active = np.ones(n, dtype=bool)  # above the off-diagonal tolerance at every test
+    for sweep in range(MAX_SWEEPS + 1):
+        off = np.abs(entries[_UPPER]).max(axis=0)
+        largest = np.maximum(off, np.abs(entries[_DIAGONAL]).max(axis=0))
+        active &= off > OFF_DIAGONAL_TOL * largest  # scale-free, squares nothing
+        if not active.any():
             break
-        w = av[active]
-        for p, q in _ROUNDS:
-            gamma = w[:, p, q]
-            u = _rotation(p, q, gamma, w[:, p, p].real, w[:, q, q].real)
-            w = w @ u  # a <- a u, v <- v u
-            w[:, :4] = u.conj().swapaxes(-1, -2) @ w[:, :4]  # a <- adj(u) a
-        av[active] = w
-    else:
-        off, largest = _off_diagonal(av[active[:1], :4])
-        raise NoConvergenceError(
-            f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps "
-            f"({_which(lead, active[0])}, largest off-diagonal entry "
-            f"{off[0]:.3e} against largest entry {largest[0]:.3e})"
-        )
-    diag = np.diagonal(av[:, :4], axis1=-2, axis2=-1).real
-    order = np.argsort(diag, axis=-1, kind="stable")
-    values = np.take_along_axis(diag, order, axis=-1) * unit
-    vectors = np.take_along_axis(av[:, 4:], order[:, np.newaxis, :], axis=-1)
+        if sweep == MAX_SWEEPS:
+            first = np.flatnonzero(active)[0]
+            raise NoConvergenceError(
+                f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps "
+                f"({_which(lead, first)}, largest off-diagonal entry "
+                f"{off[first]:.3e} against largest entry {largest[first]:.3e})"
+            )
+        for p, q in _PLANES:
+            coupled = active & (w[q, p] != 0.0)
+            if coupled.any():
+                kept = np.flatnonzero(~coupled)  # left as they are, bit for bit
+                saved = np.take(w, kept, axis=2)
+                _rotate(w, p, q)
+                w[..., kept] = saved
+    values, vectors = entries[_DIAGONAL].real.copy(), w[:, 4:]
+    for j, k in _SORT:  # a compare-exchange: columns j and k swap where j holds more
+        swap = values[j] > values[k]
+        for pairs in (values, vectors):
+            pairs[[j, k]] = np.where(swap, pairs[[k, j]], pairs[[j, k]])
+    values, vectors = values.T * up[:, np.newaxis], vectors.transpose(2, 1, 0)
     return EigenSystem(values.reshape(lead + (4,)), vectors.reshape(lead + (4, 4)))
 
 
@@ -236,6 +248,7 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     LAPACK's SVD of each matrix over a power of two.  It forms no Gram matrix, so
     tiny singular values keep full absolute accuracy (squaring would floor them).
     """
-    m, lead = _stack(matrix)
-    m, unit = _normalized(m)
-    return (np.linalg.svd(m, compute_uv=False) * unit).reshape(lead + (4,))
+    e, lead, largest = _stack(matrix)
+    down, up = _normalized(largest)
+    sigma = np.linalg.svd((e * down).transpose(2, 0, 1), compute_uv=False)
+    return (sigma * up[:, np.newaxis]).reshape(lead + (4,))

@@ -84,8 +84,14 @@ def _rescaled(*params):
     the point's largest |parameter|, and only there can a result differ from the same
     point at another scale.  Each binade below 1 takes one from that margin: 64 here.
     """
+    # The usual case, from each parameter's least and greatest |value|: every point's largest
+    # |parameter| lies between the largest of each.  Empty, nan or inf takes the full path.
+    ends = np.array([(a.min(), a.max()) if a.size else (np.nan,) * 2 for a in map(np.abs, params)])
+    low, high = ends.max(axis=0)
+    if 2.0**-64 <= low and high < 2.0 ** (sys.float_info.max_exp - 3):
+        return params, 1.0
     shift = _power_of_two_shift(params, -64, sys.float_info.max_exp - 3)
-    if not np.any(shift):  # the usual case: the inputs themselves, not broadcast copies
+    if not np.any(shift):  # the inputs themselves, not broadcast copies
         return params, 1.0
     return tuple(np.ldexp(v, -shift, dtype=float) for v in params), np.ldexp(1.0, shift)
 

@@ -30,21 +30,10 @@ import math
 import numpy as np
 
 from .linalg import (
-    PSD_TOL,
-    SPIN_FLIP,
-    XxzentError,
-    _asymmetric,
-    hermitian_eigen,
-    psd_sqrt,
+    PSD_TOL, SPIN_FLIP, XxzentError, _asymmetric, _largest, hermitian_eigen, psd_sqrt,
     singular_values,
 )
-from .model import (
-    _check_params,
-    _energies,
-    _jz_plus_eta,
-    _rescaled,
-    build_hamiltonian,
-)
+from .model import _check_params, _energies, _jz_plus_eta, _rescaled, build_hamiltonian
 
 # Largest disagreement accepted between two routes to the same quantity
 # (spectrum, Gibbs state, concurrence).
@@ -73,7 +62,7 @@ def _weights(J, Jz, B, b, T):
     e1, e2, e3, _ = energies
     emin = np.minimum(np.minimum(e1, e2), e3)
     with np.errstate(over="ignore"):
-        w1, w2, w3, w4 = (np.exp(-(e - emin) / T) for e in energies)
+        w1, w2, w3, w4 = (np.exp((emin - e) / T) for e in energies)
     coh = J / np.where(eta > 0.0, eta, 1.0) * (0.5 * (w3 - w4))  # J = 0 where eta = 0
     return (b, T), emin, eta, (w1, w2, w3, w4), coh
 
@@ -177,14 +166,14 @@ def gibbs_diagnostics(J, Jz, B, b, T) -> dict[str, float | None]:
     """Partition function, closed-form entry blocks and sign function at one point, by name.
 
     Z is always the energy trace sum(exp(-E_k/T)), which is what unit trace
-    requires; m = cosh(eta/T), n = b sinh(eta/T)/eta and s = exp(Jz/2T) J sinh(eta/T)/eta
+    requires; m = cosh(eta/T), n = sinh(eta/T)/(eta/b) and s = exp(Jz/2T) J sinh(eta/T)/eta
     are None at J = 0, and the sign function g = expm1(log_sign_values(...)) is -1 there.
     A value past the double range comes back as inf or nan, which a record
     writes as null.  Guarded like gibbs_closed.
     """
     _check_params(J=J, Jz=Jz, B=B, b=b, T=T)
     (scaled_b, scaled_T), emin, eta, weights, coh = _weights(J, Jz, B, b, T)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # eta/b at b = 0: inf
         scale = np.exp(-emin / scaled_T)  # exp(-E_k/T) = w_k * scale
         Z = float(sum(weights) * scale)
         if J == 0.0:
@@ -193,7 +182,7 @@ def gibbs_diagnostics(J, Jz, B, b, T) -> dict[str, float | None]:
         return {
             "Z": Z,
             "m": float(np.cosh(x)),
-            "n": float(scaled_b * np.sinh(x) / eta),
+            "n": float(np.sinh(x) / (eta / scaled_b)),  # over a ratio >= 1: covariant
             "s": float(coh * scale),
             "g": float(np.expm1(log_sign_values(J, Jz, b, T))),
         }
@@ -223,7 +212,7 @@ def _state_defects(states: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per state of a stack: trace defect, Hermiticity defect, lowest eigenvalue and whether
     wootters_concurrence refuses it.  The one hermitian_eigen call never raises: the
     maximally mixed state stands in for each state that linalg refuses before the solve."""
-    herm, skew = _asymmetric(states)
+    herm, skew = _asymmetric(states, _largest(states))
     lowest = hermitian_eigen(np.where(skew[..., None, None], np.eye(4) / 4, states)).values[..., 0]
     trace, off = _trace_defect(states)
     return trace, herm, lowest, skew | off | (lowest < -PSD_TOL)

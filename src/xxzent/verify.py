@@ -16,27 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_eigen
+from .linalg import _largest, hermitian_eigen
 from .model import _energies, build_hamiltonian
 from .thermal import (
-    ROUTE_TOL,
-    InvalidDensityMatrixError,
-    _state_defects,
-    concurrence_values,
-    gibbs_closed,
-    gibbs_spectral,
-    thermal_concurrence,
-    wootters_concurrence,
+    ROUTE_TOL, InvalidDensityMatrixError, _state_defects, concurrence_values, gibbs_closed,
+    gibbs_spectral, thermal_concurrence, wootters_concurrence,
 )
 
 SYMMETRY_TOL = 1e-12
 
-# Draws per whole-array call.  It bounds the memory the (N, 4, 4) stacks
-# take: `verify --samples 5000` peaks at 40.1 MB RSS with blocks of 1024,
-# 38.0 MB with 512, 40.8 MB with 1280 and 51.9 MB in one block of 5000.
-# 1024 ran fastest of the sizes 256 to 5000 that peak under 40.5 MB (the
-# suites take 0.165 s, against 0.19 s with 512, on a 2-core Xeon VM); 2048
-# and 2500 ran about 5% faster at 43-44 MB.
+# Draws per whole-array call, which bounds the memory the (N, 4, 4) stacks take.
+# `verify --samples 5000` peaks at 37.9 MB RSS with 1024, 37.2 MB with 512 and 39.9 MB
+# with 2048; its suites take 0.05 s in process with 1024 or 2048 and 0.09 s with 512.
 BLOCK_DRAWS = 1024
 
 B_MONOTONIC_GRID = np.arange(0.0, 3.0 + 0.125, 0.25)
@@ -113,7 +104,7 @@ def _gibbs_errors(J, Jz, B, b, T):
     spectral = gibbs_spectral(J, Jz, B, b, T)
     trace, herm, lowest, refused = _state_defects(np.stack([closed, spectral]))
     return (
-        np.max(np.abs(closed - spectral), axis=(-2, -1)),
+        _largest(closed - spectral),
         np.max(trace, axis=0),
         np.max(herm, axis=0),
         np.min(lowest, axis=0),

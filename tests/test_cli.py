@@ -129,6 +129,16 @@ class TestEval:
         assert top["results"] == unit["results"]
         assert top["diagnostics"] == unit["diagnostics"]
 
+    def test_n_is_the_same_at_eight_times_the_point(self, capsys):
+        # b sinh(eta/T) overflows at 8 times this point; sinh(eta/T)/(eta/b) does at neither
+        point = {"j": -1.53125, "jz": 0.0, "big-b": 4.583168357587862, "b": 1.71875,
+                 "t": 0.003251532071965387}
+        n = []
+        for scale in (1, 8):
+            argv = [f"--{flag}={value * scale!r}" for flag, value in point.items()]
+            n.append(run_json(capsys, "eval", *argv)["diagnostics"]["n"])
+        assert n[0] == n[1] == 1.0724260373779925e307
+
     def test_zero_coupling_runs_no_jacobi_solve(self, capsys, monkeypatch):
         def refuse(matrix):
             raise AssertionError("Jacobi solve at J = 0")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import xxzent.linalg as linalg
 from spectrum_oracle import closed_spectrum
 from xxzent.linalg import (
     SPIN_FLIP,
@@ -14,6 +15,7 @@ from xxzent.linalg import (
 )
 from xxzent.model import build_hamiltonian
 from xxzent.thermal import gibbs_closed, wootters_concurrence
+from xxzent.verify import draw_params, suite_spectrum
 
 
 def random_hermitian(rng):
@@ -131,13 +133,63 @@ class TestHermitianEigen:
             function(m[37].astype(complex))
 
     def test_no_convergence_names_matrix(self, monkeypatch):
-        import xxzent.linalg as linalg
-
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
         rng = np.random.default_rng(111)
         m = np.stack([np.diag([1.0, 2.0, 3.0, 4.0]), random_hermitian(rng)])
         with pytest.raises(NoConvergenceError, match="matrix 1,"):
             hermitian_eigen(m)
+
+    def test_mixed_stack_matches_single_matrices_to_the_sign_bit(self):
+        # X-shaped, dense and diagonal matrices with -0.0 entries: a plane whose coupling
+        # is 0 in one matrix but not in another must leave the first one's bits alone
+        rng = np.random.default_rng(119)
+        x_shaped = build_hamiltonian(*rng.uniform(-3, 3, (4, 20)))
+        x_shaped[:, 0, 1] = x_shaped[:, 1, 0] = -0.0
+        x_shaped[::4, 1, 2] = x_shaped[::4, 2, 1] = -0.0  # diagonal with signed zeros
+        diagonal = np.diag([-0.0, 1.0, -2.0, 0.0])
+        dense = np.stack([random_hermitian(rng) for _ in range(20)])
+        for m in (np.concatenate([x_shaped, dense.real, [diagonal]]),
+                  np.concatenate([x_shaped, dense, [diagonal]])):
+            stack = hermitian_eigen(m)
+            for i in range(len(m)):
+                single = hermitian_eigen(m[i])
+                for ours, theirs in zip(single, (stack.values[i], stack.vectors[i])):
+                    assert np.array_equal(ours, theirs)
+                    for part in ("real", "imag"):
+                        signs = (np.signbit(getattr(x, part)) for x in (ours, theirs))
+                        assert np.array_equal(*signs)
+
+    def test_x_states_rotate_only_their_coupled_plane(self, monkeypatch):
+        planes = []
+        rotate = linalg._rotate
+
+        def counted(w, p, q):
+            planes.append((p, q))
+            rotate(w, p, q)
+
+        monkeypatch.setattr(linalg, "_rotate", counted)
+        draws = draw_params(500, 3)
+        hermitian_eigen(build_hamiltonian(draws["J"], draws["Jz"], draws["B"], draws["b"]))
+        hermitian_eigen(gibbs_closed(*draws.values()))
+        assert planes == [(1, 2), (1, 2)]  # one rotation each; the next test finds a diagonal
+        planes.clear()
+        hermitian_eigen(build_hamiltonian(0.0, draws["Jz"], draws["B"], draws["b"]))
+        assert planes == []
+
+    def test_dropping_a_coupled_plane_fails_the_spectrum_suite(self, monkeypatch):
+        draws = draw_params(200, 7)
+        assert suite_spectrum(draws).passed
+        rotate = linalg._rotate
+
+        def drop_inner_plane(w, p, q):  # zero the (1, 2) coupling instead of rotating it away
+            if (p, q) == (1, 2):
+                w[p, q] = w[q, p] = 0.0
+            else:
+                rotate(w, p, q)
+
+        monkeypatch.setattr(linalg, "_rotate", drop_inner_plane)
+        result = suite_spectrum(draws)
+        assert not result.passed and result.max_error > 0.01
 
     @pytest.mark.parametrize("exponent", [-600, -60, 60, 600])
     def test_stopping_test_is_scale_free(self, exponent):
