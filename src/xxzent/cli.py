@@ -86,7 +86,7 @@ def _emit(record: dict, out: str | None) -> None:
         sys.stdout.flush()  # a closed pipe raises here and not at interpreter exit
 
 
-# The CSV writer's 17-digit kernel, _format17.
+# The CSV writer's 17-digit kernel, _format17_words.
 _FORMAT_BLOCK = 8192  # values per kernel pass, so that its temporaries stay in cache
 _SPLITTER = 2.0**27 + 1  # Dekker's splitter for doubles
 # Literal arrays: computing them at import would page in numpy code every command pays for.
@@ -127,13 +127,8 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _decimal_words(2, head=b"0."), _decimal_words(4), _decimal_words(2, nuls=2)[100:]
 
 
-def _format17(values: np.ndarray) -> list[bytes]:
-    """The bytes of `b"%.17g" % x` for each x of the float values, in C order."""
-    return _format17_words(values).tolist()
-
-
 def _format17_words(values: np.ndarray) -> np.ndarray:
-    """_format17 as an "S24" array, which holds any %.17g (24 bytes at most) in 24 bytes."""
+    """`b"%.17g" % x` for each float x, in C order, as "S24" words (a %.17g has <= 24 bytes)."""
     v = np.ravel(values)
     words = np.empty(v.size, "S24")
     for start in range(0, v.size, _FORMAT_BLOCK):
@@ -197,14 +192,14 @@ def _format17_block(v: np.ndarray) -> np.ndarray:
 
 
 def _write_csv(grid: SweepGrid, stream) -> None:
-    """Write the grid as CSV, every number as _format17 prints it: the concurrences a
+    """Write the grid as CSV, every number as _format17_words prints it: the concurrences a
     block of first-axis rows at a time, or a row wider than _FORMAT_BLOCK a chunk at a
     time.  A row (chunk) is its labels' line template, with the row's prefix for NUL,
     filled by one `%`; bytes' `%` is faster than str's, and rows are decoded for the stream.
     The last axis's labels are formatted once, into 24 bytes each."""
     stream.write(",".join([axis.name for axis in grid.axes] + ["concurrence"]) + "\n")
     *outer, inner = (axis.values() for axis in grid.axes)
-    prefixes = [x + b"," for x in _format17(outer[0])] if outer else [b""]
+    prefixes = [x + b"," for x in _format17_words(outer[0]).tolist()] if outer else [b""]
     rows = grid.values.reshape(len(prefixes), -1)
     labels = _format17_words(inner)
     chunks = [slice(c, c + _FORMAT_BLOCK) for c in range(0, rows.shape[1], _FORMAT_BLOCK)]
@@ -215,7 +210,7 @@ def _write_csv(grid: SweepGrid, stream) -> None:
                 chunk_labels = labels[chunk].tolist()
                 width = len(chunk_labels)
                 template = (b"\0%s,%%s\n" * width) % tuple(chunk_labels)
-            cells = _format17(rows[first : first + step, chunk])
+            cells = _format17_words(rows[first : first + step, chunk]).tolist()
             for i, prefix in enumerate(prefixes[first : first + step]):
                 line = template.replace(b"\0", prefix) % tuple(cells[i * width : (i + 1) * width])
                 stream.write(line.decode("ascii"))

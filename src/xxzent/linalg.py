@@ -14,7 +14,8 @@ elementwise.  Each matrix keeps its own convergence test, and a plane whose
 coupling is 0 leaves its matrix untouched, so a matrix gets the same bits
 alone as inside any stack.  Errors name the index of the first offending
 matrix in a stack.  A matrix far from unit scale is solved divided by a power
-of two, and its results scaled back exactly.
+of two, and its results scaled back exactly.  _spectral_map turns an eigensystem
+back into a matrix function, for psd_sqrt and thermal's Gibbs and Wootters routes.
 """
 
 from __future__ import annotations
@@ -237,8 +238,12 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
             f"{_which(lowest.shape, bad[0])} is not positive semidefinite: "
             f"min eigenvalue {lowest.flat[bad[0]]:.3e}"
         )
-    roots = np.sqrt(np.clip(values, 0.0, None))
-    result = (vectors * roots[..., np.newaxis, :]) @ vectors.conj().swapaxes(-1, -2)
+    return _spectral_map(vectors, np.sqrt(np.clip(values, 0.0, None)))
+
+
+def _spectral_map(vectors: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Hermitian part of V diag(f) V^H: f of a matrix from its eigenvectors and f(values)."""
+    result = (vectors * f[..., np.newaxis, :]) @ vectors.conj().swapaxes(-1, -2)
     return (result + result.conj().swapaxes(-1, -2)) / 2.0
 
 

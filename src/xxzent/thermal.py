@@ -13,14 +13,13 @@ finders:
 so concurrence > 0  iff  g = exp(Jz/T) * (|J|/eta) * sinh(eta/T) - 1 > 0,
 independent of the uniform field B.
 
-Each route is one function that broadcasts over parameter arrays or
-(..., 4, 4) stacks of density matrices; a single point or state is the 0-d
-case (a concurrence then comes back as a numpy scalar).  The guarded
-functions (gibbs_closed, gibbs_spectral, thermal_concurrence and the scalar
-gibbs_diagnostics) refuse what model._check_params refuses;
-concurrence_values and log_sign_values are unguarded.  Every route forms
-only shifted weights exp(-(E_k - E_min)/T) <= 1, so no weight can overflow,
-and scales them only by weights and the ratios J/eta and b/eta, never by a parameter.
+Each route broadcasts over parameter arrays or (..., 4, 4) stacks of states; a
+single point or state is the 0-d case.  gibbs_closed, gibbs_spectral,
+thermal_concurrence and gibbs_diagnostics refuse what model._check_params refuses.
+Every route forms only shifted weights exp(-(E_k - E_min)/T) <= 1, which cannot
+overflow, and scales them only by weights and the ratios J/eta and b/eta.  One pass,
+_state_defects, judges each density matrix without raising and returns the Jacobi
+eigensystem that the Wootters route takes sqrt(rho) from.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ import math
 import numpy as np
 
 from .linalg import (
-    PSD_TOL, SPIN_FLIP, XxzentError, _asymmetric, _largest, hermitian_eigen, psd_sqrt,
-    singular_values,
+    PSD_TOL, SPIN_FLIP, XxzentError, _asymmetric, _largest, _spectral_map, _which,
+    hermitian_eigen, singular_values,
 )
 from .model import _check_params, _energies, _jz_plus_eta, _rescaled, build_hamiltonian
 
@@ -109,10 +108,10 @@ def thermal_concurrence(J, Jz, B, b, T) -> tuple[np.ndarray, np.ndarray]:
     return value, roots
 
 
-def _log_ratio(a, c):
-    """log(a/c) for 0 < a <= c: the log of the quotient, or log a - log c where it underflows."""
+def _log_ratio(a, c, log_a):
+    """log(a/c), 0 < a <= c: log of the quotient, or log_a - log c where a or a/c is subnormal."""
     q = a / c
-    return np.where(q >= _TINY, np.log(np.maximum(q, _TINY)), np.log(a) - np.log(c))
+    return np.where((q >= _TINY) & (a >= _TINY), np.log(np.maximum(q, _TINY)), log_a - np.log(c))
 
 
 def log_sign_values(J, Jz, b, T) -> np.ndarray:
@@ -121,13 +120,14 @@ def log_sign_values(J, Jz, b, T) -> np.ndarray:
     Positive iff thermal concurrence is positive; requires J != 0.  It is
     evaluated as Jz/t + log(|J|/t) + log(sinh(x)/x) for x <= 1, at t = max(T, eta),
     which is T there, and as (Jz + eta)/T + log(|J|/eta) - log 2 + log1p(-exp(-x)^2)
-    above, on the parameters that model._rescaled scales (a |J| or T that it rounds
-    to 0 counts as the smallest double), so eta is finite, no quantity underflows
-    into the log of zero and no inf - inf arises.  A value past the double range
-    comes back as +-inf, which keeps its sign.
+    above, on the parameters that model._rescaled scales (a T that it rounds to 0
+    counts as the smallest double), so eta is finite, no quantity underflows into the
+    log of zero and no inf - inf arises.  Where the scaled |J| or |J|/t is subnormal,
+    log|J| comes from the given J.  A value past the double range comes back as +-inf.
     """
-    (J, Jz, b, T), _ = _rescaled(J, Jz, b, T)
-    J, T = (np.maximum(np.abs(v), math.ulp(0.0)) for v in (J, T))
+    (j, Jz, b, T), unit = _rescaled(J, Jz, b, T)
+    log_j = np.log(np.maximum(np.abs(J), math.ulp(0.0))) - np.log(unit)  # of the unrounded J
+    J, T = (np.maximum(np.abs(v), math.ulp(0.0)) for v in (j, T))
     eta = np.hypot(b, J)
     with np.errstate(over="ignore"):
         x = eta / T
@@ -136,8 +136,8 @@ def log_sign_values(J, Jz, b, T) -> np.ndarray:
         far = np.maximum(x, 1.0)
         return np.where(
             x <= 1.0,
-            Jz / t + _log_ratio(J, t) + np.log(np.sinh(near) / near),
-            _jz_plus_eta(J, Jz, b, eta) / T + _log_ratio(J, eta) - math.log(2.0)
+            Jz / t + _log_ratio(J, t, log_j) + np.log(np.sinh(near) / near),
+            _jz_plus_eta(J, Jz, b, eta) / T + _log_ratio(J, eta, log_j) - math.log(2.0)
             + np.log1p(-np.exp(-far) ** 2),
         )
 
@@ -197,25 +197,30 @@ def gibbs_spectral(J, Jz, B, b, T) -> np.ndarray:
     (J, Jz, B, b, T), _ = _rescaled(J, Jz, B, b, T)  # the state depends only on H/T
     values, vectors = hermitian_eigen(build_hamiltonian(J, Jz, B, b))
     w = np.exp(-(values - values[..., :1]) / np.asarray(T)[..., np.newaxis])
-    rho = (vectors * w[..., np.newaxis, :]) @ vectors.conj().swapaxes(-1, -2)
-    rho /= w.sum(axis=-1)[..., np.newaxis, np.newaxis]
-    return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+    return _spectral_map(vectors, w) / w.sum(axis=-1)[..., np.newaxis, np.newaxis]
 
 
-def _trace_defect(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|trace - 1| of each state, and whether it exceeds DENSITY_TOL (a nan one does)."""
-    defect = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    return defect, ~(defect <= DENSITY_TOL)
-
-
-def _state_defects(states: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per state of a stack: trace defect, Hermiticity defect, lowest eigenvalue and whether
-    wootters_concurrence refuses it.  The one hermitian_eigen call never raises: the
-    maximally mixed state stands in for each state that linalg refuses before the solve."""
+def _state_defects(states: np.ndarray) -> tuple:
+    """Per state: |trace - 1|, Hermiticity defect, EigenSystem and whether the density-matrix
+    rule refuses it (linalg's, or |trace - 1| > DENSITY_TOL), without raising.  The maximally
+    mixed state stands in, in the one hermitian_eigen call, for a state that linalg refuses
+    before the solve.  Only a shape other than (..., 4, 4) raises."""
+    states = np.asarray(states)
+    if states.shape[-2:] != (4, 4):
+        raise InvalidDensityMatrixError(f"expected (..., 4, 4) states, got shape {states.shape}")
     herm, skew = _asymmetric(states, _largest(states))
-    lowest = hermitian_eigen(np.where(skew[..., None, None], np.eye(4) / 4, states)).values[..., 0]
-    trace, off = _trace_defect(states)
-    return trace, herm, lowest, skew | off | (lowest < -PSD_TOL)
+    system = hermitian_eigen(np.where(skew[..., None, None], np.eye(4) / 4, states))
+    trace = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
+    return trace, herm, system, skew | ~(trace <= DENSITY_TOL) | (system.values[..., 0] < -PSD_TOL)
+
+
+def _wootters(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """wootters_concurrence and the refused mask, without raising: a refused state gets 0s."""
+    _, _, (values, vectors), refused = _state_defects(rho)
+    root = _spectral_map(vectors, np.sqrt(np.where(refused[..., None], 0.0, values.clip(0.0))))
+    roots = singular_values(root @ SPIN_FLIP @ root.conj())
+    value = np.minimum(np.maximum(0.0, 2.0 * roots[..., 0] - roots.sum(axis=-1)), 1.0)
+    return value, roots, refused
 
 
 def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,20 +229,21 @@ def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The roots l_i are the square roots of the eigenvalues of rho @ rho_tilde
     with rho_tilde = S conj(rho) S, descending along the last axis.  They
     are LAPACK's singular values of the factor A = sqrt(rho) S conj(sqrt(rho)),
-    with sqrt(rho) from the Jacobi eigensolver.  A adj(A) is
+    with sqrt(rho) from the Jacobi eigensystem that judged the state.  A adj(A) is
     sqrt(rho) rho_tilde sqrt(rho), and never forming that product keeps tiny
     roots at full absolute accuracy (squaring would floor them at the square
-    root of machine roundoff).  A state that linalg refuses (a non-finite entry, a
-    relative Hermiticity defect, an eigenvalue below -PSD_TOL) or whose trace is more
-    than DENSITY_TOL from 1 raises InvalidDensityMatrixError, whichever check fired.
+    root of machine roundoff).  A state that _state_defects refuses raises
+    InvalidDensityMatrixError with the first one's three defects (a lowest
+    eigenvalue of nan where linalg refused it before the solve).
     """
-    trace, off = _trace_defect(rho)
-    if np.any(off):
-        raise InvalidDensityMatrixError(f"trace deviates from 1 by {np.max(trace):.3e}")
-    try:
-        root = psd_sqrt(rho)
-    except ValueError as exc:  # NonHermitianError, NotPSDError or a non-finite entry
-        raise InvalidDensityMatrixError(str(exc)) from exc
-    roots = singular_values(root @ SPIN_FLIP @ root.conj())
-    value = np.minimum(np.maximum(0.0, 2.0 * roots[..., 0] - roots.sum(axis=-1)), 1.0)
+    value, roots, refused = _wootters(rho)
+    bad = np.flatnonzero(refused)
+    if bad.size:
+        state = np.reshape(rho, (-1, 4, 4))[bad[0]]
+        trace, herm, (values, _), _ = _state_defects(state)
+        lowest = math.nan if _asymmetric(state, _largest(state))[1] else values[0]
+        raise InvalidDensityMatrixError(
+            f"{_which(np.shape(rho)[:-2], bad[0])} is no density matrix: |trace - 1| "
+            f"{trace:.3e}, Hermiticity defect {herm:.3e}, lowest eigenvalue {lowest:.3e}"
+        )
     return value, roots

@@ -19,8 +19,8 @@ import numpy as np
 from .linalg import _largest, hermitian_eigen
 from .model import _energies, build_hamiltonian
 from .thermal import (
-    ROUTE_TOL, InvalidDensityMatrixError, _state_defects, concurrence_values, gibbs_closed,
-    gibbs_spectral, thermal_concurrence, wootters_concurrence,
+    ROUTE_TOL, _state_defects, _wootters, concurrence_values, gibbs_closed, gibbs_spectral,
+    thermal_concurrence,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -102,12 +102,12 @@ def _gibbs_errors(J, Jz, B, b, T):
     Hermiticity defect and lowest eigenvalue, and whether either is refused."""
     closed = gibbs_closed(J, Jz, B, b, T)
     spectral = gibbs_spectral(J, Jz, B, b, T)
-    trace, herm, lowest, refused = _state_defects(np.stack([closed, spectral]))
+    trace, herm, system, refused = _state_defects(np.stack([closed, spectral]))
     return (
         _largest(closed - spectral),
         np.max(trace, axis=0),
         np.max(herm, axis=0),
-        np.min(lowest, axis=0),
+        np.min(system.values[..., 0], axis=0),
         np.any(refused, axis=0),
     )
 
@@ -128,15 +128,8 @@ def _route_errors(J, Jz, B, b, T):
     """Per draw: the two routes' disagreement, and whether the generic route refused
     the closed-form state as no density matrix (the rule of wootters_concurrence); a
     refused draw counts as 1, the widest gap two concurrences can have."""
-    closed = gibbs_closed(J, Jz, B, b, T)
+    generic, _, refused = _wootters(gibbs_closed(J, Jz, B, b, T))
     shipped = thermal_concurrence(J, Jz, B, b, T)[0]
-    refused = np.zeros(shipped.shape, dtype=bool)
-    try:
-        generic = wootters_concurrence(closed)[0]
-    except InvalidDensityMatrixError:  # only a refused block pays for the per-state checks
-        refused = _state_defects(closed)[-1]
-        # the maximally mixed state stands in for each refused one
-        generic = wootters_concurrence(np.where(refused[:, None, None], np.eye(4) / 4, closed))[0]
     return np.where(refused, 1.0, np.abs(generic - shipped)), refused
 
 

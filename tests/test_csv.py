@@ -22,7 +22,7 @@ import pytest
 
 import xxzent
 from csv_oracle import grid_csv
-from xxzent.cli import _format17, _write_grid, main
+from xxzent.cli import _format17_words, _write_grid, main
 from xxzent.sweep import Axis, SweepGrid, figure_data, sweep
 
 MAX = 1.7976931348623157e308
@@ -111,8 +111,9 @@ def kernel_cases() -> np.ndarray:
 def test_percent_format_is_format_spec():
     # the writer's %.17g kernel and the oracle's format spec print every double alike
     values = kernel_cases()
-    assert _format17(values) == [format(x, ".17g").encode("ascii") for x in values.tolist()]
-    assert _format17(np.array([0.100002288818359375])) == [b"0.10000228881835938"]
+    expected = [format(x, ".17g").encode("ascii") for x in values.tolist()]
+    assert _format17_words(values).tolist() == expected
+    assert _format17_words(np.array([0.100002288818359375])).tolist() == [b"0.10000228881835938"]
 
 
 def run_cli(*argv):

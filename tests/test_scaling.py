@@ -220,6 +220,21 @@ def test_critical_field_at_a_tiny_temperature():
     assert results["location"] == pytest.approx(math.sqrt(2e-310 * math.log(2.0)), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--jz=1e308"], 6.9139105241515637e304),
+        (["--b=1e308"], 6.876021215847614e304),
+    ],
+    ids=["jz", "b"],
+)
+def test_critical_temperature_of_a_subnormal_coupling(flags, expected):
+    # the scaling by 2**-3 rounds J = 5e-324 to 0, so log|J| comes from the given J;
+    # the expected roots are 60-digit mpmath bisections of log(g + 1) = 0
+    results = critical_in_child("t", ["--j=5e-324", *flags])
+    assert results["location"] == pytest.approx(expected, rel=1e-14)
+
+
 def critical_in_child(axis, flags):
     """The results of `critical --axis axis *flags` in a child process that fails on a
     warning.  A bracket loop that never ends must fail the suite, not stall it, so

@@ -236,9 +236,34 @@ class TestWootters:
 
     def test_state_defects_refuse_the_same_states_without_raising(self):
         states = np.stack([np.eye(4) / 4, *REFUSED.values()])
-        trace, herm, lowest, refused = thermal._state_defects(states)
+        trace, herm, (values, vectors), refused = thermal._state_defects(states)
         assert refused.tolist() == [False] + [True] * len(REFUSED)
-        assert trace[0] == herm[0] == 0.0 and lowest[0] == 0.25
+        assert trace[0] == herm[0] == 0.0 and values[0, 0] == 0.25
+        assert values.shape == (len(states), 4) and vectors.shape == states.shape
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_refusal_names_the_state_and_its_defects(self, name):
+        states = np.stack([np.eye(4) / 4, np.eye(4) / 4, REFUSED[name], np.eye(4)])
+        with pytest.raises(InvalidDensityMatrixError) as raised:
+            wootters_concurrence(states)
+        message = str(raised.value)
+        assert message.startswith("matrix 2 is no density matrix: ")
+        trace, herm, (values, _), _ = thermal._state_defects(REFUSED[name])
+        lowest = values[0] if name in ("trace", "negative") else math.nan
+        assert message.endswith(
+            f"|trace - 1| {trace:.3e}, Hermiticity defect {herm:.3e}, "
+            f"lowest eigenvalue {lowest:.3e}"
+        )
+
+    def test_refuses_a_state_past_the_double_range(self):
+        # its trace and top eigenvalue overflow: the refused state's zero root keeps the SVD finite
+        with np.errstate(over="ignore"), pytest.raises(InvalidDensityMatrixError, match="inf"):
+            wootters_concurrence(np.full((4, 4), 1e308))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 3), ()])
+    def test_refuses_a_shape_that_holds_no_two_qubit_state(self, shape):
+        with pytest.raises(InvalidDensityMatrixError, match="got shape"):
+            wootters_concurrence(np.full(shape, 1.0 / 3))
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**-40], ids=["scale-1", "scale-2**-40"])
     def test_hermiticity_is_judged_relative_to_the_largest_entry(self, scale):

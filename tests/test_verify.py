@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from xxzent import thermal, verify
+from xxzent import linalg, thermal, verify
 from xxzent.cli import main
 from xxzent.linalg import PSD_TOL, hermitian_eigen
 from xxzent.model import NonPositiveTemperatureError
@@ -89,10 +89,21 @@ def test_routes_fail_on_a_closed_state_that_is_not_psd(monkeypatch, capsys, outp
         *rest, coh = weights(*params)
         return (*rest, coh * 1.01)
 
+    calls = {"hermitian_eigen": 0, "singular_values": 0}
+    for name, function in [(name, getattr(linalg, name)) for name in calls]:
+
+        def counted(*args, name=name, function=function):
+            calls[name] += 1
+            return function(*args)
+
+        for module in (linalg, thermal):
+            monkeypatch.setattr(module, name, counted)
     monkeypatch.setattr(thermal, "_weights", mutated)
     routes = suite_routes(draw_params(600, 9))
     assert not routes.passed
     assert routes.max_error == 1.0 and routes.details["refused_states"] >= 1
+    # one Jacobi solve judges the refused block and gives its square roots, and one SVD
+    assert calls == {"hermitian_eigen": 1, "singular_values": 1}
     lowest = hermitian_eigen(thermal.gibbs_closed(**routes.worst_params)).values[0]
     assert lowest < -PSD_TOL
     assert main(["verify", "--samples", "600", "--seed", "9"]) == 3
