@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -423,5 +424,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _run() -> int:
+    """Process entry of `python -m xxzent.cli` and the `xxzent` script: main() after gc.freeze().
+
+    Freezing hands the objects that the imports made (about 21k containers, mostly numpy's)
+    to the collector's permanent generation, so the collections at interpreter exit no
+    longer walk them.  main() stays the library entry and leaves a host's collector alone.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_run())

@@ -204,13 +204,15 @@ def _state_defects(states: np.ndarray) -> tuple:
     """Per state: |trace - 1|, Hermiticity defect, EigenSystem and whether the density-matrix
     rule refuses it (linalg's, or |trace - 1| > DENSITY_TOL), without raising.  The maximally
     mixed state stands in, in the one hermitian_eigen call, for a state that linalg refuses
-    before the solve.  Only a shape other than (..., 4, 4) raises."""
+    before the solve.  Only a shape other than (..., 4, 4) raises.  A trace or eigenvalue past
+    the double range is inf, quietly: such a state is refused by its trace or its lowest value."""
     states = np.asarray(states)
     if states.shape[-2:] != (4, 4):
         raise InvalidDensityMatrixError(f"expected (..., 4, 4) states, got shape {states.shape}")
     herm, skew = _asymmetric(states, _largest(states))
-    system = hermitian_eigen(np.where(skew[..., None, None], np.eye(4) / 4, states))
-    trace = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
+    with np.errstate(over="ignore"):
+        system = hermitian_eigen(np.where(skew[..., None, None], np.eye(4) / 4, states))
+        trace = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
     return trace, herm, system, skew | ~(trace <= DENSITY_TOL) | (system.values[..., 0] < -PSD_TOL)
 
 

@@ -389,6 +389,16 @@ def test_console_script_installed():
     )
     assert result.returncode == 0
     assert "xxzent" in result.stdout
+    # The installed `xxzent` script calls the function that the __main__ block calls.
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as f:
+        module, _, name = tomllib.load(f)["project"]["scripts"]["xxzent"].partition(":")
+    cli = importlib.import_module("xxzent.cli")
+    (block,) = [node for node in ast.parse(inspect.getsource(cli)).body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (called,) = [node.func.id for node in ast.walk(block)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert getattr(importlib.import_module(module), name) is getattr(cli, called)
 
 
 def test_help_exits_0(capsys):

@@ -2,7 +2,9 @@
 
 `import xxzent` loads no numpy, so the CLI module can give its own process one
 BLAS thread before numpy loads, without touching the environment of a process
-that loaded numpy first or that set the thread count itself.
+that loaded numpy first or that set the thread count itself.  The process entry
+freezes the import-time heap, so the collections at exit skip numpy's objects;
+the library entry main() leaves the collector as it found it.
 """
 
 import json
@@ -83,3 +85,26 @@ def test_package_names_are_their_submodules_objects(submodules_first):
     count, bad, sweep_is_module = fresh_python(code)
     assert count > 0 and bad == []
     assert sweep_is_module
+
+
+def test_library_entry_leaves_the_collector_alone():
+    # tests and hosts call main() in process: freezing their heap would keep its garbage alive
+    code = (
+        "import gc, json, xxzent.cli\n"
+        "xxzent.cli.main(['--version'])\n"
+        "print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))"
+    )
+    assert fresh_python(code) == [True, 0]
+
+
+def test_process_entry_freezes_the_import_time_heap():
+    # run as __main__, as `python -m xxzent.cli` is; numpy's objects are frozen by exit
+    code = (
+        "import atexit, gc, json, runpy, sys, numpy\n"
+        "numpy_heap = len(gc.get_objects())\n"
+        "atexit.register(lambda: print(json.dumps([gc.get_freeze_count(), numpy_heap])))\n"
+        "sys.argv = ['xxzent', '--version']\n"
+        "runpy.run_module('xxzent.cli', run_name='__main__')"
+    )
+    frozen, numpy_heap = fresh_python(code)
+    assert frozen >= numpy_heap > 0
