@@ -1,21 +1,17 @@
 """Dense real or complex linear algebra for 4x4 Hermitian problems.
 
-Everything downstream works in the fixed product basis
-{|1,1>, |1,0>, |0,1>, |0,0>} (index 0..3).  The spectral route's in-package
-cyclic Jacobi eigensolver, not LAPACK, makes it an independent cross-check of
-the closed-form spectrum.  The Wootters route's SVD is LAPACK's: that route
-never reads the closed-form weights, so it stays independent of the X-state kernel.
+Everything downstream works in the fixed product basis {|1,1>, |1,0>, |0,1>, |0,0>}
+(index 0..3).  The spectral route's eigensystems and the Wootters route's singular values
+are LAPACK's (eigh and the SVD); the closed forms never call LAPACK, so both routes
+stay independent cross-checks of them.
 
 Every function takes one 4x4 matrix or a (..., 4, 4) stack of them, real or
-complex, and computes in that dtype; a non-finite entry is refused.  The
-Jacobi solver holds the stack as per-entry vectors (entry (i, j) of every
-matrix in one row) and turns the two affected rows and columns of each plane
-elementwise.  Each matrix keeps its own convergence test, and a plane whose
-coupling is 0 leaves its matrix untouched, so a matrix gets the same bits
-alone as inside any stack.  Errors name the index of the first offending
-matrix in a stack.  A matrix far from unit scale is solved divided by a power
-of two, and its results scaled back exactly.  _spectral_map turns an eigensystem
-back into a matrix function, for psd_sqrt and thermal's Gibbs and Wootters routes.
+complex, and computes in that dtype; a non-finite entry is refused.  LAPACK solves
+each matrix on its own, so a matrix gets the same bits alone as inside any stack.
+Errors name the index of the first offending matrix in a stack.  A matrix far from
+unit scale is solved divided by a power of two, and its results scaled back exactly.
+_spectral_map turns an eigensystem back into a matrix function, for psd_sqrt and
+thermal's Gibbs and Wootters routes.
 """
 
 from __future__ import annotations
@@ -27,8 +23,6 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
-OFF_DIAGONAL_TOL = 1e-13
-MAX_SWEEPS = 100
 
 # sigma_y (x) sigma_y: real, symmetric, involutory spin-flip operator.
 SPIN_FLIP = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float)
@@ -49,11 +43,11 @@ class NonHermitianError(XxzentError, ValueError):
 
 
 class NoConvergenceError(XxzentError, RuntimeError):
-    """Jacobi iteration exhausted its sweep budget (numerics bug, not user error)."""
+    """LAPACK's eigh did not converge (numerics bug, not user error)."""
 
 
 class NotPSDError(XxzentError, ValueError):
-    """Matrix has an eigenvalue below -PSD_TOL."""
+    """Matrix has an eigenvalue below -PSD_TOL, or one past the double range."""
 
 
 class EigenSystem(NamedTuple):
@@ -61,14 +55,6 @@ class EigenSystem(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-# The six rotation planes (p, q) of a cyclic sweep, and a sorting network for four values.
-_PLANES = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
-_SORT = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))
-# Rows of a (32, n) view of the (4, 8, n) stack that hold a's entries above and on the diagonal.
-_UPPER = np.array([8, 16, 17, 24, 25, 26])
-_DIAGONAL = slice(0, 28, 9)
 
 
 def _entries(m: np.ndarray) -> np.ndarray:
@@ -82,19 +68,18 @@ def _largest(m: np.ndarray) -> np.ndarray:
     return np.abs(_entries(m)).reshape((16,) + m.shape[:-2]).max(axis=0)
 
 
-def _stack(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-    """Per-entry vectors (4, 4, N) of one 4x4 matrix or a stack, real or complex, its
-    leading shape, and each matrix's largest |entry|, (N,); a non-finite entry is refused."""
+def _stack(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One 4x4 matrix or a (..., 4, 4) stack, real or complex, as an array, and each
+    matrix's largest |entry|; a non-finite entry is refused."""
     m = np.asarray(matrix)
     m = m.astype(np.result_type(m, float), copy=False)
     if m.ndim < 2 or m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {m.shape}")
-    e = _entries(m.reshape(-1, 4, 4))
-    largest = np.abs(e).reshape(16, -1).max(axis=0)
+    largest = _largest(m)
     bad = np.flatnonzero(~np.isfinite(largest))
     if bad.size:
         raise ValueError(f"{_which(m.shape[:-2], bad[0])} has a non-finite entry")
-    return e, m.shape[:-2], largest
+    return m, largest
 
 
 def _power_of_two_shift(values, lowest: int, highest: int) -> np.ndarray:
@@ -104,10 +89,10 @@ def _power_of_two_shift(values, lowest: int, highest: int) -> np.ndarray:
 
 
 def _normalized(largest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per matrix, the power of two 2**-s that brings its largest |entry| into
-    [2**-250, 2**250), and 2**s: a matrix times 2**k gives a solver the same bits."""
+    """Per matrix, the power of two 2**-s that brings its largest |entry| into [2**-250, 2**250),
+    with two trailing axes, and 2**s with one: a matrix times 2**k gives a solver the same bits."""
     shift = _power_of_two_shift([largest], -250, 250)
-    return np.ldexp(1.0, -shift), np.ldexp(1.0, shift)
+    return np.ldexp(1.0, -shift)[..., np.newaxis, np.newaxis], np.ldexp(1.0, shift)[..., np.newaxis]
 
 
 def _which(lead: tuple[int, ...], flat: int) -> str:
@@ -137,106 +122,53 @@ def _asymmetric(m: np.ndarray, largest: np.ndarray) -> tuple[np.ndarray, np.ndar
     return defect, ~(defect <= HERMITICITY_TOL * largest) | np.isinf(largest)
 
 
-def _rotate(w: np.ndarray, p: int, q: int) -> None:
-    """Zero the coupling a[p, q] of every matrix of w by one plane rotation, in place.
-
-    w[j, i] is entry (i, j) of a for i < 4 and of its eigenvectors v below; a zero
-    coupling gives nan.  With the phase of gamma = a[p, q] out, the classic angle
-    t = sign(tau)/(|tau| + sqrt(1 + tau^2)), tau = (aqq - app)/2|gamma|, diagonalizes the
-    block (Golub & Van Loan, section 8.5).  Columns p and q of a and v turn, a's rows p
-    and q become the conjugates of its columns, and the block takes its exact values.
-    """
-    gamma = w[q, p]
-    r = np.abs(gamma)
-    # a coupling tiny beside its gap gives tau or tau^2 = inf and t = 0; a zero one, nan
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        phase = (gamma / r).conj()
-        tau = (w[q, q].real - w[p, p].real) / (2.0 * r)
-        t = np.copysign(1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), tau)
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        app, aqq = w[p, p] - t * r, w[q, q] + t * r
-        x, y = w[p], w[q]
-        turned = x * s
-        x *= c
-        x -= y * (s * phase)
-        y *= c * phase
-        y += turned
-    w[:, p], w[:, q] = x[:4].conj(), y[:4].conj()
-    w[p, p], w[q, q] = app, aqq
-    w[p, q] = w[q, p] = 0.0
+def _solve(m: np.ndarray, largest: np.ndarray) -> EigenSystem:
+    """Eigensystems of a judged (..., 4, 4) stack: LAPACK's eigh of the exactly Hermitian
+    (a + adj(a))/2 of a = m 2**-s, its values times 2**s (+-inf past the double range, quietly)."""
+    down, up = _normalized(largest)
+    half = m * (0.5 * down)  # scaled before the sum
+    try:
+        values, vectors = np.linalg.eigh(half + half.conj().swapaxes(-1, -2))
+    except np.linalg.LinAlgError as error:
+        raise NoConvergenceError(f"LAPACK's eigh failed on shape {m.shape}: {error}") from error
+    with np.errstate(over="ignore"):
+        return EigenSystem(values * up, vectors)
 
 
 def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
-    """Full eigensystem of 4x4 Hermitian matrices by cyclic Jacobi rotations.
+    """Full eigensystem of 4x4 Hermitian matrices, by LAPACK's eigh.
 
     For one matrix, values has shape (4,) and vectors (4, 4); a stack adds
     its leading shape to both.  Raises ValueError for any other shape,
     NonHermitianError if a matrix's Hermiticity defect exceeds HERMITICITY_TOL
-    times its largest |entry|, and NoConvergenceError if a matrix's largest
-    off-diagonal |entry| is still above OFF_DIAGONAL_TOL times its largest
-    |entry| after MAX_SWEEPS sweeps; both tests are scale-free.
+    times its largest |entry|, and NoConvergenceError if LAPACK fails.  An
+    eigenvalue past the double range comes back as +-inf, without a warning.
     """
-    e, lead, largest = _stack(matrix)
-    defect, refused = _asymmetric(e.transpose(2, 0, 1), largest)
+    m, largest = _stack(matrix)
+    defect, refused = _asymmetric(m, largest)
     bad = np.flatnonzero(refused)
     if bad.size:
         raise NonHermitianError(
-            f"{_which(lead, bad[0])} is not Hermitian: max asymmetry "
-            f"{defect[bad[0]]:.3e} > {HERMITICITY_TOL:.0e} times its largest "
-            f"|entry| {largest[bad[0]]:.3e}"
+            f"{_which(m.shape[:-2], bad[0])} is not Hermitian: max asymmetry "
+            f"{np.ravel(defect)[bad[0]]:.3e} > {HERMITICITY_TOL:.0e} times its largest "
+            f"|entry| {np.ravel(largest)[bad[0]]:.3e}"
         )
-    n = len(largest)
-    down, up = _normalized(largest)
-    w = np.empty((4, 8, n), dtype=e.dtype)  # w[j, i]: entry (i, j) of a, then of v
-    np.multiply(e.swapaxes(0, 1), 0.5 * down, out=w[:, 4:])  # scaled before the sum
-    np.add(w[:, 4:], w[:, 4:].swapaxes(0, 1).conj(), out=w[:, :4])
-    w[:, 4:] = np.eye(4)[:, :, np.newaxis]
-    del e  # fewer fresh pages for the rotations' temporaries
-    entries = w.reshape(32, n)  # a is exactly Hermitian: its upper triangle and diagonal
-    active = np.ones(n, dtype=bool)  # above the off-diagonal tolerance at every test
-    for sweep in range(MAX_SWEEPS + 1):
-        off = np.abs(entries[_UPPER]).max(axis=0)
-        largest = np.maximum(off, np.abs(entries[_DIAGONAL]).max(axis=0))
-        active &= off > OFF_DIAGONAL_TOL * largest  # scale-free, squares nothing
-        if not active.any():
-            break
-        if sweep == MAX_SWEEPS:
-            first = np.flatnonzero(active)[0]
-            raise NoConvergenceError(
-                f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps "
-                f"({_which(lead, first)}, largest off-diagonal entry "
-                f"{off[first]:.3e} against largest entry {largest[first]:.3e})"
-            )
-        for p, q in _PLANES:
-            coupled = active & (w[q, p] != 0.0)
-            if coupled.any():
-                kept = np.flatnonzero(~coupled)  # left as they are, bit for bit
-                saved = np.take(w, kept, axis=2)
-                _rotate(w, p, q)
-                w[..., kept] = saved
-    values, vectors = entries[_DIAGONAL].real.copy(), w[:, 4:]
-    for j, k in _SORT:  # a compare-exchange: columns j and k swap where j holds more
-        swap = values[j] > values[k]
-        for pairs in (values, vectors):
-            pairs[[j, k]] = np.where(swap, pairs[[k, j]], pairs[[j, k]])
-    values, vectors = values.T * up[:, np.newaxis], vectors.transpose(2, 1, 0)
-    return EigenSystem(values.reshape(lead + (4,)), vectors.reshape(lead + (4, 4)))
+    return _solve(m, largest)
 
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root R with R @ R = matrix, per matrix of a stack.
 
-    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything more negative
-    raises NotPSDError.
+    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything more negative, or
+    an eigenvalue past the double range, raises NotPSDError.
     """
     values, vectors = hermitian_eigen(matrix)
-    lowest = values[..., 0]
-    bad = np.flatnonzero(lowest < -PSD_TOL)
+    lowest, highest = values[..., 0], values[..., -1]
+    bad = np.flatnonzero(~((lowest >= -PSD_TOL) & (highest < np.inf)))
     if bad.size:
         raise NotPSDError(
-            f"{_which(lowest.shape, bad[0])} is not positive semidefinite: "
-            f"min eigenvalue {lowest.flat[bad[0]]:.3e}"
+            f"{_which(lowest.shape, bad[0])} is not positive semidefinite within the double "
+            f"range: eigenvalues {lowest.flat[bad[0]]:.3e} to {highest.flat[bad[0]]:.3e}"
         )
     return _spectral_map(vectors, np.sqrt(np.clip(values, 0.0, None)))
 
@@ -253,7 +185,6 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     LAPACK's SVD of each matrix over a power of two.  It forms no Gram matrix, so
     tiny singular values keep full absolute accuracy (squaring would floor them).
     """
-    e, lead, largest = _stack(matrix)
+    m, largest = _stack(matrix)
     down, up = _normalized(largest)
-    sigma = np.linalg.svd((e * down).transpose(2, 0, 1), compute_uv=False)
-    return (sigma * up[:, np.newaxis]).reshape(lead + (4,))
+    return np.linalg.svd(m * down, compute_uv=False) * up

@@ -1,7 +1,7 @@
 """Gibbs states of the spin pair and their concurrence.
 
 Two independent density-matrix routes (closed form vs spectral decomposition
-through the Jacobi solver) and two concurrence routes (generic Wootters on a
+through LAPACK's eigh) and two concurrence routes (generic Wootters on a
 density matrix vs the X-state shortcut from the closed-form weights, which
 eval, sweep and the figures ship) cross-validate each other.  A scalar sign
 function g decides concurrence positivity analytically and drives the root
@@ -18,7 +18,7 @@ single point or state is the 0-d case.  gibbs_closed, gibbs_spectral,
 thermal_concurrence and gibbs_diagnostics refuse what model._check_params refuses.
 Every route forms only shifted weights exp(-(E_k - E_min)/T) <= 1, which cannot
 overflow, and scales them only by weights and the ratios J/eta and b/eta.  One pass,
-_state_defects, judges each density matrix without raising and returns the Jacobi
+_state_defects, judges each density matrix without raising and returns the
 eigensystem that the Wootters route takes sqrt(rho) from.
 """
 
@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .linalg import (
-    PSD_TOL, SPIN_FLIP, XxzentError, _asymmetric, _largest, _spectral_map, _which,
+    PSD_TOL, SPIN_FLIP, XxzentError, _asymmetric, _largest, _solve, _spectral_map, _which,
     hermitian_eigen, singular_values,
 )
 from .model import _check_params, _energies, _jz_plus_eta, _rescaled, build_hamiltonian
@@ -189,7 +189,7 @@ def gibbs_diagnostics(J, Jz, B, b, T) -> dict[str, float | None]:
 
 
 def gibbs_spectral(J, Jz, B, b, T) -> np.ndarray:
-    """Gibbs states from the Jacobi eigensystems of the Hamiltonians, (..., 4, 4).
+    """Gibbs states from the eigensystems of the Hamiltonians, (..., 4, 4).
 
     Independent of the closed form; accepts J = 0.  Guarded.
     """
@@ -202,16 +202,18 @@ def gibbs_spectral(J, Jz, B, b, T) -> np.ndarray:
 
 def _state_defects(states: np.ndarray) -> tuple:
     """Per state: |trace - 1|, Hermiticity defect, EigenSystem and whether the density-matrix
-    rule refuses it (linalg's, or |trace - 1| > DENSITY_TOL), without raising.  The maximally
-    mixed state stands in, in the one hermitian_eigen call, for a state that linalg refuses
-    before the solve.  Only a shape other than (..., 4, 4) raises.  A trace or eigenvalue past
-    the double range is inf, quietly: such a state is refused by its trace or its lowest value."""
+    rule refuses it (linalg's, or |trace - 1| > DENSITY_TOL), without raising.  Each state is
+    judged once, and the maximally mixed state stands in, in the one solve, for a state that
+    linalg refuses before it.  Only a shape other than (..., 4, 4) raises.  A trace or eigenvalue
+    past the double range is inf, quietly: such a state is refused by its trace or lowest value."""
     states = np.asarray(states)
     if states.shape[-2:] != (4, 4):
         raise InvalidDensityMatrixError(f"expected (..., 4, 4) states, got shape {states.shape}")
-    herm, skew = _asymmetric(states, _largest(states))
+    largest = _largest(states)
+    herm, skew = _asymmetric(states, largest)
+    stand_in = np.where(skew[..., None, None], np.eye(4) / 4, states)
+    system = _solve(stand_in, np.where(skew, 0.25, largest))
     with np.errstate(over="ignore"):
-        system = hermitian_eigen(np.where(skew[..., None, None], np.eye(4) / 4, states))
         trace = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
     return trace, herm, system, skew | ~(trace <= DENSITY_TOL) | (system.values[..., 0] < -PSD_TOL)
 
@@ -231,7 +233,7 @@ def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The roots l_i are the square roots of the eigenvalues of rho @ rho_tilde
     with rho_tilde = S conj(rho) S, descending along the last axis.  They
     are LAPACK's singular values of the factor A = sqrt(rho) S conj(sqrt(rho)),
-    with sqrt(rho) from the Jacobi eigensystem that judged the state.  A adj(A) is
+    with sqrt(rho) from the eigensystem of the pass that judged the state.  A adj(A) is
     sqrt(rho) rho_tilde sqrt(rho), and never forming that product keeps tiny
     roots at full absolute accuracy (squaring would floor them at the square
     root of machine roundoff).  A state that _state_defects refuses raises

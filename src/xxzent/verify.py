@@ -2,8 +2,10 @@
 
 Every suite pits one computational route against an independent one (or
 against an exact symmetry) over the same reproducible parameter draws.  The
-draws come from a Philox counter-based generator so runs are reproducible
-from the 64-bit seed alone; see the README for the exact draw recipe.
+spectrum and Gibbs suites check the closed forms against LAPACK's eigensystems
+of the Hamiltonian, which no closed form calls.  The draws come from a Philox
+counter-based generator so runs are reproducible from the 64-bit seed alone;
+see the README for the exact draw recipe.
 
 Every suite runs as whole-array calls over consecutive blocks of
 BLOCK_DRAWS draws and joins the per-draw errors, so a suite's maximum error,
@@ -26,8 +28,8 @@ from .thermal import (
 SYMMETRY_TOL = 1e-12
 
 # Draws per whole-array call, which bounds the memory the (N, 4, 4) stacks take.
-# `verify --samples 5000` peaks at 37.9 MB RSS with 1024, 37.2 MB with 512 and 39.9 MB
-# with 2048; its suites take 0.05 s in process with 1024 or 2048 and 0.09 s with 512.
+# `verify --samples 5000` peaks at 38.1 MB RSS with 1024, 37.4 MB with 512 and 40.4 MB
+# with 2048; its suites take 0.055 s in process with 1024 or 2048 and 0.059 s with 512.
 BLOCK_DRAWS = 1024
 
 B_MONOTONIC_GRID = np.arange(0.0, 3.0 + 0.125, 0.25)
@@ -92,7 +94,7 @@ def _spectrum_errors(J, Jz, B, b, T):
 
 
 def suite_spectrum(draws: dict[str, np.ndarray]) -> SuiteResult:
-    """Closed-form energies vs Jacobi eigenvalues of the Hamiltonian."""
+    """Closed-form energies vs LAPACK's eigenvalues of the Hamiltonian."""
     (errors,) = _over_blocks(_spectrum_errors, draws)
     return _result("spectrum-oracle", draws, errors, ROUTE_TOL)
 

@@ -1,7 +1,8 @@
 """Test oracles: the closed-form eigenvectors and the pure-state concurrence 2|ad - bc|.
 
-No command uses them; the tests check the Jacobi solver, the Wootters route and
-the ground-state concurrence |J|/eta against them.
+No command uses them; the tests check hermitian_eigen (LAPACK's eigh behind
+linalg's checks and scaling), the Wootters route and the ground-state concurrence
+|J|/eta against them.
 """
 
 import math

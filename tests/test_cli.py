@@ -140,11 +140,11 @@ class TestEval:
         assert n[0] == n[1] == 1.0724260373779925e307
 
     def test_zero_coupling_runs_no_jacobi_solve(self, capsys, monkeypatch):
-        def refuse(matrix):
-            raise AssertionError("Jacobi solve at J = 0")
+        def refuse(*args):
+            raise AssertionError("eigensolve at J = 0")
 
-        for module in ("linalg", "thermal"):
-            monkeypatch.setattr(f"xxzent.{module}.hermitian_eigen", refuse)
+        for module in ("linalg", "thermal"):  # every eigensolve goes through linalg._solve
+            monkeypatch.setattr(f"xxzent.{module}._solve", refuse)
         record = run_json(capsys, "eval", "--j", "0", "--b", "0.7", "--t", "0.4")
         assert record["results"]["concurrence"] == 0.0
 

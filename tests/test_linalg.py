@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-import xxzent.linalg as linalg
 from spectrum_oracle import closed_spectrum
+from xxzent.cli import main
 from xxzent.linalg import (
     SPIN_FLIP,
     NonHermitianError,
@@ -15,7 +15,6 @@ from xxzent.linalg import (
 )
 from xxzent.model import build_hamiltonian
 from xxzent.thermal import gibbs_closed, wootters_concurrence
-from xxzent.verify import draw_params, suite_spectrum
 
 
 def random_hermitian(rng):
@@ -35,8 +34,8 @@ class TestHermitianEigen:
         assert np.allclose(np.abs(vectors), np.eye(4), atol=0)
 
     def test_tiny_coupling_beside_an_active_plane(self):
-        # tau = (a11 - a00) / 2|a01| overflows to inf while plane (2, 3) keeps the
-        # matrix rotating; that must give the identity rotation, and no warning
+        # a coupling far below its gap beside a coupled plane: full relative accuracy
+        # and no warning
         a = np.diag([1.0, 2.0, 3.0, 4.0])
         a[0, 1] = a[1, 0] = 1e-310
         a[2, 3] = a[3, 2] = 1.0
@@ -132,16 +131,21 @@ class TestHermitianEigen:
         with pytest.raises(ValueError, match="^matrix has a non-finite entry"):
             function(m[37].astype(complex))
 
-    def test_no_convergence_names_matrix(self, monkeypatch):
-        monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
-        rng = np.random.default_rng(111)
-        m = np.stack([np.diag([1.0, 2.0, 3.0, 4.0]), random_hermitian(rng)])
-        with pytest.raises(NoConvergenceError, match="matrix 1,"):
-            hermitian_eigen(m)
+    def test_lapack_failure_is_no_convergence(self, monkeypatch, capsys):
+        def fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(NoConvergenceError, match="eigh failed") as raised:
+            hermitian_eigen(np.eye(4))
+        assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
+        assert main(["verify", "--samples", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
 
     def test_mixed_stack_matches_single_matrices_to_the_sign_bit(self):
-        # X-shaped, dense and diagonal matrices with -0.0 entries: a plane whose coupling
-        # is 0 in one matrix but not in another must leave the first one's bits alone
+        # X-shaped, dense and diagonal matrices with -0.0 entries: a matrix's neighbours
+        # in a stack must leave its bits alone
         rng = np.random.default_rng(119)
         x_shaped = build_hamiltonian(*rng.uniform(-3, 3, (4, 20)))
         x_shaped[:, 0, 1] = x_shaped[:, 1, 0] = -0.0
@@ -158,38 +162,6 @@ class TestHermitianEigen:
                     for part in ("real", "imag"):
                         signs = (np.signbit(getattr(x, part)) for x in (ours, theirs))
                         assert np.array_equal(*signs)
-
-    def test_x_states_rotate_only_their_coupled_plane(self, monkeypatch):
-        planes = []
-        rotate = linalg._rotate
-
-        def counted(w, p, q):
-            planes.append((p, q))
-            rotate(w, p, q)
-
-        monkeypatch.setattr(linalg, "_rotate", counted)
-        draws = draw_params(500, 3)
-        hermitian_eigen(build_hamiltonian(draws["J"], draws["Jz"], draws["B"], draws["b"]))
-        hermitian_eigen(gibbs_closed(*draws.values()))
-        assert planes == [(1, 2), (1, 2)]  # one rotation each; the next test finds a diagonal
-        planes.clear()
-        hermitian_eigen(build_hamiltonian(0.0, draws["Jz"], draws["B"], draws["b"]))
-        assert planes == []
-
-    def test_dropping_a_coupled_plane_fails_the_spectrum_suite(self, monkeypatch):
-        draws = draw_params(200, 7)
-        assert suite_spectrum(draws).passed
-        rotate = linalg._rotate
-
-        def drop_inner_plane(w, p, q):  # zero the (1, 2) coupling instead of rotating it away
-            if (p, q) == (1, 2):
-                w[p, q] = w[q, p] = 0.0
-            else:
-                rotate(w, p, q)
-
-        monkeypatch.setattr(linalg, "_rotate", drop_inner_plane)
-        result = suite_spectrum(draws)
-        assert not result.passed and result.max_error > 0.01
 
     @pytest.mark.parametrize("exponent", [-600, -60, 60, 600])
     def test_stopping_test_is_scale_free(self, exponent):
@@ -315,9 +287,17 @@ class TestDtype:
         stacks = self.real_stacks()
         real = self.results(stacks)
         cast = self.results({name: m.astype(complex) for name, m in stacks.items()})
+        for root in (real["sqrt"], cast["sqrt"]):
+            assert np.max(np.abs(root @ root - stacks["psd"])) <= 1e-14
         # eigenvectors agree up to a sign or phase per column
         overlap = np.abs(np.sum(real.pop("vectors") * cast.pop("vectors").conj(), axis=-2))
         assert np.max(np.abs(overlap - 1.0)) <= 1e-14
+        # LAPACK's real and complex routines round differently, and sqrt moves by up to
+        # |dA| / (2 sqrt(lambda_min)) for a change dA of A, so each matrix's root is bound
+        # by 2 eps / sqrt(lambda_min); lambda_min reaches 4e-8 in this stack
+        lowest = hermitian_eigen(stacks["psd"]).values[:, 0]
+        moved = np.max(np.abs(real.pop("sqrt") - cast.pop("sqrt")), axis=(-2, -1))
+        assert np.all(moved <= 2.0 * np.finfo(float).eps / np.sqrt(lowest))
         for name in real:
             assert np.max(np.abs(real[name] - cast[name])) <= 1e-14, name
 
@@ -397,3 +377,14 @@ class TestScaleCovariance:
         assert np.array_equal(values, 4.0 * hermitian_eigen(m / 4.0).values)
         expected = [-1.00498756211e308, 0.0, 0.0, 1.00498756211e308]
         assert np.allclose(values, expected, rtol=1e-11, atol=0)
+
+    def test_eigenvalue_past_the_double_range(self):
+        # 4e308 comes back as +-inf with no overflow warning (a warning fails a test), and
+        # psd_sqrt refuses it by name instead of returning inf and nan entries
+        m = np.full((4, 4), 1e308)
+        assert hermitian_eigen(m).values[-1] == np.inf
+        assert hermitian_eigen(-m).values[0] == -np.inf
+        with pytest.raises(NotPSDError, match="^matrix is not positive semidefinite within"):
+            psd_sqrt(m)
+        with pytest.raises(NotPSDError, match=r"^matrix 1 .* to inf$"):
+            psd_sqrt(np.stack([np.eye(4), m]))

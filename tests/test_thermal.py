@@ -315,7 +315,7 @@ class TestThermalConcurrence:
         assert len(signs) == 1
 
     def test_matches_spectral_route(self):
-        # the shipped closed form against the Jacobi Gibbs state and the generic
+        # the shipped closed form against the spectral Gibbs state and the generic
         # Wootters formula, which share none of its formulas
         _, columns = draw_columns(np.random.default_rng(308), 500)
         closed, _ = thermal_concurrence(*columns)

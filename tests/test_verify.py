@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from xxzent import linalg, thermal, verify
+from xxzent import linalg, model, thermal, verify
 from xxzent.cli import main
 from xxzent.linalg import PSD_TOL, hermitian_eigen
 from xxzent.model import NonPositiveTemperatureError
@@ -89,7 +89,7 @@ def test_routes_fail_on_a_closed_state_that_is_not_psd(monkeypatch, capsys, outp
         *rest, coh = weights(*params)
         return (*rest, coh * 1.01)
 
-    calls = {"hermitian_eigen": 0, "singular_values": 0}
+    calls = {"_solve": 0, "singular_values": 0}
     for name, function in [(name, getattr(linalg, name)) for name in calls]:
 
         def counted(*args, name=name, function=function):
@@ -102,8 +102,8 @@ def test_routes_fail_on_a_closed_state_that_is_not_psd(monkeypatch, capsys, outp
     routes = suite_routes(draw_params(600, 9))
     assert not routes.passed
     assert routes.max_error == 1.0 and routes.details["refused_states"] >= 1
-    # one Jacobi solve judges the refused block and gives its square roots, and one SVD
-    assert calls == {"hermitian_eigen": 1, "singular_values": 1}
+    # one solve serves the judged block and gives its square roots, and one SVD
+    assert calls == {"_solve": 1, "singular_values": 1}
     lowest = hermitian_eigen(thermal.gibbs_closed(**routes.worst_params)).values[0]
     assert lowest < -PSD_TOL
     assert main(["verify", "--samples", "600", "--seed", "9"]) == 3
@@ -130,6 +130,58 @@ def test_a_non_hermitian_closed_state_fails_both_suites(monkeypatch, capsys):
     assert not routes.passed and routes.details == {"refused_states": 600}
     assert main(["verify", "--samples", "600", "--seed", "9"]) == 3
     assert capsys.readouterr().err == ""
+
+
+def _h11_with_big_b(J, Jz, B, b):
+    h = model.build_hamiltonian(J, Jz, B, b)
+    h[..., 1, 1] = (-Jz + 2.0 * B) / 2.0  # 2B in place of 2b
+    return h
+
+
+def _h_with_scaled_j(J, Jz, B, b):
+    return model.build_hamiltonian(J * 1.0001, Jz, B, b)
+
+
+def _h_uncoupled(J, Jz, B, b):
+    h = model.build_hamiltonian(J, Jz, B, b)
+    h[..., 1, 2] = h[..., 2, 1] = 0.0
+    return h
+
+
+def _e3_shifted(J, Jz, B, b):
+    (e1, e2, e3, e4), eta = model._energies(J, Jz, B, b)
+    return (e1, e2, e3 + 0.01 * b, e4), eta
+
+
+def _coherence_raised(*params, weights=thermal._weights):
+    *rest, coh = weights(*params)
+    return (*rest, coh * (1.0 + 1e-9))
+
+
+# Each row: the name a mutant replaces wherever verify or thermal binds it, the mutant,
+# and the exact set of suites that fail on it.  The killers depend on the closed forms
+# and the suites, not on the eigensolver behind the spectral route.
+SPECTRAL = {"spectrum-oracle", "gibbs-oracle"}
+KILL_TABLE = {
+    "h11_with_2B_for_2b": ("build_hamiltonian", _h11_with_big_b, SPECTRAL),
+    "J_times_1.0001_in_H": ("build_hamiltonian", _h_with_scaled_j, SPECTRAL),
+    "H_coupling_12_zero": ("build_hamiltonian", _h_uncoupled, SPECTRAL),
+    "E3_plus_0.01b": ("_energies", _e3_shifted, SPECTRAL | {"b-symmetry"}),
+    # gibbs_closed reads the same coherence (gibbs-oracle), and a raised one leaves some
+    # closed states not PSD (concurrence-routes)
+    "coherence_times_1+1e-9": (
+        "_weights", _coherence_raised, {"gibbs-oracle", "concurrence-routes"}
+    ),
+}
+
+
+@pytest.mark.parametrize("row", KILL_TABLE)
+def test_kill_table(monkeypatch, row):
+    name, mutant, killers = KILL_TABLE[row]
+    for module in (verify, thermal):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, mutant)
+    assert {result.name for result in run_suites(1000, 42) if not result.passed} == killers
 
 
 @pytest.mark.parametrize(
