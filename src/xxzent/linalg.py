@@ -8,8 +8,9 @@ stay independent cross-checks of them.
 Every function takes one 4x4 matrix or a (..., 4, 4) stack of them, real or
 complex, and computes in that dtype; a non-finite entry is refused.  LAPACK solves
 each matrix on its own, so a matrix gets the same bits alone as inside any stack.
-Errors name the index of the first offending matrix in a stack.  A matrix far from
-unit scale is solved divided by a power of two, and its results scaled back exactly.
+A matrix far from unit scale is solved divided by a power of two, and its results
+scaled back exactly.  Refusals are decided here: _judged judges and solves a stack
+without raising, and _refuse is the one place that names a first offender and raises.
 _spectral_map turns an eigensystem back into a matrix function, for psd_sqrt and
 thermal's Gibbs and Wootters routes.
 """
@@ -47,7 +48,8 @@ class NoConvergenceError(XxzentError, RuntimeError):
 
 
 class NotPSDError(XxzentError, ValueError):
-    """Matrix has an eigenvalue below -PSD_TOL, or one past the double range."""
+    """Matrix has an eigenvalue below -PSD_TOL times its largest |entry|, or one past the
+    double range (thermal's density matrices have unit trace, so their rule is absolute)."""
 
 
 class EigenSystem(NamedTuple):
@@ -76,9 +78,7 @@ def _stack(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim < 2 or m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {m.shape}")
     largest = _largest(m)
-    bad = np.flatnonzero(~np.isfinite(largest))
-    if bad.size:
-        raise ValueError(f"{_which(m.shape[:-2], bad[0])} has a non-finite entry")
+    _refuse(ValueError, ~np.isfinite(largest), "{which} has a non-finite entry")
     return m, largest
 
 
@@ -95,12 +95,15 @@ def _normalized(largest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(1.0, -shift)[..., np.newaxis, np.newaxis], np.ldexp(1.0, shift)[..., np.newaxis]
 
 
-def _which(lead: tuple[int, ...], flat: int) -> str:
-    """Name matrix number `flat` of a stack with leading shape `lead`."""
-    if not lead:
-        return "matrix"
-    index = tuple(int(i) for i in np.unravel_index(flat, lead))
-    return f"matrix {index[0] if len(index) == 1 else index}"
+def _refuse(error, bad, message: str, *columns) -> None:
+    """Raise error(message) at the first entry where the mask bad holds, if any: message is
+    formatted with each column's entry there, as a float, and with {which}, that entry named
+    as a matrix of a stack with leading shape bad.shape ("matrix" if bad is 0-d)."""
+    if np.any(bad):
+        flat = np.flatnonzero(bad)[0]
+        index = tuple(int(i) for i in np.unravel_index(flat, np.shape(bad)))
+        which = f"matrix {index[0] if len(index) == 1 else index}" if index else "matrix"
+        raise error(message.format(*(float(np.ravel(c)[flat]) for c in columns), which=which))
 
 
 def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
@@ -115,16 +118,13 @@ def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
     return float(defect) if m.ndim == 2 else defect
 
 
-def _asymmetric(m: np.ndarray, largest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermiticity defect of each matrix of a stack, and whether hermitian_eigen refuses it:
-    a non-finite entry, or a defect above HERMITICITY_TOL times the largest |entry|."""
-    defect = hermiticity_defect(m)
-    return defect, ~(defect <= HERMITICITY_TOL * largest) | np.isinf(largest)
-
-
-def _solve(m: np.ndarray, largest: np.ndarray) -> EigenSystem:
+def _solve(m: np.ndarray, largest: np.ndarray, refused: np.ndarray) -> EigenSystem:
     """Eigensystems of a judged (..., 4, 4) stack: LAPACK's eigh of the exactly Hermitian
-    (a + adj(a))/2 of a = m 2**-s, its values times 2**s (+-inf past the double range, quietly)."""
+    (a + adj(a))/2 of a = m 2**-s, its values times 2**s (+-inf past the double range, quietly).
+    The identity stands in for a refused matrix, which may hold a non-finite entry."""
+    if np.any(refused):
+        m = np.where(refused[..., np.newaxis, np.newaxis], np.eye(4), m)
+        largest = np.where(refused, 1.0, largest)
     down, up = _normalized(largest)
     half = m * (0.5 * down)  # scaled before the sum
     try:
@@ -133,6 +133,16 @@ def _solve(m: np.ndarray, largest: np.ndarray) -> EigenSystem:
         raise NoConvergenceError(f"LAPACK's eigh failed on shape {m.shape}: {error}") from error
     with np.errstate(over="ignore"):
         return EigenSystem(values * up, vectors)
+
+
+def _judged(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, EigenSystem]:
+    """Per matrix of a (..., 4, 4) stack, without raising: its largest |entry|, its
+    Hermiticity defect, whether it is refused (a non-finite entry, or a defect above
+    HERMITICITY_TOL times the largest |entry|) and its eigensystem, from one solve."""
+    largest = _largest(m)
+    defect = hermiticity_defect(m)
+    refused = ~(defect <= HERMITICITY_TOL * largest) | np.isinf(largest)
+    return largest, defect, refused, _solve(m, largest, refused)
 
 
 def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
@@ -144,32 +154,24 @@ def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
     times its largest |entry|, and NoConvergenceError if LAPACK fails.  An
     eigenvalue past the double range comes back as +-inf, without a warning.
     """
-    m, largest = _stack(matrix)
-    defect, refused = _asymmetric(m, largest)
-    bad = np.flatnonzero(refused)
-    if bad.size:
-        raise NonHermitianError(
-            f"{_which(m.shape[:-2], bad[0])} is not Hermitian: max asymmetry "
-            f"{np.ravel(defect)[bad[0]]:.3e} > {HERMITICITY_TOL:.0e} times its largest "
-            f"|entry| {np.ravel(largest)[bad[0]]:.3e}"
-        )
-    return _solve(m, largest)
+    largest, defect, refused, system = _judged(_stack(matrix)[0])
+    _refuse(NonHermitianError, refused, "{which} is not Hermitian: max asymmetry {:.3e} > "
+            f"{HERMITICITY_TOL:.0e} times its largest |entry| {{:.3e}}", defect, largest)
+    return system
 
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root R with R @ R = matrix, per matrix of a stack.
 
-    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything more negative, or
-    an eigenvalue past the double range, raises NotPSDError.
+    Eigenvalues down to -PSD_TOL times the largest |entry| are clamped to zero; anything
+    more negative, or an eigenvalue past the double range, raises NotPSDError.  (thermal's
+    density-matrix rule is absolute instead: unit trace fixes the scale of a state.)
     """
     values, vectors = hermitian_eigen(matrix)
     lowest, highest = values[..., 0], values[..., -1]
-    bad = np.flatnonzero(~((lowest >= -PSD_TOL) & (highest < np.inf)))
-    if bad.size:
-        raise NotPSDError(
-            f"{_which(lowest.shape, bad[0])} is not positive semidefinite within the double "
-            f"range: eigenvalues {lowest.flat[bad[0]]:.3e} to {highest.flat[bad[0]]:.3e}"
-        )
+    floor = -PSD_TOL * _largest(np.asarray(matrix))
+    _refuse(NotPSDError, ~((lowest >= floor) & (highest < np.inf)), "{which} is not positive "
+            "semidefinite within the double range: eigenvalues {:.3e} to {:.3e}", lowest, highest)
     return _spectral_map(vectors, np.sqrt(np.clip(values, 0.0, None)))
 
 

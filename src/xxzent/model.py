@@ -7,7 +7,7 @@ closed form built from eta = sqrt(b^2 + J^2).
 
 Every operation takes the parameters as plain numbers in the order
 (J, Jz, B, b[, T]).  The domain check that all of them share,
-_check_params, lives here too.
+_check_params, lives here too, and refuses through linalg._refuse.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import XxzentError, _power_of_two_shift
+from .linalg import XxzentError, _power_of_two_shift, _refuse
 
 BOUNDARY_TOL = 1e-12
 
@@ -44,12 +44,6 @@ class Phase(str, Enum):
     BOUNDARY = "boundary"
 
 
-def _refuse(error, bad, values, message: str) -> None:
-    """Raise error(message) naming the first of values where bad holds, if any."""
-    if np.any(bad):
-        raise error(message.format(float(np.asarray(values).flat[np.flatnonzero(bad)[0]])))
-
-
 def _check_params(divides_by_J: str = "", **values) -> None:
     """Refuse values outside the model's domain, by parameter name.
 
@@ -59,16 +53,16 @@ def _check_params(divides_by_J: str = "", **values) -> None:
     divides_by_J names an operation that divides by J, which then refuses J = 0.
     """
     for name, value in values.items():
-        _refuse(InvalidParameterError, ~np.isfinite(value), value,
-                name + " must be finite, got {!r}")
+        _refuse(InvalidParameterError, ~np.isfinite(value),
+                name + " must be finite, got {!r}", value)
     if "B" in values:
-        _refuse(InvalidParameterError, np.less(values["B"], 0.0), values["B"],
-                "uniform field B must be >= 0, got {!r}")
-    if divides_by_J and np.any(np.equal(values["J"], 0.0)):
-        raise ZeroXYCouplingError(divides_by_J + " requires J != 0")
+        _refuse(InvalidParameterError, np.less(values["B"], 0.0),
+                "uniform field B must be >= 0, got {!r}", values["B"])
+    if divides_by_J:
+        _refuse(ZeroXYCouplingError, np.equal(values["J"], 0.0), divides_by_J + " requires J != 0")
     if "T" in values:
-        _refuse(NonPositiveTemperatureError, ~np.greater(values["T"], 0.0), values["T"],
-                "temperature must be > 0, got {!r}")
+        _refuse(NonPositiveTemperatureError, ~np.greater(values["T"], 0.0),
+                "temperature must be > 0, got {!r}", values["T"])
 
 
 def _rescaled(*params):

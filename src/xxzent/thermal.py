@@ -18,8 +18,8 @@ single point or state is the 0-d case.  gibbs_closed, gibbs_spectral,
 thermal_concurrence and gibbs_diagnostics refuse what model._check_params refuses.
 Every route forms only shifted weights exp(-(E_k - E_min)/T) <= 1, which cannot
 overflow, and scales them only by weights and the ratios J/eta and b/eta.  One pass,
-_state_defects, judges each density matrix without raising and returns the
-eigensystem that the Wootters route takes sqrt(rho) from.
+_state_defects (linalg's _judged and the trace), judges each density matrix without
+raising and returns the eigensystem that the Wootters route takes sqrt(rho) from.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import math
 import numpy as np
 
 from .linalg import (
-    PSD_TOL, SPIN_FLIP, XxzentError, _asymmetric, _largest, _solve, _spectral_map, _which,
-    hermitian_eigen, singular_values,
+    PSD_TOL, SPIN_FLIP, XxzentError, _judged, _refuse, _spectral_map, hermitian_eigen,
+    singular_values,
 )
 from .model import _check_params, _energies, _jz_plus_eta, _rescaled, build_hamiltonian
 
@@ -201,30 +201,28 @@ def gibbs_spectral(J, Jz, B, b, T) -> np.ndarray:
 
 
 def _state_defects(states: np.ndarray) -> tuple:
-    """Per state: |trace - 1|, Hermiticity defect, EigenSystem and whether the density-matrix
-    rule refuses it (linalg's, or |trace - 1| > DENSITY_TOL), without raising.  Each state is
-    judged once, and the maximally mixed state stands in, in the one solve, for a state that
-    linalg refuses before it.  Only a shape other than (..., 4, 4) raises.  A trace or eigenvalue
-    past the double range is inf, quietly: such a state is refused by its trace or lowest value."""
+    """Per state, without raising: |trace - 1|, Hermiticity defect, lowest eigenvalue (nan where
+    linalg refused the state before the solve), whether the rule refuses it (linalg does, |trace
+    - 1| > DENSITY_TOL or lowest < -PSD_TOL) and its EigenSystem.  Only a shape other than
+    (..., 4, 4) raises; a trace or eigenvalue past the double range is inf, and refused."""
     states = np.asarray(states)
     if states.shape[-2:] != (4, 4):
         raise InvalidDensityMatrixError(f"expected (..., 4, 4) states, got shape {states.shape}")
-    largest = _largest(states)
-    herm, skew = _asymmetric(states, largest)
-    stand_in = np.where(skew[..., None, None], np.eye(4) / 4, states)
-    system = _solve(stand_in, np.where(skew, 0.25, largest))
+    _, defect, refused, system = _judged(states)
     with np.errstate(over="ignore"):
         trace = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
-    return trace, herm, system, skew | ~(trace <= DENSITY_TOL) | (system.values[..., 0] < -PSD_TOL)
+    lowest = np.where(refused, np.nan, system.values[..., 0])
+    return trace, defect, lowest, refused | ~(trace <= DENSITY_TOL) | (lowest < -PSD_TOL), system
 
 
-def _wootters(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """wootters_concurrence and the refused mask, without raising: a refused state gets 0s."""
-    _, _, (values, vectors), refused = _state_defects(rho)
+def _wootters(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """wootters_concurrence and the _state_defects of rho, without raising (a refused state: 0s)."""
+    defects = _state_defects(rho)
+    *_, refused, (values, vectors) = defects
     root = _spectral_map(vectors, np.sqrt(np.where(refused[..., None], 0.0, values.clip(0.0))))
     roots = singular_values(root @ SPIN_FLIP @ root.conj())
     value = np.minimum(np.maximum(0.0, 2.0 * roots[..., 0] - roots.sum(axis=-1)), 1.0)
-    return value, roots, refused
+    return value, roots, defects
 
 
 def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,17 +235,10 @@ def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sqrt(rho) rho_tilde sqrt(rho), and never forming that product keeps tiny
     roots at full absolute accuracy (squaring would floor them at the square
     root of machine roundoff).  A state that _state_defects refuses raises
-    InvalidDensityMatrixError with the first one's three defects (a lowest
-    eigenvalue of nan where linalg refused it before the solve).
+    InvalidDensityMatrixError with the first one's three defects, from the same
+    pass (a lowest eigenvalue of nan where linalg refused it before the solve).
     """
-    value, roots, refused = _wootters(rho)
-    bad = np.flatnonzero(refused)
-    if bad.size:
-        state = np.reshape(rho, (-1, 4, 4))[bad[0]]
-        trace, herm, (values, _), _ = _state_defects(state)
-        lowest = math.nan if _asymmetric(state, _largest(state))[1] else values[0]
-        raise InvalidDensityMatrixError(
-            f"{_which(np.shape(rho)[:-2], bad[0])} is no density matrix: |trace - 1| "
-            f"{trace:.3e}, Hermiticity defect {herm:.3e}, lowest eigenvalue {lowest:.3e}"
-        )
+    value, roots, (trace, defect, lowest, refused, _) = _wootters(rho)
+    _refuse(InvalidDensityMatrixError, refused, "{which} is no density matrix: |trace - 1| {:.3e}, "
+            "Hermiticity defect {:.3e}, lowest eigenvalue {:.3e}", trace, defect, lowest)
     return value, roots

@@ -101,15 +101,15 @@ def suite_spectrum(draws: dict[str, np.ndarray]) -> SuiteResult:
 
 def _gibbs_errors(J, Jz, B, b, T):
     """Per draw: route disagreement, then over the two states the worse trace defect,
-    Hermiticity defect and lowest eigenvalue, and whether either is refused."""
+    Hermiticity defect and solved lowest eigenvalue, and whether either is refused."""
     closed = gibbs_closed(J, Jz, B, b, T)
     spectral = gibbs_spectral(J, Jz, B, b, T)
-    trace, herm, system, refused = _state_defects(np.stack([closed, spectral]))
+    trace, herm, lowest, refused, _ = _state_defects(np.stack([closed, spectral]))
     return (
         _largest(closed - spectral),
         np.max(trace, axis=0),
         np.max(herm, axis=0),
-        np.min(system.values[..., 0], axis=0),
+        np.fmin.reduce(lowest, axis=0),
         np.any(refused, axis=0),
     )
 
@@ -121,7 +121,7 @@ def suite_gibbs(draws: dict[str, np.ndarray]) -> SuiteResult:
     details = {
         "max_trace_defect": float(np.max(trace)),
         "max_hermiticity_defect": float(np.max(herm)),
-        "min_eigenvalue": float(np.min(lowest)),
+        "min_eigenvalue": float(np.fmin.reduce(lowest)),  # skips the nan of a state linalg refused
     }
     return _result("gibbs-oracle", draws, errors, ROUTE_TOL, details, valid=not refused.any())
 
@@ -130,7 +130,7 @@ def _route_errors(J, Jz, B, b, T):
     """Per draw: the two routes' disagreement, and whether the generic route refused
     the closed-form state as no density matrix (the rule of wootters_concurrence); a
     refused draw counts as 1, the widest gap two concurrences can have."""
-    generic, _, refused = _wootters(gibbs_closed(J, Jz, B, b, T))
+    generic, _, (*_, refused, _) = _wootters(gibbs_closed(J, Jz, B, b, T))
     shipped = thermal_concurrence(J, Jz, B, b, T)[0]
     return np.where(refused, 1.0, np.abs(generic - shipped)), refused
 

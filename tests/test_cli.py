@@ -143,8 +143,7 @@ class TestEval:
         def refuse(*args):
             raise AssertionError("eigensolve at J = 0")
 
-        for module in ("linalg", "thermal"):  # every eigensolve goes through linalg._solve
-            monkeypatch.setattr(f"xxzent.{module}._solve", refuse)
+        monkeypatch.setattr("xxzent.linalg._solve", refuse)  # every eigensolve goes through it
         record = run_json(capsys, "eval", "--j", "0", "--b", "0.7", "--t", "0.4")
         assert record["results"]["concurrence"] == 0.0
 
@@ -494,6 +493,22 @@ def test_no_unnamed_tolerance_in_a_function_body():
                     and 0.0 < abs(node.value) < 1e-6
                 )
     assert not found, sorted(found)
+
+
+def test_only_linalg_refuse_names_a_first_offender():
+    # The policy "find the first offender, then raise" is written once, in
+    # linalg._refuse; every other check calls it.
+    found = set()
+    for module in package_modules():
+        for function in ast.walk(ast.parse(inspect.getsource(module))):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            nodes = list(ast.walk(function))
+            finds = any(isinstance(node, ast.Attribute) and node.attr == "flatnonzero"
+                        for node in nodes)
+            if finds and any(isinstance(node, ast.Raise) for node in nodes):
+                found.add(f"{module.__name__}.{function.name}")
+    assert found == {"xxzent.linalg._refuse"}, sorted(found)
 
 
 def test_model_parameters_keep_one_order():

@@ -223,6 +223,23 @@ class TestPsdSqrt:
         for i in range(len(rho)):
             assert np.array_equal(psd_sqrt(rho[i]), root[i])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e4, 2.0**500, 2.0**-500],
+                             ids=["1", "1e3", "1e4", "2**500", "2**-500"])
+    def test_psd_rule_is_relative_to_the_largest_entry(self, scale):
+        # rank-2 matrices have two eigenvalues at rounding level, of either sign, at any scale
+        v = np.random.default_rng(7).normal(size=(200, 4, 2))
+        a = scale * (v @ v.swapaxes(-1, -2))
+        root = psd_sqrt(a)
+        largest = np.abs(a).max(axis=(-2, -1))
+        assert np.all(np.abs(root @ root - a).max(axis=(-2, -1)) <= 1e-14 * largest)
+        with pytest.raises(NotPSDError, match="^matrix is not positive semidefinite"):
+            psd_sqrt(scale * np.diag([1.0, 1.0, 1.0, -1.0]))
+
+    def test_psd_rule_accepts_a_rank_one_matrix_near_the_top_of_the_range(self):
+        # its three zero eigenvalues come back near -1e283, far below -PSD_TOL
+        root = psd_sqrt(np.full((4, 4), 1e300))
+        assert np.max(np.abs(root @ root - 1e300)) <= 1e-14 * 1e300
+
     def test_names_indefinite_matrix_in_stack(self):
         rho = np.stack([np.eye(4) / 4] * 10)
         rho[6] = np.diag([1.0, 1.0, 1.0, -1.0])

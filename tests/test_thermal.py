@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spectrum_oracle import closed_spectrum, pure_concurrence
-from xxzent import thermal
+from xxzent import linalg, thermal
 from xxzent.cli import main
 from xxzent.linalg import HERMITICITY_TOL, NonHermitianError, hermitian_eigen, hermiticity_defect
 from xxzent.model import (
@@ -236,8 +236,10 @@ class TestWootters:
 
     def test_state_defects_refuse_the_same_states_without_raising(self):
         states = np.stack([np.eye(4) / 4, *REFUSED.values()])
-        trace, herm, (values, vectors), refused = thermal._state_defects(states)
+        trace, herm, lowest, refused, (values, vectors) = thermal._state_defects(states)
         assert refused.tolist() == [False] + [True] * len(REFUSED)
+        # nan where linalg refused the state before the solve: both asymmetries, inf and nan
+        assert np.isnan(lowest).tolist() == [False, True, True, True, False, True, False]
         assert trace[0] == herm[0] == 0.0 and values[0, 0] == 0.25
         assert values.shape == (len(states), 4) and vectors.shape == states.shape
 
@@ -248,12 +250,21 @@ class TestWootters:
             wootters_concurrence(states)
         message = str(raised.value)
         assert message.startswith("matrix 2 is no density matrix: ")
-        trace, herm, (values, _), _ = thermal._state_defects(REFUSED[name])
-        lowest = values[0] if name in ("trace", "negative") else math.nan
+        # the expected defects come from outside the pass that the message is formatted from
+        state = REFUSED[name]
+        lowest = np.linalg.eigvalsh(state)[0] if name in ("trace", "negative") else math.nan
         assert message.endswith(
-            f"|trace - 1| {trace:.3e}, Hermiticity defect {herm:.3e}, "
-            f"lowest eigenvalue {lowest:.3e}"
+            f"|trace - 1| {abs(np.trace(state) - 1.0):.3e}, "
+            f"Hermiticity defect {hermiticity_defect(state):.3e}, lowest eigenvalue {lowest:.3e}"
         )
+
+    def test_a_refused_stack_is_judged_and_solved_once(self, monkeypatch):
+        solve, calls = linalg._solve, []
+        monkeypatch.setattr(linalg, "_solve", lambda *args: calls.append(1) or solve(*args))
+        states = np.stack([np.eye(4) / 4, *REFUSED.values()])
+        with pytest.raises(InvalidDensityMatrixError, match="^matrix 1 "):
+            wootters_concurrence(states)
+        assert len(calls) == 1
 
     def test_refuses_a_state_past_the_double_range(self):
         # its trace and top eigenvalue overflow: the refused state's zero root keeps the SVD finite

@@ -80,6 +80,28 @@ def test_gibbs_fails_on_a_mutated_shared_coherence(monkeypatch):
     assert main(["verify", "--samples", "600"]) == 3
 
 
+def test_gibbs_oracle_reports_a_number_for_a_state_linalg_refuses(
+    monkeypatch, capsys, output_schema
+):
+    # one closed-form state asymmetric by 1e-3: linalg refuses it before the solve, so it
+    # has no lowest eigenvalue, and min_eigenvalue is taken over the states that were solved
+    closed = verify.gibbs_closed
+
+    def skewed(*params):
+        rho = closed(*params)
+        rho[0, 0, 1] += 1e-3
+        return rho
+
+    monkeypatch.setattr(verify, "gibbs_closed", skewed)
+    gibbs = suite_gibbs(draw_params(600, 9))
+    assert not gibbs.passed and np.isfinite(gibbs.details["min_eigenvalue"])
+    assert main(["verify", "--samples", "600", "--seed", "9"]) == 3
+    record = json.loads(capsys.readouterr().out)
+    jsonschema.validate(record, output_schema)
+    (reported,) = [s for s in record["results"]["suites"] if s["name"] == "gibbs-oracle"]
+    assert reported["details"] == gibbs.details
+
+
 def test_routes_fail_on_a_closed_state_that_is_not_psd(monkeypatch, capsys, output_schema):
     # a 1% rise in the shared coherence pushes some closed-form states below
     # zero; the generic route refuses those, and verify reports it as a failure
@@ -96,8 +118,8 @@ def test_routes_fail_on_a_closed_state_that_is_not_psd(monkeypatch, capsys, outp
             calls[name] += 1
             return function(*args)
 
-        for module in (linalg, thermal):
-            monkeypatch.setattr(module, name, counted)
+        # _solve is called inside linalg, singular_values where thermal binds it
+        monkeypatch.setattr(linalg if name == "_solve" else thermal, name, counted)
     monkeypatch.setattr(thermal, "_weights", mutated)
     routes = suite_routes(draw_params(600, 9))
     assert not routes.passed
