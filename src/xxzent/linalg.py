@@ -135,14 +135,23 @@ def _solve(m: np.ndarray, largest: np.ndarray, refused: np.ndarray) -> EigenSyst
         return EigenSystem(values * up, vectors)
 
 
-def _judged(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, EigenSystem]:
-    """Per matrix of a (..., 4, 4) stack, without raising: its largest |entry|, its
-    Hermiticity defect, whether it is refused (a non-finite entry, or a defect above
-    HERMITICITY_TOL times the largest |entry|) and its eigensystem, from one solve."""
-    largest = _largest(m)
+def _judged(m: np.ndarray, largest=None) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
+    """Per matrix of a (..., 4, 4) stack, without raising: its Hermiticity defect, whether it
+    is refused (a non-finite entry, or a defect above HERMITICITY_TOL times the largest
+    |entry|) and its eigensystem, from one solve; largest is _largest(m), if already known."""
+    largest = _largest(m) if largest is None else largest
     defect = hermiticity_defect(m)
     refused = ~(defect <= HERMITICITY_TOL * largest) | np.isinf(largest)
-    return largest, defect, refused, _solve(m, largest, refused)
+    return defect, refused, _solve(m, largest, refused)
+
+
+def _hermitian(matrix: np.ndarray) -> tuple[np.ndarray, EigenSystem]:
+    """Each matrix's largest |entry| and the eigensystems, as hermitian_eigen, which refuses."""
+    m, largest = _stack(matrix)
+    defect, refused, system = _judged(m, largest)
+    _refuse(NonHermitianError, refused, "{which} is not Hermitian: max asymmetry {:.3e} > "
+            f"{HERMITICITY_TOL:.0e} times its largest |entry| {{:.3e}}", defect, largest)
+    return largest, system
 
 
 def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
@@ -154,10 +163,7 @@ def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
     times its largest |entry|, and NoConvergenceError if LAPACK fails.  An
     eigenvalue past the double range comes back as +-inf, without a warning.
     """
-    largest, defect, refused, system = _judged(_stack(matrix)[0])
-    _refuse(NonHermitianError, refused, "{which} is not Hermitian: max asymmetry {:.3e} > "
-            f"{HERMITICITY_TOL:.0e} times its largest |entry| {{:.3e}}", defect, largest)
-    return system
+    return _hermitian(matrix)[1]
 
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -167,11 +173,11 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     more negative, or an eigenvalue past the double range, raises NotPSDError.  (thermal's
     density-matrix rule is absolute instead: unit trace fixes the scale of a state.)
     """
-    values, vectors = hermitian_eigen(matrix)
+    largest, (values, vectors) = _hermitian(matrix)
     lowest, highest = values[..., 0], values[..., -1]
-    floor = -PSD_TOL * _largest(np.asarray(matrix))
-    _refuse(NotPSDError, ~((lowest >= floor) & (highest < np.inf)), "{which} is not positive "
-            "semidefinite within the double range: eigenvalues {:.3e} to {:.3e}", lowest, highest)
+    bad = ~((lowest >= -PSD_TOL * largest) & (highest < np.inf))
+    _refuse(NotPSDError, bad, "{which} is not positive semidefinite within the double range: "
+            "eigenvalues {:.3e} to {:.3e}", lowest, highest)
     return _spectral_map(vectors, np.sqrt(np.clip(values, 0.0, None)))
 
 

@@ -18,13 +18,14 @@ single point or state is the 0-d case.  gibbs_closed, gibbs_spectral,
 thermal_concurrence and gibbs_diagnostics refuse what model._check_params refuses.
 Every route forms only shifted weights exp(-(E_k - E_min)/T) <= 1, which cannot
 overflow, and scales them only by weights and the ratios J/eta and b/eta.  One pass,
-_state_defects (linalg's _judged and the trace), judges each density matrix without
-raising and returns the eigensystem that the Wootters route takes sqrt(rho) from.
+_state_defects (linalg's _judged and the trace), judges each density matrix without raising;
+its DensityJudgement holds the eigensystem that the Wootters route takes sqrt(rho) from.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -200,7 +201,10 @@ def gibbs_spectral(J, Jz, B, b, T) -> np.ndarray:
     return _spectral_map(vectors, w) / w.sum(axis=-1)[..., np.newaxis, np.newaxis]
 
 
-def _state_defects(states: np.ndarray) -> tuple:
+DensityJudgement = namedtuple("DensityJudgement", "trace defect lowest refused system")
+
+
+def _state_defects(states: np.ndarray) -> DensityJudgement:
     """Per state, without raising: |trace - 1|, Hermiticity defect, lowest eigenvalue (nan where
     linalg refused the state before the solve), whether the rule refuses it (linalg does, |trace
     - 1| > DENSITY_TOL or lowest < -PSD_TOL) and its EigenSystem.  Only a shape other than
@@ -208,21 +212,22 @@ def _state_defects(states: np.ndarray) -> tuple:
     states = np.asarray(states)
     if states.shape[-2:] != (4, 4):
         raise InvalidDensityMatrixError(f"expected (..., 4, 4) states, got shape {states.shape}")
-    _, defect, refused, system = _judged(states)
+    defect, refused, system = _judged(states)
     with np.errstate(over="ignore"):
         trace = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
     lowest = np.where(refused, np.nan, system.values[..., 0])
-    return trace, defect, lowest, refused | ~(trace <= DENSITY_TOL) | (lowest < -PSD_TOL), system
+    refused = refused | ~(trace <= DENSITY_TOL) | (lowest < -PSD_TOL)
+    return DensityJudgement(trace, defect, lowest, refused, system)
 
 
-def _wootters(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """wootters_concurrence and the _state_defects of rho, without raising (a refused state: 0s)."""
-    defects = _state_defects(rho)
-    *_, refused, (values, vectors) = defects
-    root = _spectral_map(vectors, np.sqrt(np.where(refused[..., None], 0.0, values.clip(0.0))))
+def _wootters(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, DensityJudgement]:
+    """wootters_concurrence and the judgement of rho, without raising (a refused state: 0s)."""
+    j = _state_defects(rho)
+    values, vectors = j.system
+    root = _spectral_map(vectors, np.sqrt(np.where(j.refused[..., None], 0.0, values.clip(0.0))))
     roots = singular_values(root @ SPIN_FLIP @ root.conj())
     value = np.minimum(np.maximum(0.0, 2.0 * roots[..., 0] - roots.sum(axis=-1)), 1.0)
-    return value, roots, defects
+    return value, roots, j
 
 
 def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -104,14 +104,9 @@ def _gibbs_errors(J, Jz, B, b, T):
     Hermiticity defect and solved lowest eigenvalue, and whether either is refused."""
     closed = gibbs_closed(J, Jz, B, b, T)
     spectral = gibbs_spectral(J, Jz, B, b, T)
-    trace, herm, lowest, refused, _ = _state_defects(np.stack([closed, spectral]))
-    return (
-        _largest(closed - spectral),
-        np.max(trace, axis=0),
-        np.max(herm, axis=0),
-        np.fmin.reduce(lowest, axis=0),
-        np.any(refused, axis=0),
-    )
+    j = _state_defects(np.stack([closed, spectral]))
+    worst = np.max(j.trace, axis=0), np.max(j.defect, axis=0), np.fmin.reduce(j.lowest, axis=0)
+    return (_largest(closed - spectral), *worst, np.any(j.refused, axis=0))
 
 
 def suite_gibbs(draws: dict[str, np.ndarray]) -> SuiteResult:
@@ -130,9 +125,9 @@ def _route_errors(J, Jz, B, b, T):
     """Per draw: the two routes' disagreement, and whether the generic route refused
     the closed-form state as no density matrix (the rule of wootters_concurrence); a
     refused draw counts as 1, the widest gap two concurrences can have."""
-    generic, _, (*_, refused, _) = _wootters(gibbs_closed(J, Jz, B, b, T))
+    generic, _, j = _wootters(gibbs_closed(J, Jz, B, b, T))
     shipped = thermal_concurrence(J, Jz, B, b, T)[0]
-    return np.where(refused, 1.0, np.abs(generic - shipped)), refused
+    return np.where(j.refused, 1.0, np.abs(generic - shipped)), j.refused
 
 
 def suite_routes(draws: dict[str, np.ndarray]) -> SuiteResult:
@@ -176,14 +171,8 @@ def suite_b_monotonic(draws: dict[str, np.ndarray]) -> SuiteResult:
     return _result("b-monotonic-in-uniform-field", draws, errors, SYMMETRY_TOL)
 
 
-ALL_SUITES = (
-    suite_spectrum,
-    suite_gibbs,
-    suite_routes,
-    suite_b_symmetry,
-    suite_j_parity,
-    suite_b_monotonic,
-)
+ALL_SUITES = (suite_spectrum, suite_gibbs, suite_routes, suite_b_symmetry, suite_j_parity,
+              suite_b_monotonic)
 
 
 def run_suites(samples: int, seed: int) -> list[SuiteResult]:

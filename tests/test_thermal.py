@@ -236,11 +236,12 @@ class TestWootters:
 
     def test_state_defects_refuse_the_same_states_without_raising(self):
         states = np.stack([np.eye(4) / 4, *REFUSED.values()])
-        trace, herm, lowest, refused, (values, vectors) = thermal._state_defects(states)
-        assert refused.tolist() == [False] + [True] * len(REFUSED)
+        judged = thermal._state_defects(states)
+        assert judged.refused.tolist() == [False] + [True] * len(REFUSED)
         # nan where linalg refused the state before the solve: both asymmetries, inf and nan
-        assert np.isnan(lowest).tolist() == [False, True, True, True, False, True, False]
-        assert trace[0] == herm[0] == 0.0 and values[0, 0] == 0.25
+        assert np.isnan(judged.lowest).tolist() == [False, True, True, True, False, True, False]
+        values, vectors = judged.system
+        assert judged.trace[0] == judged.defect[0] == 0.0 and values[0, 0] == 0.25
         assert values.shape == (len(states), 4) and vectors.shape == states.shape
 
     @pytest.mark.parametrize("name", REFUSED)
