@@ -145,15 +145,6 @@ def _judged(m: np.ndarray, largest=None) -> tuple[np.ndarray, np.ndarray, EigenS
     return defect, refused, _solve(m, largest, refused)
 
 
-def _hermitian(matrix: np.ndarray) -> tuple[np.ndarray, EigenSystem]:
-    """Each matrix's largest |entry| and the eigensystems, as hermitian_eigen, which refuses."""
-    m, largest = _stack(matrix)
-    defect, refused, system = _judged(m, largest)
-    _refuse(NonHermitianError, refused, "{which} is not Hermitian: max asymmetry {:.3e} > "
-            f"{HERMITICITY_TOL:.0e} times its largest |entry| {{:.3e}}", defect, largest)
-    return largest, system
-
-
 def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
     """Full eigensystem of 4x4 Hermitian matrices, by LAPACK's eigh.
 
@@ -163,7 +154,11 @@ def hermitian_eigen(matrix: np.ndarray) -> EigenSystem:
     times its largest |entry|, and NoConvergenceError if LAPACK fails.  An
     eigenvalue past the double range comes back as +-inf, without a warning.
     """
-    return _hermitian(matrix)[1]
+    m, largest = _stack(matrix)
+    defect, refused, system = _judged(m, largest)
+    _refuse(NonHermitianError, refused, "{which} is not Hermitian: max asymmetry {:.3e} > "
+            f"{HERMITICITY_TOL:.0e} times its largest |entry| {{:.3e}}", defect, largest)
+    return system
 
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -173,11 +168,11 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     more negative, or an eigenvalue past the double range, raises NotPSDError.  (thermal's
     density-matrix rule is absolute instead: unit trace fixes the scale of a state.)
     """
-    largest, (values, vectors) = _hermitian(matrix)
+    values, vectors = hermitian_eigen(matrix)
     lowest, highest = values[..., 0], values[..., -1]
-    bad = ~((lowest >= -PSD_TOL * largest) & (highest < np.inf))
-    _refuse(NotPSDError, bad, "{which} is not positive semidefinite within the double range: "
-            "eigenvalues {:.3e} to {:.3e}", lowest, highest)
+    floor = -PSD_TOL * _largest(np.asarray(matrix))
+    _refuse(NotPSDError, ~((lowest >= floor) & (highest < np.inf)), "{which} is not positive "
+            "semidefinite within the double range: eigenvalues {:.3e} to {:.3e}", lowest, highest)
     return _spectral_map(vectors, np.sqrt(np.clip(values, 0.0, None)))
 
 

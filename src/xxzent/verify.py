@@ -171,8 +171,14 @@ def suite_b_monotonic(draws: dict[str, np.ndarray]) -> SuiteResult:
     return _result("b-monotonic-in-uniform-field", draws, errors, SYMMETRY_TOL)
 
 
-ALL_SUITES = (suite_spectrum, suite_gibbs, suite_routes, suite_b_symmetry, suite_j_parity,
-              suite_b_monotonic)
+ALL_SUITES = (
+    suite_spectrum,
+    suite_gibbs,
+    suite_routes,
+    suite_b_symmetry,
+    suite_j_parity,
+    suite_b_monotonic,
+)
 
 
 def run_suites(samples: int, seed: int) -> list[SuiteResult]:

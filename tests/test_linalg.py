@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spectrum_oracle import closed_spectrum
+from xxzent import linalg
 from xxzent.cli import main
 from xxzent.linalg import (
     SPIN_FLIP,
@@ -239,6 +240,14 @@ class TestPsdSqrt:
         # its three zero eigenvalues come back near -1e283, far below -PSD_TOL
         root = psd_sqrt(np.full((4, 4), 1e300))
         assert np.max(np.abs(root @ root - 1e300)) <= 1e-14 * 1e300
+
+    @pytest.mark.parametrize("function", [hermitian_eigen, singular_values])
+    def test_each_call_finds_the_largest_entries_once(self, function, monkeypatch):
+        # the finiteness, Hermiticity and scaling rules share the one reduction
+        largest, calls = linalg._largest, []
+        monkeypatch.setattr(linalg, "_largest", lambda m: calls.append(1) or largest(m))
+        function(np.stack([np.eye(4) / 4] * 3))
+        assert len(calls) == 1
 
     def test_names_indefinite_matrix_in_stack(self):
         rho = np.stack([np.eye(4) / 4] * 10)
