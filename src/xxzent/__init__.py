@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in (
-        ("linalg", "EigenSystem NoConvergenceError NonHermitianError NotPSDError SPIN_FLIP "
-                   "XxzentError hermitian_eigen hermiticity_defect psd_sqrt"),
+        ("linalg", "EigenSystem NoConvergenceError NonHermitianError SPIN_FLIP XxzentError "
+                   "hermitian_eigen hermiticity_defect"),
         ("model", "GroundStateReport InvalidParameterError NonPositiveTemperatureError "
                   "Phase ZeroXYCouplingError build_hamiltonian ground_state"),
         ("thermal", "InvalidDensityMatrixError concurrence_values gibbs_closed "

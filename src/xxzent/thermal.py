@@ -30,15 +30,15 @@ from collections import namedtuple
 import numpy as np
 
 from .linalg import (
-    PSD_TOL, SPIN_FLIP, XxzentError, _judged, _refuse, _spectral_map, hermitian_eigen,
-    singular_values,
+    SPIN_FLIP, XxzentError, _judged, _refuse, _spectral_map, hermitian_eigen, singular_values,
 )
 from .model import _check_params, _energies, _jz_plus_eta, _rescaled, build_hamiltonian
 
 # Largest disagreement accepted between two routes to the same quantity
 # (spectrum, Gibbs state, concurrence).
 ROUTE_TOL = 1e-10
-DENSITY_TOL = 1e-12  # largest |trace - 1| of a density matrix; linalg judges the rest
+DENSITY_TOL = 1e-12  # largest |trace - 1| of a density matrix; linalg judges Hermiticity
+PSD_TOL = 1e-12  # lowest eigenvalue allowed is -PSD_TOL: absolute, as unit trace fixes the scale
 _TINY = np.finfo(float).tiny
 
 METHOD_XSTATE = "xstate-shortcut"

@@ -8,10 +8,8 @@ from xxzent.linalg import (
     SPIN_FLIP,
     NonHermitianError,
     NoConvergenceError,
-    NotPSDError,
     hermitian_eigen,
     hermiticity_defect,
-    psd_sqrt,
     singular_values,
 )
 from xxzent.model import build_hamiltonian
@@ -116,11 +114,9 @@ class TestHermitianEigen:
         with pytest.raises(ValueError):
             hermitian_eigen(np.zeros((5, 3, 3)))
         with pytest.raises(ValueError):
-            psd_sqrt(np.zeros((5, 3, 3)))
-        with pytest.raises(ValueError):
             singular_values(np.zeros((5, 3, 3)))
 
-    @pytest.mark.parametrize("function", [hermitian_eigen, psd_sqrt, singular_values])
+    @pytest.mark.parametrize("function", [hermitian_eigen, singular_values])
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     def test_names_non_finite_matrix_in_stack(self, function, entry):
         m = np.stack([np.eye(4) / 4] * 100)
@@ -131,6 +127,14 @@ class TestHermitianEigen:
             function(m.reshape(10, 10, 4, 4))
         with pytest.raises(ValueError, match="^matrix has a non-finite entry"):
             function(m[37].astype(complex))
+
+    @pytest.mark.parametrize("function", [hermitian_eigen, singular_values])
+    def test_each_call_finds_the_largest_entries_once(self, function, monkeypatch):
+        # the finiteness, Hermiticity and scaling rules share the one reduction
+        largest, calls = linalg._largest, []
+        monkeypatch.setattr(linalg, "_largest", lambda m: calls.append(1) or largest(m))
+        function(np.stack([np.eye(4) / 4] * 3))
+        assert len(calls) == 1
 
     def test_lapack_failure_is_no_convergence(self, monkeypatch, capsys):
         def fails(a):
@@ -186,76 +190,6 @@ class TestHermitianEigen:
             assert np.max(np.abs(numeric - closed)) <= 1e-10
 
 
-class TestPsdSqrt:
-    def test_scalar_matrix(self):
-        root = psd_sqrt(np.eye(4) / 4)
-        assert np.allclose(root, np.eye(4) / 2, atol=1e-14)
-
-    def test_diagonal(self):
-        root = psd_sqrt(np.diag([4.0, 1.0, 0.0, 0.0]))
-        assert np.allclose(root, np.diag([2.0, 1.0, 0.0, 0.0]), atol=1e-14)
-
-    def test_gibbs_square(self):
-        rho = gibbs_closed(1.0, 0.0, 0.0, 0.0, 1.0)
-        root = psd_sqrt(rho)
-        assert np.max(np.abs(root @ root - rho)) <= 1e-10
-        assert hermiticity_defect(root) <= 1e-12
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSDError):
-            psd_sqrt(np.diag([1.0, 1.0, 1.0, -1.0]))
-
-    def test_random_psd(self):
-        rng = np.random.default_rng(103)
-        rhos = []
-        for _ in range(2000):
-            a = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
-            rho = a @ a.conj().T
-            rhos.append(rho / np.trace(rho).real)
-        rho = np.stack(rhos)
-        root = psd_sqrt(rho)
-        assert np.max(np.abs(root @ root - rho)) <= 1e-10
-
-    def test_stack_matches_single_matrices(self):
-        rng = np.random.default_rng(112)
-        a = rng.uniform(-1, 1, (200, 4, 4)) + 1j * rng.uniform(-1, 1, (200, 4, 4))
-        rho = a @ a.conj().swapaxes(-1, -2)
-        root = psd_sqrt(rho)
-        for i in range(len(rho)):
-            assert np.array_equal(psd_sqrt(rho[i]), root[i])
-
-    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e4, 2.0**500, 2.0**-500],
-                             ids=["1", "1e3", "1e4", "2**500", "2**-500"])
-    def test_psd_rule_is_relative_to_the_largest_entry(self, scale):
-        # rank-2 matrices have two eigenvalues at rounding level, of either sign, at any scale
-        v = np.random.default_rng(7).normal(size=(200, 4, 2))
-        a = scale * (v @ v.swapaxes(-1, -2))
-        root = psd_sqrt(a)
-        largest = np.abs(a).max(axis=(-2, -1))
-        assert np.all(np.abs(root @ root - a).max(axis=(-2, -1)) <= 1e-14 * largest)
-        with pytest.raises(NotPSDError, match="^matrix is not positive semidefinite"):
-            psd_sqrt(scale * np.diag([1.0, 1.0, 1.0, -1.0]))
-
-    def test_psd_rule_accepts_a_rank_one_matrix_near_the_top_of_the_range(self):
-        # its three zero eigenvalues come back near -1e283, far below -PSD_TOL
-        root = psd_sqrt(np.full((4, 4), 1e300))
-        assert np.max(np.abs(root @ root - 1e300)) <= 1e-14 * 1e300
-
-    @pytest.mark.parametrize("function", [hermitian_eigen, singular_values])
-    def test_each_call_finds_the_largest_entries_once(self, function, monkeypatch):
-        # the finiteness, Hermiticity and scaling rules share the one reduction
-        largest, calls = linalg._largest, []
-        monkeypatch.setattr(linalg, "_largest", lambda m: calls.append(1) or largest(m))
-        function(np.stack([np.eye(4) / 4] * 3))
-        assert len(calls) == 1
-
-    def test_names_indefinite_matrix_in_stack(self):
-        rho = np.stack([np.eye(4) / 4] * 10)
-        rho[6] = np.diag([1.0, 1.0, 1.0, -1.0])
-        with pytest.raises(NotPSDError, match="matrix 6 "):
-            psd_sqrt(rho)
-
-
 class TestElementaryOps:
     def test_spin_flip_involution(self):
         assert np.array_equal(SPIN_FLIP @ SPIN_FLIP, np.eye(4, dtype=complex))
@@ -282,10 +216,8 @@ class TestDtype:
     def real_stacks():
         rng = np.random.default_rng(115)
         a = rng.normal(size=(300, 4, 4))
-        psd = a @ a.swapaxes(-1, -2)
         return {
             "symmetric": a + a.swapaxes(-1, -2),
-            "psd": psd / np.trace(psd, axis1=-2, axis2=-1)[:, None, None],
             "general": a,
             "gibbs": gibbs_closed(*rng.uniform(0.05, 3, (5, 300))),
         }
@@ -295,7 +227,7 @@ class TestDtype:
         values, vectors = hermitian_eigen(stacks["symmetric"])
         concurrence, roots = wootters_concurrence(stacks["gibbs"])
         return {
-            "values": values, "vectors": vectors, "sqrt": psd_sqrt(stacks["psd"]),
+            "values": values, "vectors": vectors,
             "singular": singular_values(stacks["general"]),
             "concurrence": concurrence, "roots": roots,
         }
@@ -307,23 +239,15 @@ class TestDtype:
     def test_complex_stays_complex(self):
         stacks = {name: m.astype(complex) for name, m in self.real_stacks().items()}
         result = self.results(stacks)
-        assert result["vectors"].dtype == result["sqrt"].dtype == np.complex128
+        assert result["vectors"].dtype == np.complex128
 
     def test_real_matches_complex(self):
         stacks = self.real_stacks()
         real = self.results(stacks)
         cast = self.results({name: m.astype(complex) for name, m in stacks.items()})
-        for root in (real["sqrt"], cast["sqrt"]):
-            assert np.max(np.abs(root @ root - stacks["psd"])) <= 1e-14
         # eigenvectors agree up to a sign or phase per column
         overlap = np.abs(np.sum(real.pop("vectors") * cast.pop("vectors").conj(), axis=-2))
         assert np.max(np.abs(overlap - 1.0)) <= 1e-14
-        # LAPACK's real and complex routines round differently, and sqrt moves by up to
-        # |dA| / (2 sqrt(lambda_min)) for a change dA of A, so each matrix's root is bound
-        # by 2 eps / sqrt(lambda_min); lambda_min reaches 4e-8 in this stack
-        lowest = hermitian_eigen(stacks["psd"]).values[:, 0]
-        moved = np.max(np.abs(real.pop("sqrt") - cast.pop("sqrt")), axis=(-2, -1))
-        assert np.all(moved <= 2.0 * np.finfo(float).eps / np.sqrt(lowest))
         for name in real:
             assert np.max(np.abs(real[name] - cast[name])) <= 1e-14, name
 
@@ -405,12 +329,7 @@ class TestScaleCovariance:
         assert np.allclose(values, expected, rtol=1e-11, atol=0)
 
     def test_eigenvalue_past_the_double_range(self):
-        # 4e308 comes back as +-inf with no overflow warning (a warning fails a test), and
-        # psd_sqrt refuses it by name instead of returning inf and nan entries
+        # 4e308 comes back as +-inf with no overflow warning (a warning fails a test)
         m = np.full((4, 4), 1e308)
         assert hermitian_eigen(m).values[-1] == np.inf
         assert hermitian_eigen(-m).values[0] == -np.inf
-        with pytest.raises(NotPSDError, match="^matrix is not positive semidefinite within"):
-            psd_sqrt(m)
-        with pytest.raises(NotPSDError, match=r"^matrix 1 .* to inf$"):
-            psd_sqrt(np.stack([np.eye(4), m]))

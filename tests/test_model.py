@@ -223,7 +223,7 @@ def test_ground_concurrence_relative_accuracy_at_large_field_ratio():
                 assert error <= Decimal("4e-16"), (J, b, error)
 
 
-def test_ground_concurrence_matches_jacobi_ground_vector():
+def test_ground_concurrence_matches_lapack_ground_vector():
     # independent route: concurrence of the numerically computed ground state
     rng = np.random.default_rng(209)
     checked = 0

@@ -449,6 +449,15 @@ class TestStackedKernels:
             ):
                 assert route[0] == values[i]
                 assert np.array_equal(route[1], roots[i])
+        # complex states: sqrt(rho) of a complex eigensystem, alone and inside a stack
+        a = rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4))
+        states = a @ a.conj().swapaxes(-1, -2)
+        states /= np.trace(states, axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
+        woot_values, woot_roots = wootters_concurrence(states)
+        for i, rho in enumerate(states):
+            value, roots = wootters_concurrence(rho)
+            assert value == woot_values[i]
+            assert np.array_equal(roots, woot_roots[i])
 
     def test_guards_fire_for_one_member(self):
         rng = np.random.default_rng(315)

@@ -6,8 +6,9 @@ import pytest
 
 from xxzent import linalg, model, thermal, verify
 from xxzent.cli import main
-from xxzent.linalg import PSD_TOL, hermitian_eigen
+from xxzent.linalg import hermitian_eigen
 from xxzent.model import NonPositiveTemperatureError
+from xxzent.thermal import PSD_TOL
 from xxzent.verify import (
     ALL_SUITES,
     draw_params,
