@@ -45,7 +45,7 @@ METHOD_XSTATE = "xstate-shortcut"
 
 
 class InvalidDensityMatrixError(XxzentError, ValueError):
-    """Input is no density matrix: linalg refuses it, or |trace - 1| exceeds DENSITY_TOL."""
+    """No density matrix: linalg refuses it, |trace - 1| > DENSITY_TOL or eigenvalue < -PSD_TOL."""
 
 
 def _weights(J, Jz, B, b, T):
