@@ -63,6 +63,8 @@ def runs() -> list[tuple[str, list[str]]]:
         listed += [(f"{workload}{seed}-{i:02d}-{op.kind}", op.argv) for i, op in enumerate(ops)]
     listed += [(f"verify-seed{seed}", ["verify", "--samples", "5000", "--seed", str(seed)])
                for seed in VERIFY_SEEDS]
+    # one draw, one past a block of verify.BLOCK_DRAWS (1024), and the README's command
+    listed += [(f"verify-samples{n}", ["verify", "--samples", str(n)]) for n in (1, 1025, 10000)]
     listed += [(f"extreme-{i:02d}", argv) for i, argv in enumerate(EXTREME_ARGVS)]
     listed += [(f"refused-{i}", argv) for i, (argv, _) in enumerate(workloads.BAD_INPUTS)]
     return listed

@@ -52,6 +52,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
+    def _parse_optional(self, arg_string):
+        """A value, not an option, when it is a number: argparse reads only -1 and -1.5 as
+        one, and no option here looks like a number, so -5e-1, -2. and -inf are values too."""
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _jsonsafe(obj):
     if isinstance(obj, dict):

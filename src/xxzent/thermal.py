@@ -220,14 +220,12 @@ def _state_defects(states: np.ndarray) -> DensityJudgement:
     return DensityJudgement(trace, defect, lowest, refused, system)
 
 
-def _wootters(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, DensityJudgement]:
-    """wootters_concurrence and the judgement of rho, without raising (a refused state: 0s)."""
-    j = _state_defects(rho)
+def _wootters(j: DensityJudgement) -> tuple[np.ndarray, np.ndarray]:
+    """wootters_concurrence of the states that j judged, without raising (a refused state: 0s)."""
     values, vectors = j.system
     root = _spectral_map(vectors, np.sqrt(np.where(j.refused[..., None], 0.0, values.clip(0.0))))
     roots = singular_values(root @ SPIN_FLIP @ root.conj())
-    value = np.minimum(np.maximum(0.0, 2.0 * roots[..., 0] - roots.sum(axis=-1)), 1.0)
-    return value, roots, j
+    return np.minimum(np.maximum(0.0, 2.0 * roots[..., 0] - roots.sum(axis=-1)), 1.0), roots
 
 
 def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +241,9 @@ def wootters_concurrence(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     InvalidDensityMatrixError with the first one's three defects, from the same
     pass (a lowest eigenvalue of nan where linalg refused it before the solve).
     """
-    value, roots, (trace, defect, lowest, refused, _) = _wootters(rho)
-    _refuse(InvalidDensityMatrixError, refused, "{which} is no density matrix: |trace - 1| {:.3e}, "
-            "Hermiticity defect {:.3e}, lowest eigenvalue {:.3e}", trace, defect, lowest)
+    j = _state_defects(rho)
+    value, roots = _wootters(j)
+    _refuse(InvalidDensityMatrixError, j.refused, "{which} is no density matrix: |trace - 1| "
+            "{:.3e}, Hermiticity defect {:.3e}, lowest eigenvalue {:.3e}", j.trace, j.defect,
+            j.lowest)
     return value, roots

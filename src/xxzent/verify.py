@@ -7,13 +7,15 @@ of the Hamiltonian, which no closed form calls.  The draws come from a Philox
 counter-based generator so runs are reproducible from the 64-bit seed alone;
 see the README for the exact draw recipe.
 
-Every suite runs as whole-array calls over consecutive blocks of
-BLOCK_DRAWS draws and joins the per-draw errors, so a suite's maximum error,
-worst point and details do not depend on the block size.
+All six suites run in one pass of whole-array calls over consecutive blocks of
+BLOCK_DRAWS draws: _block builds, solves and judges each block's Gibbs states once
+and returns the named per-draw columns that the rows of ALL_SUITES read, joined
+over blocks, so no suite's error, worst point or details depend on the block size.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +30,8 @@ from .thermal import (
 SYMMETRY_TOL = 1e-12
 
 # Draws per whole-array call, which bounds the memory the (N, 4, 4) stacks take.
-# `verify --samples 5000` peaks at 38.1 MB RSS with 1024, 37.4 MB with 512 and 40.4 MB
-# with 2048; its suites take 0.055 s in process with 1024 or 2048 and 0.059 s with 512.
+# `verify --samples 5000` peaks at 38.2 MB RSS with 1024, 37.8 MB with 512 and 39.8 MB
+# with 2048; its pass takes 0.042 s in process with 1024, 0.044 s with 2048, 0.051 s with 512.
 BLOCK_DRAWS = 1024
 
 B_MONOTONIC_GRID = np.arange(0.0, 3.0 + 0.125, 0.25)
@@ -60,125 +62,88 @@ def draw_params(samples: int, seed: int) -> dict[str, np.ndarray]:
     }
 
 
-def _over_blocks(per_draw, draws: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Call per_draw(**block) on consecutive blocks of BLOCK_DRAWS draws.
-
-    per_draw returns a tuple of per-draw arrays; each is joined over blocks.
-    """
+def _over_blocks(per_draw, draws: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """per_draw(**block) over consecutive blocks of BLOCK_DRAWS draws, each column joined."""
     parts = [
         per_draw(**{name: column[start:start + BLOCK_DRAWS] for name, column in draws.items()})
         for start in range(0, len(draws["J"]), BLOCK_DRAWS)
     ]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
-def _result(name, draws, errors, tol, details=None, valid=True) -> SuiteResult:
-    errors = np.asarray(errors, dtype=float)
-    worst_index = int(np.argmax(errors))
-    max_error = float(errors[worst_index])
+def _block(J, Jz, B, b, T) -> dict[str, np.ndarray]:
+    """Every suite's per-draw columns over one block; each Gibbs state is built, solved and judged
+    once.  The Gibbs columns hold the worse of the two states' defects; a closed state that the
+    density-matrix rule refuses counts as route error 1, the widest gap two concurrences have."""
+    # The guarded route first, so that a refused draw raises before an unguarded route warns;
+    # then the B grid, whose (N, 13) temporaries peak the memory, before any (N, 4, 4) stack.
+    shipped = thermal_concurrence(J, Jz, B, b, T)[0]
+    rise = np.diff(concurrence_values(*(v[:, np.newaxis] for v in (J, Jz)), B_MONOTONIC_GRID,
+                                      *(v[:, np.newaxis] for v in (b, T))), axis=1)
+    levels = np.sort(np.stack(_energies(J, Jz, B, b)[0], axis=-1), axis=-1)
+    levels -= hermitian_eigen(build_hamiltonian(J, Jz, B, b)).values
+    closed, spectral = gibbs_closed(J, Jz, B, b, T), gibbs_spectral(J, Jz, B, b, T)
+    gap = _largest(closed - spectral)
+    c, s = _state_defects(closed), _state_defects(spectral)
+    del closed, spectral  # freed before the Wootters step allocates its own stacks
+    generic = _wootters(c)[0]
+    return {
+        "levels": np.max(np.abs(levels), axis=-1),
+        "states": gap,
+        "trace": np.maximum(c.trace, s.trace),
+        "hermiticity": np.maximum(c.defect, s.defect),
+        "lowest": np.fmin(c.lowest, s.lowest),
+        "refused": c.refused | s.refused,
+        "routes": np.where(c.refused, 1.0, np.abs(generic - shipped)),
+        "closed_refused": c.refused,
+        "b_mirror": np.abs(shipped - concurrence_values(J, Jz, B, -b, T)),
+        "j_mirror": np.abs(shipped - concurrence_values(-J, Jz, B, b, T)),
+        "b_rise": np.maximum(np.max(rise, axis=1), 0.0),
+    }
+
+
+# A row of ALL_SUITES names the _block columns its result reads: its per-draw errors, a
+# column that fails the suite wherever it holds, and a map of the joined columns to details.
+Suite = namedtuple("Suite", "name tolerance errors refused details", defaults=(None, lambda c: {}))
+
+
+def _result(suite: Suite, draws, columns) -> SuiteResult:
+    errors = columns[suite.errors]
+    worst = int(np.argmax(errors))
+    refused = suite.refused is not None and columns[suite.refused].any()
     return SuiteResult(
-        name=name,
-        samples=len(errors),
-        max_error=max_error,
-        tolerance=tol,
-        passed=bool(max_error <= tol) and valid,
-        worst_params={name: float(column[worst_index]) for name, column in draws.items()},
-        details=details or {},
+        suite.name, len(errors), float(errors[worst]), suite.tolerance,
+        bool(errors[worst] <= suite.tolerance) and not refused,
+        {name: float(column[worst]) for name, column in draws.items()}, suite.details(columns),
     )
 
 
-def _spectrum_errors(J, Jz, B, b, T):
-    closed = np.sort(np.stack(_energies(J, Jz, B, b)[0], axis=-1), axis=-1)
-    numeric = hermitian_eigen(build_hamiltonian(J, Jz, B, b)).values
-    return (np.max(np.abs(closed - numeric), axis=-1),)
-
-
-def suite_spectrum(draws: dict[str, np.ndarray]) -> SuiteResult:
-    """Closed-form energies vs LAPACK's eigenvalues of the Hamiltonian."""
-    (errors,) = _over_blocks(_spectrum_errors, draws)
-    return _result("spectrum-oracle", draws, errors, ROUTE_TOL)
-
-
-def _gibbs_errors(J, Jz, B, b, T):
-    """Per draw: route disagreement, then over the two states the worse trace defect,
-    Hermiticity defect and solved lowest eigenvalue, and whether either is refused."""
-    closed = gibbs_closed(J, Jz, B, b, T)
-    spectral = gibbs_spectral(J, Jz, B, b, T)
-    j = _state_defects(np.stack([closed, spectral]))
-    worst = np.max(j.trace, axis=0), np.max(j.defect, axis=0), np.fmin.reduce(j.lowest, axis=0)
-    return (_largest(closed - spectral), *worst, np.any(j.refused, axis=0))
-
-
-def suite_gibbs(draws: dict[str, np.ndarray]) -> SuiteResult:
-    """Closed-form vs spectral Gibbs states; it fails, without raising, where
-    wootters_concurrence would refuse either state as no density matrix."""
-    errors, trace, herm, lowest, refused = _over_blocks(_gibbs_errors, draws)
-    details = {
-        "max_trace_defect": float(np.max(trace)),
-        "max_hermiticity_defect": float(np.max(herm)),
-        "min_eigenvalue": float(np.fmin.reduce(lowest)),  # skips the nan of a state linalg refused
-    }
-    return _result("gibbs-oracle", draws, errors, ROUTE_TOL, details, valid=not refused.any())
-
-
-def _route_errors(J, Jz, B, b, T):
-    """Per draw: the two routes' disagreement, and whether the generic route refused
-    the closed-form state as no density matrix (the rule of wootters_concurrence); a
-    refused draw counts as 1, the widest gap two concurrences can have."""
-    generic, _, j = _wootters(gibbs_closed(J, Jz, B, b, T))
-    shipped = thermal_concurrence(J, Jz, B, b, T)[0]
-    return np.where(j.refused, 1.0, np.abs(generic - shipped)), j.refused
-
-
-def suite_routes(draws: dict[str, np.ndarray]) -> SuiteResult:
-    """Generic Wootters on the closed-form Gibbs state vs the shipped X-state kernel."""
-    errors, refused = _over_blocks(_route_errors, draws)
-    details = {"refused_states": int(np.sum(refused))} if refused.any() else None
-    return _result("concurrence-routes", draws, errors, ROUTE_TOL, details)
-
-
-def _mirror_suite(name, draws, mirror) -> SuiteResult:
-    """Concurrence is unchanged by mirror(J, Jz, B, b) -> mirrored parameters."""
-
-    def errors(J, Jz, B, b, T):
-        value = thermal_concurrence(J, Jz, B, b, T)[0]
-        return (np.abs(value - thermal_concurrence(*mirror(J, Jz, B, b), T)[0]),)
-
-    (per_draw,) = _over_blocks(errors, draws)
-    return _result(name, draws, per_draw, SYMMETRY_TOL)
-
-
-def suite_b_symmetry(draws: dict[str, np.ndarray]) -> SuiteResult:
-    """Concurrence is even in the inhomogeneous field b."""
-    return _mirror_suite("b-symmetry", draws, lambda J, Jz, B, b: (J, Jz, B, -b))
-
-
-def suite_j_parity(draws: dict[str, np.ndarray]) -> SuiteResult:
-    """Concurrence is even in the xy coupling J."""
-    return _mirror_suite("j-parity", draws, lambda J, Jz, B, b: (-J, Jz, B, b))
-
-
-def _monotonic_errors(J, Jz, B, b, T):
-    """Per draw: the largest rise of the concurrence along B_MONOTONIC_GRID, or 0."""
-    J, Jz, b, T = (value[:, np.newaxis] for value in (J, Jz, b, T))
-    values = concurrence_values(J, Jz, B_MONOTONIC_GRID, b, T)
-    return (np.maximum(np.max(np.diff(values, axis=1), axis=1), 0.0),)
-
-
-def suite_b_monotonic(draws: dict[str, np.ndarray]) -> SuiteResult:
-    """Concurrence is nonincreasing in the uniform field B."""
-    (errors,) = _over_blocks(_monotonic_errors, draws)
-    return _result("b-monotonic-in-uniform-field", draws, errors, SYMMETRY_TOL)
-
-
 ALL_SUITES = (
-    suite_spectrum,
-    suite_gibbs,
-    suite_routes,
-    suite_b_symmetry,
-    suite_j_parity,
-    suite_b_monotonic,
+    # closed-form energies vs LAPACK's eigenvalues of the Hamiltonian
+    Suite("spectrum-oracle", ROUTE_TOL, "levels"),
+    # closed-form vs spectral Gibbs states; it fails, without raising, where
+    # wootters_concurrence would refuse either state as no density matrix
+    Suite("gibbs-oracle", ROUTE_TOL, "states", "refused", lambda c: {
+        "max_trace_defect": float(np.max(c["trace"])),
+        "max_hermiticity_defect": float(np.max(c["hermiticity"])),
+        "min_eigenvalue": float(np.fmin.reduce(c["lowest"])),  # skips a refused state's nan
+    }),
+    # generic Wootters on the closed-form Gibbs state vs the shipped X-state kernel
+    Suite("concurrence-routes", ROUTE_TOL, "routes", details=lambda c: (
+        {"refused_states": int(np.sum(c["closed_refused"]))} if c["closed_refused"].any() else {}
+    )),
+    # the concurrence is even in the inhomogeneous field b, and in the xy coupling J
+    Suite("b-symmetry", SYMMETRY_TOL, "b_mirror"),
+    Suite("j-parity", SYMMETRY_TOL, "j_mirror"),
+    # the concurrence is nonincreasing in the uniform field B
+    Suite("b-monotonic-in-uniform-field", SYMMETRY_TOL, "b_rise"),
 )
+
+
+def verify_draws(draws: dict[str, np.ndarray]) -> list[SuiteResult]:
+    """Every suite of ALL_SUITES over the given draws, in one pass over their blocks."""
+    columns = _over_blocks(_block, draws)
+    return [_result(suite, draws, columns) for suite in ALL_SUITES]
 
 
 def run_suites(samples: int, seed: int) -> list[SuiteResult]:
@@ -187,5 +152,4 @@ def run_suites(samples: int, seed: int) -> list[SuiteResult]:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    draws = draw_params(samples, seed)
-    return [suite(draws) for suite in ALL_SUITES]
+    return verify_draws(draw_params(samples, seed))

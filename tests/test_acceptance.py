@@ -12,15 +12,7 @@ from spectrum_oracle import pure_concurrence
 from xxzent.model import Phase, ground_state
 from xxzent.sweep import critical_temperature, figure_data
 from xxzent.thermal import concurrence_values, thermal_concurrence, wootters_concurrence
-from xxzent.verify import (
-    draw_params,
-    suite_b_monotonic,
-    suite_b_symmetry,
-    suite_gibbs,
-    suite_j_parity,
-    suite_routes,
-    suite_spectrum,
-)
+from xxzent.verify import draw_params, verify_draws
 
 SEED = 20260810
 N_DRAWS = 10_000
@@ -33,19 +25,25 @@ def draws():
     return draw_params(N_DRAWS, SEED)
 
 
+@pytest.fixture(scope="module")
+def suites(draws):
+    """Each suite's result, by name, from the one pass over the draws."""
+    return {result.name: result for result in verify_draws(draws)}
+
+
 def report(num, name, ok, detail):
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} [{detail}]")
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def test_01_spectrum_oracle(draws):
-    result = suite_spectrum(draws)
+def test_01_spectrum_oracle(suites):
+    result = suites["spectrum-oracle"]
     report(1, "spectrum-oracle", result.max_error <= 1e-10,
            f"max |dE| = {result.max_error:.3e} over {result.samples} draws, tol 1e-10")
 
 
-def test_02_gibbs_oracle(draws):
-    result = suite_gibbs(draws)
+def test_02_gibbs_oracle(suites):
+    result = suites["gibbs-oracle"]
     ok = (
         result.max_error <= 1e-10
         and result.details["max_trace_defect"] <= 1e-12
@@ -57,8 +55,8 @@ def test_02_gibbs_oracle(draws):
            f"min eigenvalue = {result.details['min_eigenvalue']:.3e} (floor -1e-12)")
 
 
-def test_03_concurrence_route_agreement(draws):
-    routes = suite_routes(draws)
+def test_03_concurrence_route_agreement(suites):
+    routes = suites["concurrence-routes"]
     rng = np.random.Generator(np.random.Philox(SEED + 1))
     vectors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(1000)]
     states = [v / np.linalg.norm(v) for v in vectors]
@@ -105,9 +103,9 @@ def test_05_isotropic_case_anchor():
            f"fig2 low-T corner = {corner:.6f}, gap {target - corner:.2e} <= 1e-3")
 
 
-def test_06_symmetry_suite(draws):
-    b_sym = suite_b_symmetry(draws)
-    j_par = suite_j_parity(draws)
+def test_06_symmetry_suite(suites):
+    b_sym = suites["b-symmetry"]
+    j_par = suites["j-parity"]
     ok = b_sym.max_error <= 1e-12 and j_par.max_error <= 1e-12
     report(6, "symmetry-suite", ok,
            f"max |C(b)-C(-b)| = {b_sym.max_error:.3e}, "
@@ -145,7 +143,7 @@ def test_08_critical_temperature_anchor():
            f"C(Tc(1+1e-4)) = {above}")
 
 
-def test_09_uniform_field_behavior(draws):
+def test_09_uniform_field_behavior(suites):
     rng = np.random.Generator(np.random.Philox(SEED + 3))
     u = rng.random((1000, 4))
     J = (0.05 + 2.95 * u[:, 0]) * np.where(u[:, 1] < 0.5, -1.0, 1.0)
@@ -159,7 +157,7 @@ def test_09_uniform_field_behavior(draws):
     positive = values > 0.0
     sign_invariant = bool(np.all(positive == positive[:, :1]))
 
-    monotonic = suite_b_monotonic(draws)
+    monotonic = suites["b-monotonic-in-uniform-field"]
 
     boundary_b0 = ground_state(1.0, 0.4, 0.0, 0.0).threshold_B
     boundary_b08 = ground_state(1.0, 0.4, 0.0, 0.8).threshold_B

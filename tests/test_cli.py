@@ -468,6 +468,25 @@ def test_refused_input_fails_cleanly(capsys, argv, code):
     assert len(lines) == 1 and lines[0].startswith(prefix), err
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["eval", "--b", "-5e-1"], 0),
+        (["sweep", "--axis", "b:0:1:3", "--jz", "-1E2"], 0),
+        (["critical", "--axis", "t", "--jz", "-.5e+1"], 0),
+        (["eval", "--b", "-2."], 0),
+        (["eval", "--b", "-inf"], 1),
+        (["eval", "--t", "-1e-3"], 1),
+    ],
+)
+def test_a_negative_number_in_any_float_notation_is_a_flag_value(capsys, argv, code):
+    # argparse itself takes only the -1 and -1.5 shapes for numbers, not options
+    *command, flag, value = argv
+    joined = run_cli(capsys, *command, f"{flag}={value}")
+    assert joined[0] == code
+    assert run_cli(capsys, *argv) == joined
+
+
 def test_no_scalar_twin_of_a_broadcast_function():
     # Each route is one function; a public X next to a public X_values would
     # be a second implementation of it.

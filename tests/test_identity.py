@@ -21,7 +21,7 @@ def test_the_fixed_list_holds_every_run_named_once():
     names = [name for name, _ in listed]
     assert len(set(names)) == len(names)
     for prefix in ("figure5-json-out", "session11-", "session29-", "grid11-", "verify11-",
-                   "verify-seed1234567", "extreme-", "refused-"):
+                   "verify-seed1234567", "verify-samples1025", "extreme-", "refused-"):
         assert any(name.startswith(prefix) for name in names), prefix
 
 

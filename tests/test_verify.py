@@ -9,15 +9,13 @@ from xxzent.cli import main
 from xxzent.linalg import hermitian_eigen
 from xxzent.model import NonPositiveTemperatureError
 from xxzent.thermal import PSD_TOL
-from xxzent.verify import (
-    ALL_SUITES,
-    draw_params,
-    run_suites,
-    suite_b_symmetry,
-    suite_gibbs,
-    suite_j_parity,
-    suite_routes,
-)
+from xxzent.verify import ALL_SUITES, BLOCK_DRAWS, draw_params, run_suites, verify_draws
+
+
+def suite_result(name, draws):
+    """The named suite's result in the one pass over draws."""
+    (result,) = [result for result in verify_draws(draws) if result.name == name]
+    return result
 
 
 def test_draw_ranges_and_reproducibility():
@@ -62,7 +60,7 @@ def test_routes_fail_on_a_mutated_shipped_kernel(monkeypatch):
     # reads it must fail verify
     xstate = thermal._xstate
     monkeypatch.setattr(thermal, "_xstate", lambda *args: xstate(*args[:4], args[4] * 1.01))
-    assert not suite_routes(draw_params(600, 9)).passed
+    assert not suite_result("concurrence-routes", draw_params(600, 9)).passed
     assert not all(result.passed for result in run_suites(600, 9))
     assert main(["verify", "--samples", "600"]) == 3
 
@@ -77,7 +75,7 @@ def test_gibbs_fails_on_a_mutated_shared_coherence(monkeypatch):
         return (*rest, coh * 0.99)
 
     monkeypatch.setattr(thermal, "_weights", mutated)
-    assert not suite_gibbs(draw_params(600, 9)).passed
+    assert not suite_result("gibbs-oracle", draw_params(600, 9)).passed
     assert main(["verify", "--samples", "600"]) == 3
 
 
@@ -94,7 +92,7 @@ def test_gibbs_oracle_reports_a_number_for_a_state_linalg_refuses(
         return rho
 
     monkeypatch.setattr(verify, "gibbs_closed", skewed)
-    gibbs = suite_gibbs(draw_params(600, 9))
+    gibbs = suite_result("gibbs-oracle", draw_params(600, 9))
     assert not gibbs.passed and np.isfinite(gibbs.details["min_eigenvalue"])
     assert main(["verify", "--samples", "600", "--seed", "9"]) == 3
     record = json.loads(capsys.readouterr().out)
@@ -122,11 +120,12 @@ def test_routes_fail_on_a_closed_state_that_is_not_psd(monkeypatch, capsys, outp
         # _solve is called inside linalg, singular_values where thermal binds it
         monkeypatch.setattr(linalg if name == "_solve" else thermal, name, counted)
     monkeypatch.setattr(thermal, "_weights", mutated)
-    routes = suite_routes(draw_params(600, 9))
+    routes = suite_result("concurrence-routes", draw_params(600, 9))
     assert not routes.passed
     assert routes.max_error == 1.0 and routes.details["refused_states"] >= 1
-    # one solve serves the judged block and gives its square roots, and one SVD
-    assert calls == {"_solve": 1, "singular_values": 1}
+    # the block's one pass solves H, the spectral route's H and each Gibbs state once; the
+    # closed state's solve gives its square roots for the one SVD
+    assert calls == {"_solve": 4, "singular_values": 1}
     lowest = hermitian_eigen(thermal.gibbs_closed(**routes.worst_params)).values[0]
     assert lowest < -PSD_TOL
     assert main(["verify", "--samples", "600", "--seed", "9"]) == 3
@@ -148,7 +147,7 @@ def test_a_non_hermitian_closed_state_fails_both_suites(monkeypatch, capsys):
 
     monkeypatch.setattr(verify, "gibbs_closed", skewed)
     draws = draw_params(600, 9)
-    gibbs, routes = suite_gibbs(draws), suite_routes(draws)
+    gibbs, routes = (suite_result(name, draws) for name in ("gibbs-oracle", "concurrence-routes"))
     assert not gibbs.passed and gibbs.max_error <= gibbs.tolerance
     assert not routes.passed and routes.details == {"refused_states": 600}
     assert main(["verify", "--samples", "600", "--seed", "9"]) == 3
@@ -224,7 +223,9 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "suite", [suite_gibbs, suite_routes, suite_b_symmetry, suite_j_parity]
+    "suite",
+    ["gibbs-oracle", "concurrence-routes", "b-symmetry", "j-parity"],
+    ids=["suite_gibbs", "suite_routes", "suite_b_symmetry", "suite_j_parity"],
 )
 @pytest.mark.parametrize(
     "T, error",
@@ -238,7 +239,26 @@ def test_guards_fire_in_a_later_block(suite, T, error):
     draws = draw_params(600, 9)
     draws["T"][550] = T
     if error is None:
-        assert suite(draws).passed
+        assert suite_result(suite, draws).passed
         return
     with pytest.raises(error):
-        suite(draws)
+        suite_result(suite, draws)
+
+
+def test_one_pass_builds_solves_and_judges_each_state_once(monkeypatch):
+    # per block: one closed-form state, one guarded concurrence and one SVD, and four solves
+    # per draw (H, the spectral route's H, and the judgement of each Gibbs state)
+    calls = {"gibbs_closed": 0, "thermal_concurrence": 0, "singular_values": 0, "_solve": 0}
+    for module, name in [(verify, "gibbs_closed"), (verify, "thermal_concurrence"),
+                         (thermal, "singular_values"), (linalg, "_solve")]:
+
+        def counted(*args, name=name, function=getattr(module, name)):
+            calls[name] += args[0][..., 0, 0].size if name == "_solve" else 1
+            return function(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    samples = 2 * BLOCK_DRAWS + 5
+    run_suites(samples, 3)
+    assert calls == {
+        "gibbs_closed": 3, "thermal_concurrence": 3, "singular_values": 3, "_solve": 4 * samples
+    }
