@@ -147,7 +147,8 @@ def test_a_non_hermitian_closed_state_fails_both_suites(monkeypatch, capsys):
 
     monkeypatch.setattr(verify, "gibbs_closed", skewed)
     draws = draw_params(600, 9)
-    gibbs, routes = (suite_result(name, draws) for name in ("gibbs-oracle", "concurrence-routes"))
+    results = {result.name: result for result in verify_draws(draws)}
+    gibbs, routes = results["gibbs-oracle"], results["concurrence-routes"]
     assert not gibbs.passed and gibbs.max_error <= gibbs.tolerance
     assert not routes.passed and routes.details == {"refused_states": 600}
     assert main(["verify", "--samples", "600", "--seed", "9"]) == 3
