@@ -44,7 +44,7 @@ POOL_SEED = 11  # of the grid and verify pools
 VERIFY_SEEDS = (42, 7, 1234567)
 
 def runs() -> list[tuple[str, list[str]]]:
-    """The fixed (name, argv) list: figures, the benchmark's pools and extreme inputs."""
+    """The fixed (name, argv) list: figures, the benchmark's pools, extreme inputs, help texts."""
     for folder in ("bench", "tests"):
         if str(ROOT / folder) not in sys.path:
             sys.path.insert(0, str(ROOT / folder))
@@ -67,6 +67,10 @@ def runs() -> list[tuple[str, list[str]]]:
     listed += [(f"verify-samples{n}", ["verify", "--samples", str(n)]) for n in (1, 1025, 10000)]
     listed += [(f"extreme-{i:02d}", argv) for i, argv in enumerate(EXTREME_ARGVS)]
     listed += [(f"refused-{i}", argv) for i, (argv, _) in enumerate(workloads.BAD_INPUTS)]
+    # every help text, which the flag table and the subparsers write
+    listed += [("help-top", ["--help"])]
+    listed += [(f"help-{command}", [command, "--help"])
+               for command in ("eval", "ground", "sweep", "critical", "verify")]
     return listed
 
 

@@ -36,8 +36,15 @@ from .verify import run_suites
 
 SCHEMA_VERSION = "1"
 
-# Flag and axis token of each model parameter, in the order (J, Jz, B, b, T).
-AXIS_TOKENS = {"j": "J", "jz": "Jz", "big-b": "B", "b": "b", "t": "T"}
+# Name, flag and axis token, default and help of each model parameter, in (J, Jz, B, b, T) order.
+PARAM_FLAGS = (
+    ("J", "j", 1.0, "xy coupling J (default 1)"),
+    ("Jz", "jz", 0.0, "z coupling Jz (default 0)"),
+    ("B", "big-b", 0.0, "uniform field B >= 0 (default 0)"),
+    ("b", "b", 0.0, "inhomogeneous field b (default 0)"),
+    ("T", "t", 1.0, "temperature T > 0 (default 1)"),
+)
+AXIS_TOKENS = {token: name for name, token, _, _ in PARAM_FLAGS}
 
 TOLERANCES = {"route_agreement": ROUTE_TOL, "density_matrix": DENSITY_TOL}
 
@@ -73,27 +80,26 @@ def _jsonsafe(obj):
     return obj
 
 
-def _record(command: str, params: dict, results: dict, diagnostics: dict) -> dict:
-    return {
+def _write(out, write) -> None:
+    """write(stream) to the file `out`, or to stdout if there is none, then flush: on stdout a
+    closed pipe raises here, inside main, and not at interpreter exit."""
+    with open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as stream:
+        write(stream)
+        stream.flush()
+
+
+def _emit(args, out, params: dict, results: dict, diagnostics: dict) -> None:
+    """Write the JSON record of the command args.command to `out`, or to stdout.  Its text is
+    built first, so a record that fails to serialize leaves no file."""
+    record = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "params": params,
         "results": results,
         "diagnostics": diagnostics,
     }
-
-
-def _json_text(record: dict) -> str:
-    return json.dumps(_jsonsafe(record), indent=2, allow_nan=False) + "\n"
-
-
-def _emit(record: dict, out: str | None) -> None:
-    text = _json_text(record)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-        sys.stdout.flush()  # a closed pipe raises here and not at interpreter exit
+    text = json.dumps(_jsonsafe(record), indent=2, allow_nan=False) + "\n"
+    _write(out, lambda stream: stream.write(text))
 
 
 # The CSV writer's 17-digit kernel, _format17_words.
@@ -226,26 +232,13 @@ def _write_csv(grid: SweepGrid, stream) -> None:
                 stream.write(line.decode("ascii"))
 
 
-def _grid_record(grid: SweepGrid) -> dict:
-    return _record(
-        "sweep",
-        dict(grid.fixed),
-        {
-            "axes": [asdict(axis) for axis in grid.axes],
-            "values": grid.values.tolist(),
-        },
-        dict(grid.metadata),
-    )
-
-
-def _write_grid(grid: SweepGrid, out: Path | None, fmt: str) -> None:
-    """Write the grid to the file `out`, or to stdout if there is none."""
-    with open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as stream:
-        if fmt == "csv":
-            _write_csv(grid, stream)
-        else:
-            stream.write(_json_text(_grid_record(grid)))
-        stream.flush()  # on stdout, a closed pipe raises here and not at interpreter exit
+def _write_grid(args, grid: SweepGrid, out) -> None:
+    """Write the grid in args.format to the file `out`, or to stdout if there is none."""
+    if args.format == "csv":
+        _write(out, functools.partial(_write_csv, grid))
+    else:
+        results = {"axes": [asdict(axis) for axis in grid.axes], "values": grid.values.tolist()}
+        _emit(args, out, dict(grid.fixed), results, dict(grid.metadata))
 
 
 def _params(args) -> dict[str, float]:
@@ -253,8 +246,8 @@ def _params(args) -> dict[str, float]:
 
     The same dict is a record's params and the library's keyword arguments.
     """
-    dests = {name: token.replace("-", "_") for token, name in AXIS_TOKENS.items()}
-    return {name: getattr(args, dest) for name, dest in dests.items() if hasattr(args, dest)}
+    given = vars(args)
+    return {name: given[name] for name in AXIS_TOKENS.values() if name in given}
 
 
 def _parse_axis(spec: str) -> Axis:
@@ -276,30 +269,16 @@ def _parse_axis(spec: str) -> Axis:
 def cmd_eval(args) -> int:
     params = _params(args)
     value, roots = thermal_concurrence(**params)
-    record = _record(
-        "eval",
-        params,
-        {
-            "concurrence": float(value),
-            "wootters_roots": list(roots),
-            "method": METHOD_XSTATE,
-        },
-        {
-            **gibbs_diagnostics(**params),
-            "method": METHOD_XSTATE,
-            "tolerances": TOLERANCES,
-        },
-    )
-    _emit(record, args.out)
+    results = {"concurrence": float(value), "wootters_roots": list(roots), "method": METHOD_XSTATE}
+    diagnostics = {**gibbs_diagnostics(**params), "method": METHOD_XSTATE, "tolerances": TOLERANCES}
+    _emit(args, args.out, params, results, diagnostics)
     return 0
 
 
 def cmd_ground(args) -> int:
     params = _params(args)
-    record = _record(
-        "ground", params, asdict(ground_state(**params)), {"boundary_tolerance": BOUNDARY_TOL}
-    )
-    _emit(record, args.out)
+    diagnostics = {"boundary_tolerance": BOUNDARY_TOL}
+    _emit(args, args.out, params, asdict(ground_state(**params)), diagnostics)
     return 0
 
 
@@ -311,14 +290,13 @@ def cmd_sweep(args) -> int:
         # all files before any path, so a closed stdout pipe cannot cut the file set short
         paths = [outdir / f"{grid.metadata['label']}.{args.format}" for grid in grids]
         for grid, path in zip(grids, paths):
-            _write_grid(grid, path, args.format)
-        print(*paths, sep="\n")
-        sys.stdout.flush()
+            _write_grid(args, grid, path)
+        _write(None, lambda stream: print(*paths, sep="\n", file=stream))
         return 0
     axes = [_parse_axis(spec) for spec in args.axis]
     swept = {axis.name for axis in axes}
     fixed = {name: value for name, value in _params(args).items() if name not in swept}
-    _write_grid(sweep(axes, fixed), Path(args.out) if args.out else None, args.format)
+    _write_grid(args, sweep(axes, fixed), args.out)
     return 0
 
 
@@ -330,7 +308,7 @@ def cmd_critical(args) -> int:
         _check_params(T=T)  # recorded, though the critical temperature ignores it
     else:
         point = critical_field(**params, axis=AXIS_TOKENS[args.axis])
-    _emit(_record("critical", params, asdict(point), {}), args.out)
+    _emit(args, args.out, params, asdict(point), {})
     return 0
 
 
@@ -341,29 +319,17 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     suites = run_suites(args.samples, args.seed)
     all_passed = all(suite.passed for suite in suites)
-    record = _record(
-        "verify",
-        {"samples": args.samples, "seed": args.seed},
-        {
-            "suites": [asdict(suite) for suite in suites],
-            "all_passed": all_passed,
-        },
-        {"rng": "philox-counter-64", "tolerances": TOLERANCES},
-    )
-    _emit(record, args.out)
+    params = {"samples": args.samples, "seed": args.seed}
+    results = {"suites": [asdict(suite) for suite in suites], "all_passed": all_passed}
+    _emit(args, args.out, params, results, {"rng": "philox-counter-64", "tolerances": TOLERANCES})
     return 0 if all_passed else 3
 
 
 def _add_param_flags(parser, with_temperature: bool = True) -> None:
-    parser.add_argument("--j", type=float, default=1.0, help="xy coupling J (default 1)")
-    parser.add_argument("--jz", type=float, default=0.0, help="z coupling Jz (default 0)")
-    parser.add_argument("--big-b", type=float, default=0.0, dest="big_b",
-                        help="uniform field B >= 0 (default 0)")
-    parser.add_argument("--b", type=float, default=0.0,
-                        help="inhomogeneous field b (default 0)")
-    if with_temperature:
-        parser.add_argument("--t", type=float, default=1.0,
-                            help="temperature T > 0 (default 1)")
+    for name, token, default, text in PARAM_FLAGS:
+        if name != "T" or with_temperature:
+            parser.add_argument(f"--{token}", type=float, default=default, dest=name,
+                                metavar=token.replace("-", "_").upper(), help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -430,6 +396,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

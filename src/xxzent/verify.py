@@ -62,15 +62,6 @@ def draw_params(samples: int, seed: int) -> dict[str, np.ndarray]:
     }
 
 
-def _over_blocks(per_draw, draws: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """per_draw(**block) over consecutive blocks of BLOCK_DRAWS draws, each column joined."""
-    parts = [
-        per_draw(**{name: column[start:start + BLOCK_DRAWS] for name, column in draws.items()})
-        for start in range(0, len(draws["J"]), BLOCK_DRAWS)
-    ]
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
-
-
 def _block(J, Jz, B, b, T) -> dict[str, np.ndarray]:
     """Every suite's per-draw columns over one block; each Gibbs state is built, solved and judged
     once.  The Gibbs columns hold the worse of the two states' defects; a closed state that the
@@ -142,7 +133,11 @@ ALL_SUITES = (
 
 def verify_draws(draws: dict[str, np.ndarray]) -> list[SuiteResult]:
     """Every suite of ALL_SUITES over the given draws, in one pass over their blocks."""
-    columns = _over_blocks(_block, draws)
+    parts = [
+        _block(**{name: column[start:start + BLOCK_DRAWS] for name, column in draws.items()})
+        for start in range(0, len(draws["J"]), BLOCK_DRAWS)
+    ]
+    columns = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     return [_result(suite, draws, columns) for suite in ALL_SUITES]
 
 

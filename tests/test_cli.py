@@ -468,6 +468,19 @@ def test_refused_input_fails_cleanly(capsys, argv, code):
     assert len(lines) == 1 and lines[0].startswith(prefix), err
 
 
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    # as numpy raises it for `verify --samples 1000000000000`, without allocating anything
+    def refuse(samples, seed):
+        raise MemoryError("Unable to allocate 43.7 TiB for an array with shape "
+                          "(1000000000000, 6) and data type float64")
+
+    monkeypatch.setattr("xxzent.cli.run_suites", refuse)
+    status, out, err = run_cli(capsys, "verify", "--samples", "1000000000000")
+    assert status == 1 and out == ""
+    assert err == "error: out of memory: Unable to allocate 43.7 TiB for an array with shape " \
+        "(1000000000000, 6) and data type float64\n"
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [

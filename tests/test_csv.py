@@ -9,8 +9,10 @@ also checked against `format(x, ".17g")` on random bit patterns, exact
 rounding ties and the edges of its range.
 """
 
+import argparse
 import contextlib
 import io
+import json
 import os
 import struct
 import subprocess
@@ -53,7 +55,7 @@ GRIDS = {
 
 def written(grid, tmp_path) -> bytes:
     path = tmp_path / "grid.csv"
-    _write_grid(grid, path, "csv")
+    _write_grid(argparse.Namespace(format="csv"), grid, path)
     return path.read_bytes()
 
 
@@ -123,12 +125,36 @@ def run_cli(*argv):
     return out.getvalue()
 
 
-def test_stdout_matches_out_file(tmp_path):
-    argv = ["sweep", "--axis", "b:-3:3:41", "--axis", "t:0.05:2:23", "--jz", "0.4"]
+def same_on_stdout_and_in_file(argv, tmp_path) -> str:
+    """The command's stdout, after checking that --out writes the same bytes."""
     text = run_cli(*argv)
-    path = tmp_path / "grid.csv"
+    path = tmp_path / "output"
     assert run_cli(*argv, "--out", str(path)) == ""
     assert path.read_bytes() == text.encode("utf-8")
+    return text
+
+
+def test_stdout_matches_out_file(tmp_path):
+    same_on_stdout_and_in_file(
+        ["sweep", "--axis", "b:-3:3:41", "--axis", "t:0.05:2:23", "--jz", "0.4"], tmp_path
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--jz", "0.4", "--b", "0.8", "--t", "0.6"],
+        ["ground", "--jz", "0.4", "--b", "0.8"],
+        ["critical", "--axis", "b", "--jz", "0.4", "--t", "0.6"],
+        ["verify", "--samples", "3"],
+        ["sweep", "--axis", "b:-3:3:41", "--jz", "0.4", "--format", "json"],
+    ],
+    ids=["eval", "ground", "critical-b", "verify", "sweep-json"],
+)
+def test_record_on_stdout_matches_out_file(argv, tmp_path):
+    # each JSON record goes through the same writer as a CSV grid, and names its command
+    record = json.loads(same_on_stdout_and_in_file(argv, tmp_path))
+    assert record["command"] == argv[0]
 
 
 def grid_argv(points):
