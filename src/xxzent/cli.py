@@ -4,8 +4,8 @@ Field flags follow the --big-b / --b convention so the uniform and
 inhomogeneous fields cannot be confused by case-insensitive shells.
 Records are emitted as JSON (schema/output.json); grids as CSV or JSON.
 
-Exit codes: 0 success, 1 numerical-domain or I/O error, 2 usage error,
-3 verification failure.
+Exit codes: 0 success, 1 numerical-domain, I/O or out-of-memory error,
+2 usage error, 3 verification failure.
 """
 
 from __future__ import annotations
