@@ -67,6 +67,9 @@ def runs() -> list[tuple[str, list[str]]]:
     listed += [(f"verify-samples{n}", ["verify", "--samples", str(n)]) for n in (1, 1025, 10000)]
     listed += [(f"extreme-{i:02d}", argv) for i, argv in enumerate(EXTREME_ARGVS)]
     listed += [(f"refused-{i}", argv) for i, (argv, _) in enumerate(workloads.BAD_INPUTS)]
+    # the ground state on its phase boundary, and the Gibbs diagnostics at J = 0
+    listed += [("ground-boundary", ["ground", "--j", "1", "--jz", "0.4", "--big-b", "1.4"]),
+               ("eval-j0", ["eval", "--j", "0", "--jz", "1"])]
     # every help text, which the flag table and the subparsers write
     listed += [("help-top", ["--help"])]
     listed += [(f"help-{command}", [command, "--help"])

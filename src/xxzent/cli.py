@@ -46,7 +46,9 @@ PARAM_FLAGS = (
 )
 AXIS_TOKENS = {token: name for name, token, _, _ in PARAM_FLAGS}
 
-TOLERANCES = {"route_agreement": ROUTE_TOL, "density_matrix": DENSITY_TOL}
+# The diagnostics of a grid record, ahead of a figure's labels.
+GRID_DIAGNOSTICS = {"method": METHOD_XSTATE, "tolerances": {"route_agreement": ROUTE_TOL}}
+TOLERANCES = {**GRID_DIAGNOSTICS["tolerances"], "density_matrix": DENSITY_TOL}
 
 
 class UsageError(XxzentError):
@@ -120,27 +122,15 @@ def _halves(a):
 _POW10_HI, _POW10_LO = _halves(_POW10)
 
 
-def _decimal_words(width: int, head: bytes = b"", nuls: int = 0) -> np.ndarray:
-    """Words of head + the width-digit decimal of each i < 10**width + nuls NUL bytes,
-    four ASCII bytes to a native uint32: first with every digit, then with the
-    decimal's trailing '0's as NUL."""
-    i = np.arange(10**width)[:, np.newaxis]
-    place = 10 ** np.arange(width - 1, -1, -1)
-    digits = (i // place % 10 + ord("0")).astype(np.uint8)
-    kept = i % (10 * place) != 0  # the digit or a later one is nonzero
-    fields = [
-        np.broadcast_to(np.frombuffer(head, np.uint8), (2 * len(i), len(head))),
-        np.concatenate([digits, digits * kept]),
-        np.zeros((2 * len(i), nuls), np.uint8),
-    ]
-    return np.concatenate(fields, axis=1).view(np.uint32).ravel()
-
-
 @functools.cache
 def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Words of "0." and two decimals, of four decimals, and of two decimals and two NULs,
-    each table with its stripped half (the last only stripped); built on first use."""
-    return _decimal_words(2, head=b"0."), _decimal_words(4), _decimal_words(2, nuls=2)[100:]
+    """Words of "0." and two decimals, and of four decimals, each table then its stripped
+    half (trailing '0's as NUL), and the stripped words of two decimals: four ASCII bytes
+    to a native uint32; built on first use."""
+    two = np.char.zfill(np.arange(100).astype("S2"), 2)
+    four = np.char.zfill(np.arange(10**4).astype("S4"), 4)
+    tables = [np.concatenate([s, np.char.rstrip(s, b"0")]) for s in (np.char.add(b"0.", two), four)]
+    return tuple(t.astype("S4").view(np.uint32) for t in (*tables, np.char.rstrip(two, b"0")))
 
 
 def _format17_words(values: np.ndarray) -> np.ndarray:
@@ -238,7 +228,7 @@ def _write_grid(args, grid: SweepGrid, out) -> None:
         _write(out, functools.partial(_write_csv, grid))
     else:
         results = {"axes": [asdict(axis) for axis in grid.axes], "values": grid.values.tolist()}
-        _emit(args, out, dict(grid.fixed), results, dict(grid.metadata))
+        _emit(args, out, dict(grid.fixed), results, {**GRID_DIAGNOSTICS, **grid.metadata})
 
 
 def _params(args) -> dict[str, float]:

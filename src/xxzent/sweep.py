@@ -30,7 +30,7 @@ import numpy as np
 
 from .linalg import XxzentError
 from .model import _check_params, ground_state
-from .thermal import METHOD_XSTATE, ROUTE_TOL, concurrence_values, log_sign_values
+from .thermal import concurrence_values, log_sign_values
 
 PARAM_NAMES = ("J", "Jz", "B", "b", "T")
 
@@ -98,7 +98,7 @@ class SweepGrid:
     fixed: dict[str, float]
     axes: tuple[Axis, ...]
     values: np.ndarray = field(repr=False)
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)  # a figure's labels, empty for other grids
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,7 @@ def sweep(axes: Sequence[Axis], fixed: Mapping[str, float]) -> SweepGrid:
     for axis, values in zip(axes, np.ix_(*[a.values() for a in axes])):
         params[axis.name] = values
     values = concurrence_values(*(params[name] for name in PARAM_NAMES))
-    return SweepGrid(
-        fixed=fixed,
-        axes=axes,
-        values=values.reshape(tuple(a.points for a in axes)),
-        metadata={"method": METHOD_XSTATE, "tolerances": {"route_agreement": ROUTE_TOL}},
-    )
+    return SweepGrid(fixed, axes, values.reshape(tuple(a.points for a in axes)))
 
 
 def _sign_root(axis, h, lowest, decreasing: bool, absent: str, note="") -> CriticalPoint:
@@ -271,5 +266,5 @@ def figure_data(figure: int) -> list[SweepGrid]:
             B, T = axes
             evaluated = (B, Axis("T", T.start / 2, T.stop / 2, T.points))
         grid = sweep(evaluated, fixed)
-        grids.append(dataclasses.replace(grid, axes=axes, metadata={**grid.metadata, **labels}))
+        grids.append(dataclasses.replace(grid, axes=axes, metadata=labels))
     return grids

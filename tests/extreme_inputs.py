@@ -33,4 +33,6 @@ EXTREME_ARGVS = [
     ["critical", "--axis", "b", "--j=1", "--jz=-1", "--t=1e-310"],
     # a subnormal J that the scaling rounds to 0 beside Jz near the top of the range
     ["critical", "--axis", "t", "--j", "5e-324", "--jz=1e308"],
+    # a b root at a subnormal temperature, where b (b/(eta - Jz)) rounds to one quantum
+    ["critical", "--axis", "b", "--j=1", "--jz=-1", "--t=5e-324"],
 ]

@@ -6,7 +6,8 @@ of concurrences through one bytes `%` of a preformatted template; its bytes
 must equal those of tests/csv_oracle.py on every grid shape, on the bundled
 presets and on the extreme doubles, on stdout and in a file.  The kernel is
 also checked against `format(x, ".17g")` on random bit patterns, exact
-rounding ties and the edges of its range.
+rounding ties and the edges of its range, and its digit tables entry by
+entry against `%`.
 """
 
 import argparse
@@ -24,7 +25,7 @@ import pytest
 
 import xxzent
 from csv_oracle import grid_csv
-from xxzent.cli import _format17_words, _write_grid, main
+from xxzent.cli import _digit_words, _format17_words, _write_grid, main
 from xxzent.sweep import Axis, SweepGrid, figure_data, sweep
 
 MAX = 1.7976931348623157e308
@@ -116,6 +117,15 @@ def test_percent_format_is_format_spec():
     expected = [format(x, ".17g").encode("ascii") for x in values.tolist()]
     assert _format17_words(values).tolist() == expected
     assert _format17_words(np.array([0.100002288818359375])).tolist() == [b"0.10000228881835938"]
+
+
+def test_digit_tables_are_percent_formats():
+    # each table, then its stripped half with trailing '0's as NUL, which the "S4" view drops
+    head, quad, tail = (table.view("S4").tolist() for table in _digit_words())
+    for table, form, size in ((head, b"0.%02d", 100), (quad, b"%04d", 10**4)):
+        words = [form % i for i in range(size)]
+        assert table == words + [word.rstrip(b"0") for word in words]
+    assert tail == [(b"%02d" % i).rstrip(b"0") for i in range(100)]
 
 
 def run_cli(*argv):

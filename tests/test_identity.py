@@ -22,7 +22,7 @@ def test_the_fixed_list_holds_every_run_named_once():
     assert len(set(names)) == len(names)
     for prefix in ("figure5-json-out", "session11-", "session29-", "grid11-", "verify11-",
                    "verify-seed1234567", "verify-samples1025", "extreme-", "refused-",
-                   "help-"):
+                   "ground-boundary", "eval-j0", "help-"):
         assert any(name.startswith(prefix) for name in names), prefix
 
 

@@ -171,6 +171,13 @@ def _h_uncoupled(J, Jz, B, b):
     return h
 
 
+def _h_inner_swapped(J, Jz, B, b):
+    # the inner block's diagonal swapped: the same spectrum, other eigenvectors
+    h = model.build_hamiltonian(J, Jz, B, b)
+    h[..., [1, 2], [1, 2]] = h[..., [2, 1], [2, 1]]
+    return h
+
+
 def _e3_shifted(J, Jz, B, b):
     (e1, e2, e3, e4), eta = model._energies(J, Jz, B, b)
     return (e1, e2, e3 + 0.01 * b, e4), eta
@@ -181,29 +188,70 @@ def _coherence_raised(*params, weights=thermal._weights):
     return (*rest, coh * (1.0 + 1e-9))
 
 
-# Each row: the name a mutant replaces wherever verify or thermal binds it, the mutant,
-# and the exact set of suites that fail on it.  The killers depend on the closed forms
-# and the suites, not on the eigensolver behind the spectral route.
+def _xstate_coherence_raised(w1, w2, w3, w4, coh, xstate=thermal._xstate):
+    return xstate(w1, w2, w3, w4, coh * (1.0 + 1e-9))
+
+
+def _levels_moved(term, entries, levels):
+    """Patches that add term(J, Jz, B, b) to H's diagonal entries and to the closed levels
+    (0 for E1 .. 3 for E4), in the basis order |1,1>, |1,0>, |0,1>, |0,0>."""
+
+    def hamiltonian(J, Jz, B, b):
+        h = model.build_hamiltonian(J, Jz, B, b)
+        for i in entries:
+            h[..., i, i] += term(J, Jz, B, b)
+        return h
+
+    def energies(J, Jz, B, b):
+        values, eta = model._energies(J, Jz, B, b)
+        moved = tuple(e + term(J, Jz, B, b) if k in levels else e for k, e in enumerate(values))
+        return moved, eta
+
+    return ({"build_hamiltonian": hamiltonian} if entries else {}) | {"_energies": energies}
+
+
+# Each row: the mutants, by the name each replaces wherever verify or thermal binds it, and
+# the exact set of suites that fail on them.  The killers depend on the closed forms and
+# the suites, not on the eigensolver behind the spectral route.  Each suite is the only
+# killer of at least one row.
 SPECTRAL = {"spectrum-oracle", "gibbs-oracle"}
 KILL_TABLE = {
-    "h11_with_2B_for_2b": ("build_hamiltonian", _h11_with_big_b, SPECTRAL),
-    "J_times_1.0001_in_H": ("build_hamiltonian", _h_with_scaled_j, SPECTRAL),
-    "H_coupling_12_zero": ("build_hamiltonian", _h_uncoupled, SPECTRAL),
-    "E3_plus_0.01b": ("_energies", _e3_shifted, SPECTRAL | {"b-symmetry"}),
+    "h11_with_2B_for_2b": ({"build_hamiltonian": _h11_with_big_b}, SPECTRAL),
+    "J_times_1.0001_in_H": ({"build_hamiltonian": _h_with_scaled_j}, SPECTRAL),
+    "H_coupling_12_zero": ({"build_hamiltonian": _h_uncoupled}, SPECTRAL),
+    "E3_plus_0.01b": ({"_energies": _e3_shifted}, SPECTRAL | {"b-symmetry"}),
     # gibbs_closed reads the same coherence (gibbs-oracle), and a raised one leaves some
     # closed states not PSD (concurrence-routes)
     "coherence_times_1+1e-9": (
-        "_weights", _coherence_raised, {"gibbs-oracle", "concurrence-routes"}
+        {"_weights": _coherence_raised}, {"gibbs-oracle", "concurrence-routes"}
+    ),
+    # a shift of every level, which no Gibbs state sees
+    "levels_plus_0.01Jz": (_levels_moved(lambda J, Jz, B, b: 0.01 * Jz, [], range(4)),
+                           {"spectrum-oracle"}),
+    "H_inner_diagonal_swapped": ({"build_hamiltonian": _h_inner_swapped}, {"gibbs-oracle"}),
+    "xstate_coherence_times_1+1e-9": (
+        {"_xstate": _xstate_coherence_raised}, {"concurrence-routes"}
+    ),
+    # |1,1>, H's h[0,0] and E2, moved alike on both routes
+    "h00_and_E2_plus_0.01b": (_levels_moved(lambda J, Jz, B, b: 0.01 * b, [0], [1]),
+                              {"b-symmetry"}),
+    "h00_and_E2_plus_0.01J": (_levels_moved(lambda J, Jz, B, b: 0.01 * J, [0], [1]),
+                              {"j-parity"}),
+    # the inner pair, h[1,1], h[2,2], E3 and E4, lowered by B/2: the concurrence falls with B
+    "inner_levels_minus_0.5B": (
+        _levels_moved(lambda J, Jz, B, b: -0.5 * B, [1, 2], [2, 3]),
+        {"b-monotonic-in-uniform-field"},
     ),
 }
 
 
 @pytest.mark.parametrize("row", KILL_TABLE)
 def test_kill_table(monkeypatch, row):
-    name, mutant, killers = KILL_TABLE[row]
-    for module in (verify, thermal):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, mutant)
+    mutants, killers = KILL_TABLE[row]
+    for name, mutant in mutants.items():
+        for module in (verify, thermal):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, mutant)
     assert {result.name for result in run_suites(1000, 42) if not result.passed} == killers
 
 
