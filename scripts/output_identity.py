@@ -44,7 +44,8 @@ POOL_SEED = 11  # of the grid and verify pools
 VERIFY_SEEDS = (42, 7, 1234567)
 
 def runs() -> list[tuple[str, list[str]]]:
-    """The fixed (name, argv) list: figures, the benchmark's pools, extreme inputs, help texts."""
+    """The fixed (name, argv) list: figures, the benchmark's pools, extreme and refused inputs,
+    two rare branches (a phase boundary, J = 0) and the help texts."""
     for folder in ("bench", "tests"):
         if str(ROOT / folder) not in sys.path:
             sys.path.insert(0, str(ROOT / folder))

@@ -129,7 +129,8 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     to a native uint32; built on first use."""
     two = np.char.zfill(np.arange(100).astype("S2"), 2)
     four = np.char.zfill(np.arange(10**4).astype("S4"), 4)
-    tables = [np.concatenate([s, np.char.rstrip(s, b"0")]) for s in (np.char.add(b"0.", two), four)]
+    head = np.char.add(b"0.", two)
+    tables = [np.concatenate([s, np.char.rstrip(s, b"0")]) for s in (head, four)]
     return tuple(t.astype("S4").view(np.uint32) for t in (*tables, np.char.rstrip(two, b"0")))
 
 

@@ -237,7 +237,7 @@ KILL_TABLE = {
                               {"b-symmetry"}),
     "h00_and_E2_plus_0.01J": (_levels_moved(lambda J, Jz, B, b: 0.01 * J, [0], [1]),
                               {"j-parity"}),
-    # the inner pair, h[1,1], h[2,2], E3 and E4, lowered by B/2: the concurrence falls with B
+    # the inner pair, h[1,1], h[2,2], E3 and E4, lowered by B/2: the concurrence can rise with B
     "inner_levels_minus_0.5B": (
         _levels_moved(lambda J, Jz, B, b: -0.5 * B, [1, 2], [2, 3]),
         {"b-monotonic-in-uniform-field"},
